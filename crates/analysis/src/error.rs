@@ -3,8 +3,7 @@
 //! The audit's `result-string` lint bans `Result<_, String>` in public
 //! signatures; the store-scan helpers were the last offenders. Analysis
 //! can fail two ways — the underlying store scan failed, or the scanned
-//! data is unusable (empty distribution, NaN RTTs) — and callers that
-//! still want a string get one through the `From` bridge.
+//! data is unusable (empty distribution, NaN RTTs).
 
 use cloudy_store::StoreError;
 use std::fmt;
@@ -41,13 +40,6 @@ impl From<StoreError> for AnalysisError {
     }
 }
 
-/// Legacy bridge for callers still speaking stringly errors.
-impl From<AnalysisError> for String {
-    fn from(e: AnalysisError) -> String {
-        e.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,7 +48,5 @@ mod tests {
     fn display_distinguishes_store_and_data_failures() {
         let d = AnalysisError::data("NaN RTT in store scan");
         assert_eq!(d.to_string(), "NaN RTT in store scan");
-        let s: String = d.into();
-        assert_eq!(s, "NaN RTT in store scan");
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! The lint engine flags `Result<_, String>` in public signatures
 //! (`result-string`), so the crate had to stop committing that sin
-//! itself: every public fallible API returns [`AuditError`]. A `From`
-//! bridge keeps legacy `String`-error callers compiling.
+//! itself: every public fallible API returns [`AuditError`].
 
 use std::fmt;
 
@@ -39,13 +38,6 @@ impl fmt::Display for AuditError {
 
 impl std::error::Error for AuditError {}
 
-/// Legacy bridge for callers still speaking stringly errors.
-impl From<AuditError> for String {
-    fn from(e: AuditError) -> String {
-        e.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,11 +48,5 @@ mod tests {
         assert_eq!(e.to_string(), "audit.toml: permission denied");
         let c = AuditError::config("wire.lock:3: bad header");
         assert_eq!(c.to_string(), "wire.lock:3: bad header");
-    }
-
-    #[test]
-    fn string_bridge_round_trips_the_rendering() {
-        let s: String = AuditError::config("boom").into();
-        assert_eq!(s, "boom");
     }
 }

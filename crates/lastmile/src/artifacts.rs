@@ -23,13 +23,6 @@ impl fmt::Display for ArtifactConfigError {
 
 impl std::error::Error for ArtifactConfigError {}
 
-/// Legacy bridge for callers still speaking stringly errors.
-impl From<ArtifactConfigError> for String {
-    fn from(e: ArtifactConfigError) -> String {
-        e.0
-    }
-}
-
 /// Probability knobs for classification-breaking artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ArtifactConfig {

@@ -51,14 +51,6 @@ impl fmt::Display for MeasureError {
 
 impl std::error::Error for MeasureError {}
 
-/// Lets legacy `Result<_, String>` call sites (CLI helpers, analysis entry
-/// points) keep using `?` across the typed boundary.
-impl From<MeasureError> for String {
-    fn from(e: MeasureError) -> String {
-        e.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,8 +61,7 @@ mod tests {
         assert_eq!(e.to_string(), "invalid campaign config: threads: must be >= 1");
         let e = MeasureError::sink("disk full");
         assert!(e.to_string().contains("disk full"));
-        let s: String = MeasureError::dataset("bad header").into();
-        assert!(s.contains("bad header"));
+        assert!(MeasureError::dataset("bad header").to_string().contains("bad header"));
     }
 
     #[test]

@@ -1,23 +1,6 @@
-//! `cloudy-repro` — command-line front end for the reproduction.
-//!
-//! ```text
-//! cloudy-repro list
-//! cloudy-repro world       [--seed N]
-//! cloudy-repro run         [--seed N] [--days N] [--sc-fraction F]
-//!                          [--atlas-fraction F] [--threads N] [--out DIR]
-//! cloudy-repro campaign    [--seed N] [--days N] [--sc-fraction F]
-//!                          [--threads N] [--pings-only] [--out FILE]
-//! cloudy-repro experiment  <id>... [run options]
-//! cloudy-repro all         [run options] [--out FILE]
-//! cloudy-repro store write    [run options] [--out DIR] [--chunk-rows N]
-//! cloudy-repro store inspect  <FILE>
-//! cloudy-repro store query    <FILE> [--provider AB] [--country CC] [--isp ASN]
-//!                             [--kind ping|trace] [--min-rtt MS] [--max-rtt MS]
-//!                             [--group-by KEY] [--threads N]
-//! cloudy-repro serve       [--tenants N] [--hours H] [--seed N] [--threads N]
-//!                          [--faults none|default] [--top-k N] [--json]
-//!                          [--store FILE]
-//! ```
+//! `cloudy-repro` — command-line front end for the reproduction. Run
+//! `cloudy-repro help` for the commands and their options; [`usage`] is
+//! the one place they are listed.
 //!
 //! `run` executes both platform campaigns and writes the datasets as JSON
 //! lines (`speedchecker.jsonl`, `atlas.jsonl`) plus a `study.meta` with the
@@ -26,47 +9,66 @@
 //! straight into columnar `cloudy-store` files (bounded memory — records
 //! never sit in a `Dataset`); `inspect` dumps a store's chunk directory and
 //! `query` runs a pruned scan with summary statistics.
+//!
+//! Every subcommand reads its flags through one [`Args`] cursor and
+//! returns its errors to `main`, which prints `error: …` and exits 2.
 
 use cloudy::core::experiments::{self, ExperimentId};
 use cloudy::core::{run_study_into, Study, StudyConfig};
+use cloudy::measure::{CampaignConfig, Dataset};
+use cloudy::netsim::{FaultProfile, Simulator};
 use cloudy::obs::Obs;
-use cloudy::store::{Reader, Writer, WriterOptions};
+use cloudy::probes::{Platform, Population};
+use cloudy::store::{Query, Reader, Writer, WriterOptions};
+use std::error::Error;
+use std::fmt::Display;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+
+type CliResult<T = ExitCode> = Result<T, Box<dyn Error>>;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        usage();
-        return ExitCode::from(2);
-    };
-    match cmd.as_str() {
-        "list" => {
-            for id in ExperimentId::ALL {
-                println!("{:8} {}", id.slug(), id.label());
+    let mut args = Args(std::env::args().skip(1).collect());
+    let result = match args.subcommand().as_str() {
+        "list" => list(args),
+        "world" => world(args),
+        "audit" => audit(args),
+        "analyze" => analyze(args),
+        "run" => run(args),
+        "campaign" => campaign(args),
+        "experiment" => experiment(args),
+        "all" => all(args),
+        "store" => match args.subcommand().as_str() {
+            "write" => store_write(args),
+            "inspect" => store_inspect(args),
+            "query" => store_query(args),
+            "" => Err("store requires a subcommand: write | inspect | query".into()),
+            other => {
+                Err(format!("unknown store subcommand {other:?} (write | inspect | query)").into())
             }
-            ExitCode::SUCCESS
-        }
-        "world" => world(&args[1..]),
-        "audit" => audit(&args[1..]),
-        "analyze" => analyze(&args[1..]),
-        "run" => run(&args[1..]),
-        "campaign" => campaign(&args[1..]),
-        "experiment" => experiment(&args[1..]),
-        "all" => all(&args[1..]),
-        "store" => store(&args[1..]),
-        "serve" => serve(&args[1..]),
-        "intercloud" => intercloud(&args[1..]),
-        "obs" => obs_summary(&args[1..]),
+        },
+        "serve" => serve(args),
+        "intercloud" => intercloud(args),
+        "obs" => obs_summary(args),
         "help" | "--help" | "-h" => {
             usage();
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
+        }
+        "" => {
+            usage();
+            Ok(ExitCode::from(2))
         }
         other => {
             eprintln!("unknown command {other:?}\n");
             usage();
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
-    }
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
+    })
 }
 
 fn usage() {
@@ -74,15 +76,22 @@ fn usage() {
         "cloudy-repro — reproduce \"Cloudy with a Chance of Short RTTs\" (IMC 2021)\n\n\
          commands:\n\
          \x20 list                         list experiment ids\n\
-         \x20 world [--seed N]             print world statistics\n\
+         \x20 world [opts] [--audit]       print world statistics; --audit also runs\n\
+         \x20                              the world invariant checks (exit 1 if broken)\n\
          \x20 audit [audit opts]           run the audit passes (world, race, lints)\n\
          \x20 audit lint [lint opts]       strict static gate: token lints + wire freeze\n\
          \x20 run [opts] [--out DIR]       run both campaigns, write datasets\n\
+         \x20 analyze --dir DIR [<id>...] [opts]\n\
+         \x20                              re-analyse a `run` export (every experiment\n\
+         \x20                              unless ids are given); its study.meta\n\
+         \x20                              overrides the study options\n\
          \x20 campaign [opts] [--out FILE] [--pings-only]\n\
          \x20                              one Speedchecker campaign with cache and\n\
          \x20                              failure reporting\n\
          \x20 experiment <id>... [opts]    run specific experiments (see `list`)\n\
-         \x20 all [opts] [--out FILE]      run every experiment\n\
+         \x20 all [opts] [--out FILE] [--csv DIR]\n\
+         \x20                              run every experiment; --out writes them as\n\
+         \x20                              Markdown, --csv writes each figure's data\n\
          \x20 store write [opts] [--out DIR] [--chunk-rows N]\n\
          \x20                              stream both campaigns into columnar stores\n\
          \x20 store inspect <FILE>         dump a store's chunk directory\n\
@@ -107,10 +116,11 @@ fn usage() {
          \x20                              WAN and the public internet; prints the\n\
          \x20                              provider latency-gap matrix and a k-region\n\
          \x20                              placement from user-campaign aggregates\n\
-         \x20 obs [opts] [--format text|json] [--trace-out FILE]\n\
+         \x20 obs [opts] [--metrics FMT] [--trace-out FILE]\n\
          \x20                              run one instrumented campaign + store\n\
-         \x20                              round-trip and print the metrics snapshot\n\n\
-         options:\n\
+         \x20                              round-trip and print the metrics snapshot\n\
+         \x20                              (text unless --metrics json) on stdout\n\n\
+         options (world, run, analyze, campaign, experiment, all, store write, obs):\n\
          \x20 --seed N            study seed (default 42)\n\
          \x20 --days N            campaign length in simulated days (default 10)\n\
          \x20 --sc-fraction F     Speedchecker population fraction (default 0.02)\n\
@@ -118,10 +128,10 @@ fn usage() {
          \x20 --threads N         worker threads (default 4)\n\
          \x20 --faults P          fault-injection profile: none | default (default none);\n\
          \x20                     `default` injects loss, timeouts, rate limits and\n\
-         \x20                     probe-offline windows, with bounded retry/backoff\n\
+         \x20                     probe-offline windows, with bounded retry/backoff\n\n\
+         observability options (campaign, serve, store write, store query, obs):\n\
          \x20 --metrics FMT       collect metrics and print the snapshot (text | json)\n\
-         \x20                     on stderr; accepted by campaign, serve, store write\n\
-         \x20                     and store query; never changes any output bytes\n\
+         \x20                     on stderr; never changes any output bytes\n\
          \x20 --trace-out FILE    also write a Chrome trace_event JSON file\n\
          \x20                     (open in a trace viewer, e.g. chrome://tracing)\n\n\
          audit options:\n\
@@ -144,67 +154,172 @@ fn usage() {
     );
 }
 
-fn audit(args: &[String]) -> ExitCode {
+/// The command line, consumed front to back by name: each subcommand takes
+/// exactly the flags it accepts, and whatever is left must be positional.
+struct Args(Vec<String>);
+
+impl Args {
+    /// Take the first argument (a command or subcommand name); `""` when
+    /// none is left.
+    fn subcommand(&mut self) -> String {
+        if self.0.is_empty() {
+            String::new()
+        } else {
+            self.0.remove(0)
+        }
+    }
+
+    /// Take `--flag VALUE` and parse the value.
+    fn value<T: FromStr>(&mut self, flag: &str) -> CliResult<Option<T>>
+    where
+        T::Err: Display,
+    {
+        let Some(i) = self.0.iter().position(|a| a == flag) else {
+            return Ok(None);
+        };
+        if i + 1 == self.0.len() {
+            return Err(format!("{flag} needs a value").into());
+        }
+        let value = self.0.remove(i + 1);
+        self.0.remove(i);
+        value.parse().map(Some).map_err(|e| format!("{flag}: {e}").into())
+    }
+
+    /// Take `--flag NAME` where `lookup` knows the names `want` lists.
+    fn choice<T>(
+        &mut self,
+        flag: &str,
+        want: &str,
+        lookup: impl Fn(&str) -> Option<T>,
+    ) -> CliResult<Option<T>> {
+        let Some(name) = self.value::<String>(flag)? else {
+            return Ok(None);
+        };
+        lookup(&name).map(Some).ok_or_else(|| format!("{flag}: want {want}, got {name:?}").into())
+    }
+
+    /// Take `--flag`; true when it was given.
+    fn switch(&mut self, flag: &str) -> bool {
+        let before = self.0.len();
+        self.0.retain(|a| a != flag);
+        self.0.len() < before
+    }
+
+    /// The arguments left over once every accepted flag is taken. A
+    /// `--flag` among them is one this subcommand does not accept (or one
+    /// given twice).
+    fn positionals(self) -> CliResult<Vec<String>> {
+        match self.0.iter().find(|a| a.starts_with("--")) {
+            Some(flag) => Err(format!("unknown or repeated option {flag:?}").into()),
+            None => Ok(self.0),
+        }
+    }
+
+    /// Like [`Args::positionals`], for a subcommand that takes none.
+    fn finish(self) -> CliResult<()> {
+        match self.positionals()?.first() {
+            Some(arg) => Err(format!("unexpected argument {arg:?}").into()),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The study options shared by every study-sized subcommand (see
+/// [`usage`]), range-checked.
+fn study_config(args: &mut Args) -> CliResult<StudyConfig> {
+    let mut cfg = StudyConfig::tiny(42);
+    cfg.sc_fraction = 0.02;
+    cfg.atlas_fraction = 0.25;
+    cfg.duration_days = 10;
+    cfg.seed = args.value("--seed")?.unwrap_or(cfg.seed);
+    cfg.duration_days = args.value("--days")?.unwrap_or(cfg.duration_days);
+    cfg.sc_fraction = args.value("--sc-fraction")?.unwrap_or(cfg.sc_fraction);
+    cfg.atlas_fraction = args.value("--atlas-fraction")?.unwrap_or(cfg.atlas_fraction);
+    cfg.threads = args.value("--threads")?.unwrap_or(cfg.threads);
+    cfg.faults =
+        args.choice("--faults", "none | default", FaultProfile::parse)?.unwrap_or(cfg.faults);
+    check_study(&cfg)?;
+    Ok(cfg)
+}
+
+/// Separate from [`study_config`] because `analyze` checks again after an
+/// export's metadata has overridden the flags.
+fn check_study(cfg: &StudyConfig) -> Result<(), String> {
+    if !(0.0..=1.0).contains(&cfg.sc_fraction) || cfg.sc_fraction <= 0.0 {
+        return Err(format!("--sc-fraction must be in (0,1], got {}", cfg.sc_fraction));
+    }
+    if !(0.0..=1.0).contains(&cfg.atlas_fraction) || cfg.atlas_fraction <= 0.0 {
+        return Err(format!("--atlas-fraction must be in (0,1], got {}", cfg.atlas_fraction));
+    }
+    if cfg.duration_days == 0 {
+        return Err("--days must be >= 1".into());
+    }
+    Ok(())
+}
+
+fn build_world(cfg: &StudyConfig) -> cloudy::netsim::build::BuiltWorld {
+    cloudy::netsim::build::build(&cloudy::netsim::build::WorldConfig {
+        seed: cfg.seed,
+        isps_per_country: cfg.isps_per_country,
+        countries: None,
+    })
+}
+
+fn list(args: Args) -> CliResult {
+    args.finish()?;
+    for id in ExperimentId::ALL {
+        println!("{:8} {}", id.slug(), id.label());
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn world(mut args: Args) -> CliResult {
+    let cfg = study_config(&mut args)?;
+    let audit = args.switch("--audit");
+    args.finish()?;
+    let world = build_world(&cfg);
+    if audit {
+        let report = cloudy::audit::audit(&world);
+        print!("{}", report.render());
+        if !report.is_clean() {
+            return Ok(ExitCode::from(1));
+        }
+    }
+    println!("seed: {}", cfg.seed);
+    println!("ASes: {}", world.net.graph.len());
+    println!("AS-level edges: {}", world.net.graph.edge_count());
+    println!("announced prefixes: {}", world.net.prefixes.len());
+    println!("IXPs: {}", world.net.ixps.len());
+    println!("cloud regions: {}", world.net.regions.len());
+    println!("countries with ISPs: {}", world.isps_by_country.len());
+    let isps: usize = world.isps_by_country.values().map(Vec::len).sum();
+    println!("access ISPs: {isps}");
+    Ok(ExitCode::SUCCESS)
+}
+
+fn audit(mut args: Args) -> CliResult {
     use cloudy::audit::{AuditDriver, AuditOptions, AuditPass, AuditReport};
-    if args.first().map(String::as_str) == Some("lint") {
-        return audit_lint(&args[1..]);
+    if args.0.first().is_some_and(|a| a == "lint") {
+        args.subcommand();
+        return audit_lint(args);
     }
     let mut opts = AuditOptions {
         workspace_root: Some(env!("CARGO_MANIFEST_DIR").into()),
         ..AuditOptions::default()
     };
-    let mut json = false;
-    let mut only_pass: Option<AuditPass> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed = match arg.as_str() {
-            "--static" => {
-                opts.skip_race = true;
-                Ok(())
-            }
-            "--json" => {
-                json = true;
-                Ok(())
-            }
-            "--global" => {
-                opts.global_world = true;
-                Ok(())
-            }
-            "--pass" => take("--pass").and_then(|v| match AuditPass::from_name(&v) {
-                Some(p) => {
-                    only_pass = Some(p);
-                    Ok(())
-                }
-                None => Err(format!(
-                    "--pass: unknown pass {v:?} (want detlint, wire-freeze, world, racecheck)"
-                )),
-            }),
-            "--root" => take("--root").map(|v| opts.workspace_root = Some(v.into())),
-            "--seed" => take("--seed").and_then(|v| {
-                v.parse().map(|n| opts.seed = n).map_err(|e| format!("--seed: {e}"))
-            }),
-            "--threads" => take("--threads").and_then(|v| {
-                v.parse().map(|n| opts.race_threads = n).map_err(|e| format!("--threads: {e}"))
-            }),
-            other => Err(format!("unknown audit option {other:?}")),
-        };
-        if let Err(e) = parsed {
-            return fail(&e);
-        }
-    }
+    opts.skip_race = args.switch("--static");
+    opts.global_world = args.switch("--global");
+    let json = args.switch("--json");
+    let only_pass =
+        args.choice("--pass", "detlint, wire-freeze, world or racecheck", AuditPass::from_name)?;
+    opts.workspace_root = args.value("--root")?.or(opts.workspace_root);
+    opts.seed = args.value("--seed")?.unwrap_or(opts.seed);
+    opts.race_threads = args.value("--threads")?.unwrap_or(opts.race_threads);
+    args.finish()?;
     let driver = AuditDriver::new(opts);
     let per_pass: Vec<(AuditPass, AuditReport)> = match only_pass {
-        Some(p) => match driver.run_pass(p) {
-            Ok(r) => vec![(p, r)],
-            Err(e) => return fail(&e.to_string()),
-        },
-        None => match driver.run_per_pass() {
-            Ok(rs) => rs,
-            Err(e) => return fail(&e.to_string()),
-        },
+        Some(p) => vec![(p, driver.run_pass(p)?)],
+        None => driver.run_per_pass()?,
     };
     let mut combined = AuditReport::default();
     for (_, r) in &per_pass {
@@ -219,203 +334,78 @@ fn audit(args: &[String]) -> ExitCode {
     // the broken gate (10 detlint, 11 world, 12 racecheck, 13 wire-freeze).
     for (pass, report) in &per_pass {
         if !report.is_clean() {
-            return ExitCode::from(pass.exit_code() as u8);
+            return Ok(ExitCode::from(pass.exit_code() as u8));
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `audit lint` — the strict static gate: token lints plus the wire
 /// freeze, with baseline semantics. Unlike the aggregate `audit` command
 /// (clean = no errors), lint fails on *any* non-baselined finding.
-fn audit_lint(args: &[String]) -> ExitCode {
+fn audit_lint(mut args: Args) -> CliResult {
     use cloudy::audit::baseline::Baseline;
     use cloudy::audit::{detlint, output, wirefreeze};
-    let mut root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let mut format = "text".to_string();
-    let mut update_baseline = false;
-    let mut update_lock = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed = match arg.as_str() {
-            "--format" => take("--format").and_then(|v| match v.as_str() {
-                "text" | "json" | "sarif" => {
-                    format = v;
-                    Ok(())
-                }
-                other => Err(format!("--format: want text|json|sarif, got {other:?}")),
-            }),
-            "--root" => take("--root").map(|v| root = v.into()),
-            "--update-baseline" => {
-                update_baseline = true;
-                Ok(())
-            }
-            "--update-lock" => {
-                update_lock = true;
-                Ok(())
-            }
-            other => Err(format!("unknown audit lint option {other:?}")),
-        };
-        if let Err(e) = parsed {
-            return fail(&e);
-        }
-    }
+    let format = args
+        .choice("--format", "text|json|sarif", |f| {
+            ["text", "json", "sarif"].into_iter().find(|&k| k == f)
+        })?
+        .unwrap_or("text");
+    let root: PathBuf = args.value("--root")?.unwrap_or_else(|| env!("CARGO_MANIFEST_DIR").into());
+    let update_baseline = args.switch("--update-baseline");
+    let update_lock = args.switch("--update-lock");
+    args.finish()?;
     if update_lock {
-        match wirefreeze::update_lock(&root) {
-            Ok(_) => eprintln!("wire.lock regenerated"),
-            Err(e) => return fail(&e.to_string()),
-        }
+        wirefreeze::update_lock(&root)?;
+        eprintln!("wire.lock regenerated");
     }
-    let mut report = match detlint::lint_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
-    match wirefreeze::check_workspace(&root) {
-        Ok(wf) => report.merge(wf),
-        Err(e) => return fail(&e.to_string()),
-    }
+    let mut report = detlint::lint_workspace(&root)?;
+    report.merge(wirefreeze::check_workspace(&root)?);
     if update_baseline {
         let b = Baseline::from_report(&report);
-        if let Err(e) = b.store(&root) {
-            return fail(&e.to_string());
-        }
+        b.store(&root)?;
         eprintln!("audit-baseline.json updated ({} entries)", b.len());
     }
-    match Baseline::load(&root) {
-        Ok(b) => b.apply(&mut report),
-        Err(e) => return fail(&e.to_string()),
-    }
+    Baseline::load(&root)?.apply(&mut report);
     report.sort();
-    match format.as_str() {
+    match format {
         "json" => println!("{}", output::render_json(&report)),
         "sarif" => println!("{}", output::render_sarif(&report)),
         _ => print!("{}", output::render_text(&report)),
     }
     // 0 clean; 13 when only the wire freeze drifted; 10 for lint findings.
     let fresh: Vec<_> = report.fresh().collect();
-    if fresh.is_empty() {
+    Ok(if fresh.is_empty() {
         ExitCode::SUCCESS
     } else if fresh.iter().all(|f| f.rule == "wire-drift") {
         ExitCode::from(13)
     } else {
         ExitCode::from(10)
-    }
+    })
 }
 
-/// Parse `--key value` options; returns (config, leftover positional args).
-fn parse_config(args: &[String]) -> Result<(StudyConfig, Vec<String>), String> {
-    let mut cfg = StudyConfig::tiny(42);
-    cfg.sc_fraction = 0.02;
-    cfg.atlas_fraction = 0.25;
-    cfg.duration_days = 10;
-    let mut positional = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seed" => cfg.seed = take("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--days" => {
-                cfg.duration_days = take("--days")?.parse().map_err(|e| format!("--days: {e}"))?
-            }
-            "--sc-fraction" => {
-                cfg.sc_fraction =
-                    take("--sc-fraction")?.parse().map_err(|e| format!("--sc-fraction: {e}"))?
-            }
-            "--atlas-fraction" => {
-                cfg.atlas_fraction = take("--atlas-fraction")?
-                    .parse()
-                    .map_err(|e| format!("--atlas-fraction: {e}"))?
-            }
-            "--threads" => {
-                cfg.threads = take("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
-            "--faults" => {
-                let name = take("--faults")?;
-                cfg.faults = cloudy::netsim::FaultProfile::parse(&name)
-                    .ok_or_else(|| format!("--faults: unknown profile {name:?} (none | default)"))?
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    if !(0.0..=1.0).contains(&cfg.sc_fraction) || cfg.sc_fraction <= 0.0 {
-        return Err(format!("--sc-fraction must be in (0,1], got {}", cfg.sc_fraction));
-    }
-    if !(0.0..=1.0).contains(&cfg.atlas_fraction) || cfg.atlas_fraction <= 0.0 {
-        return Err(format!("--atlas-fraction must be in (0,1], got {}", cfg.atlas_fraction));
-    }
-    if cfg.duration_days == 0 {
-        return Err("--days must be >= 1".into());
-    }
-    Ok((cfg, positional))
+/// Write a file the user asked for and say so on stderr.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    let contents = contents.as_ref();
+    std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}"))?;
+    eprintln!("wrote {path} ({} bytes)", contents.len());
+    Ok(())
 }
 
-fn world(args: &[String]) -> ExitCode {
-    let (cfg, positional) = match parse_config(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let world = cloudy::netsim::build::build(&cloudy::netsim::build::WorldConfig {
-        seed: cfg.seed,
-        isps_per_country: cfg.isps_per_country,
-        countries: None,
-    });
-    if positional.iter().any(|p| p == "--audit") {
-        let report = cloudy::audit::audit(&world);
-        print!("{}", report.render());
-        if !report.is_clean() {
-            return ExitCode::from(1);
-        }
-    }
-    println!("seed: {}", cfg.seed);
-    println!("ASes: {}", world.net.graph.len());
-    println!("AS-level edges: {}", world.net.graph.edge_count());
-    println!("announced prefixes: {}", world.net.prefixes.len());
-    println!("IXPs: {}", world.net.ixps.len());
-    println!("cloud regions: {}", world.net.regions.len());
-    println!("countries with ISPs: {}", world.isps_by_country.len());
-    let isps: usize = world.isps_by_country.values().map(Vec::len).sum();
-    println!("access ISPs: {isps}");
-    ExitCode::SUCCESS
-}
-
-fn run(args: &[String]) -> ExitCode {
-    let (cfg, positional) = match parse_config(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let out_dir = match out_value(&positional, "--out") {
-        Ok(v) => v.unwrap_or_else(|| "cloudy-out".into()),
-        Err(e) => return fail(&e),
-    };
+fn run(mut args: Args) -> CliResult {
+    let cfg = study_config(&mut args)?;
+    let out_dir = args.value("--out")?.unwrap_or_else(|| "cloudy-out".to_string());
+    args.finish()?;
     eprintln!("running study (seed {}, {} days)...", cfg.seed, cfg.duration_days);
     let study = Study::run(cfg.clone());
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        return fail(&format!("cannot create {out_dir}: {e}"));
-    }
-    let write = |name: &str, content: &str| -> Result<(), String> {
-        let path = format!("{out_dir}/{name}");
-        std::fs::write(&path, content).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-        Ok(())
-    };
+    std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
     let meta = format!(
         "seed={}\ndays={}\nsc_fraction={}\natlas_fraction={}\n",
         cfg.seed, cfg.duration_days, cfg.sc_fraction, cfg.atlas_fraction
     );
-    for step in [
-        write("study.meta", &meta),
-        write("speedchecker.jsonl", &study.sc.to_jsonl()),
-        write("atlas.jsonl", &study.atlas.to_jsonl()),
-    ] {
-        if let Err(e) = step {
-            return fail(&e);
-        }
-    }
+    write_file(&format!("{out_dir}/study.meta"), meta)?;
+    write_file(&format!("{out_dir}/speedchecker.jsonl"), study.sc.to_jsonl())?;
+    write_file(&format!("{out_dir}/atlas.jsonl"), study.atlas.to_jsonl())?;
     let sc = study.sc.summary();
     println!(
         "speedchecker: {} pings + {} traceroutes from {} probes in {} countries",
@@ -426,54 +416,43 @@ fn run(args: &[String]) -> ExitCode {
         "atlas: {} pings + {} traceroutes from {} probes in {} countries",
         at.pings, at.traces, at.probes, at.countries
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Run a single Speedchecker campaign through the batched executor and
-/// report route-cache effectiveness.
-fn campaign(args: &[String]) -> ExitCode {
-    let (cfg, positional) = match parse_config(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let pings_only = positional.iter().any(|p| p == "--pings-only");
-    let out = match out_value(&positional, "--out") {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let metrics = match parse_metrics_opts(&positional) {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    let mut builder = cloudy::measure::CampaignConfig::builder()
+/// The validated config, simulator and Speedchecker population for one
+/// campaign over the study's world (`campaign` and `obs`).
+fn speedchecker_campaign(
+    cfg: &StudyConfig,
+    obs: &Obs,
+    pings_only: bool,
+) -> CliResult<(CampaignConfig, Simulator, Population)> {
+    let builder = CampaignConfig::builder()
         .plan(cfg.campaign_config().plan)
         .artifacts(cfg.artifacts)
         .threads(cfg.threads)
         .faults(cfg.faults)
-        .obs(metrics.obs.clone());
-    if pings_only {
-        builder = builder.pings_only();
-    }
-    let campaign_cfg = match builder.build() {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let world = cloudy::netsim::build::build(&cloudy::netsim::build::WorldConfig {
-        seed: cfg.seed,
-        isps_per_country: cfg.isps_per_country,
-        countries: None,
-    });
+        .obs(obs.clone());
+    let campaign = if pings_only { builder.pings_only() } else { builder }.build()?;
+    let world = build_world(cfg);
     let pop = cloudy::probes::speedchecker::population(&world, cfg.sc_fraction, cfg.seed ^ 0x5C);
-    let sim = cloudy::netsim::Simulator::new(world.net);
+    Ok((campaign, Simulator::new(world.net), pop))
+}
+
+/// Run a single Speedchecker campaign through the batched executor and
+/// report route-cache effectiveness.
+fn campaign(mut args: Args) -> CliResult {
+    let cfg = study_config(&mut args)?;
+    let pings_only = args.switch("--pings-only");
+    let out: Option<String> = args.value("--out")?;
+    let metrics = metrics(&mut args, None)?;
+    args.finish()?;
+    let (campaign_cfg, sim, pop) = speedchecker_campaign(&cfg, &metrics.obs, pings_only)?;
     eprintln!(
         "running campaign (seed {}, {} days, {} threads)...",
         cfg.seed, cfg.duration_days, cfg.threads
     );
-    let mut ds = cloudy::measure::Dataset::new(cloudy::probes::Platform::Speedchecker);
-    let fstats = match cloudy::measure::run_campaign_into(&campaign_cfg, &sim, &pop, &mut ds) {
-        Ok(s) => s,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let mut ds = Dataset::new(Platform::Speedchecker);
+    let fstats = cloudy::measure::run_campaign_into(&campaign_cfg, &sim, &pop, &mut ds)?;
     let summary = ds.summary();
     println!(
         "campaign: {} pings + {} traceroutes from {} probes in {} countries",
@@ -489,21 +468,14 @@ fn campaign(args: &[String]) -> ExitCode {
     );
     println!("{}", failure_summary(&fstats));
     if !campaign_cfg.faults.is_none() {
-        if let Err(e) = reconcile_outcomes(&ds, &fstats) {
-            return fail(&e);
-        }
+        reconcile_outcomes(&ds, &fstats)?;
         println!("failure accounting reconciles with the stored outcome tags");
     }
     if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, ds.to_jsonl()) {
-            return fail(&format!("write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
+        write_file(&path, ds.to_jsonl())?;
     }
-    if let Err(e) = emit_metrics(&metrics, false) {
-        return fail(&e);
-    }
-    ExitCode::SUCCESS
+    metrics.emit(false)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One-line rendering of the executor's failure accounting.
@@ -525,10 +497,7 @@ fn failure_summary(stats: &cloudy::measure::FailureStats) -> String {
 /// With a faulted profile every planned task records exactly one outcome
 /// row, so the dataset's tags must reconcile with the executor's
 /// accounting class by class.
-fn reconcile_outcomes(
-    ds: &cloudy::measure::Dataset,
-    stats: &cloudy::measure::FailureStats,
-) -> Result<(), String> {
+fn reconcile_outcomes(ds: &Dataset, stats: &cloudy::measure::FailureStats) -> Result<(), String> {
     use cloudy::measure::TaskOutcome;
     let mut tally = [0u64; 5]; // delivered, lost, timeout, offline, rate-limited
     for o in ds.pings.iter().map(|p| &p.outcome).chain(ds.traces.iter().map(|t| &t.outcome)) {
@@ -551,41 +520,35 @@ fn reconcile_outcomes(
     Ok(())
 }
 
-fn experiment(args: &[String]) -> ExitCode {
-    let (cfg, positional) = match parse_config(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let ids: Vec<ExperimentId> = {
-        let mut ids = Vec::new();
-        for p in positional.iter().filter(|p| !p.starts_with("--")) {
-            match ExperimentId::parse(p) {
-                Some(id) => ids.push(id),
-                None => return fail(&format!("unknown experiment {p:?} (see `cloudy-repro list`)")),
-            }
-        }
-        ids
-    };
+fn experiment_ids(names: Vec<String>) -> CliResult<Vec<ExperimentId>> {
+    names
+        .iter()
+        .map(|p| {
+            ExperimentId::parse(p)
+                .ok_or_else(|| format!("unknown experiment {p:?} (see `cloudy-repro list`)").into())
+        })
+        .collect()
+}
+
+fn experiment(mut args: Args) -> CliResult {
+    let cfg = study_config(&mut args)?;
+    let ids = experiment_ids(args.positionals()?)?;
     if ids.is_empty() {
-        return fail("experiment requires at least one id (see `cloudy-repro list`)");
+        return Err("experiment requires at least one id (see `cloudy-repro list`)".into());
     }
     eprintln!("running study (seed {}, {} days)...", cfg.seed, cfg.duration_days);
     let study = Study::run(cfg);
     for id in ids {
         println!("==== {} ====\n{}", id.label(), experiments::run_one(&study, id));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn all(args: &[String]) -> ExitCode {
-    let (cfg, positional) = match parse_config(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let out = match out_value(&positional, "--out") {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
+fn all(mut args: Args) -> CliResult {
+    let cfg = study_config(&mut args)?;
+    let out: Option<String> = args.value("--out")?;
+    let csv_dir: Option<String> = args.value("--csv")?;
+    args.finish()?;
     eprintln!("running study (seed {}, {} days)...", cfg.seed, cfg.duration_days);
     let study = Study::run(cfg);
     let mut doc = String::new();
@@ -594,68 +557,48 @@ fn all(args: &[String]) -> ExitCode {
         doc.push_str(&format!("## {}\n\n```text\n{artifact}\n```\n\n", id.label()));
     }
     if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, doc) {
-            return fail(&format!("write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
+        write_file(&path, doc)?;
     }
-    if let Some(dir) = match out_value(&positional, "--csv") {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    } {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            return fail(&format!("cannot create {dir}: {e}"));
-        }
+    if let Some(dir) = csv_dir {
+        std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
         for (name, csv) in experiments::export::export_csv(&study) {
-            let path = format!("{dir}/{name}.csv");
-            if let Err(e) = std::fs::write(&path, csv) {
-                return fail(&format!("write {path}: {e}"));
-            }
-            eprintln!("wrote {path}");
+            write_file(&format!("{dir}/{name}.csv"), csv)?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn analyze(args: &[String]) -> ExitCode {
-    let (mut cfg, positional) = match parse_config(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
+fn analyze(mut args: Args) -> CliResult {
+    let mut cfg = study_config(&mut args)?;
+    let dir: Option<String> = args.value("--dir")?;
+    let ids = experiment_ids(args.positionals()?)?;
+    let Some(dir) = dir else {
+        return Err("analyze requires --dir pointing at a `cloudy-repro run` export".into());
     };
-    let Some(dir) = (match out_value(&positional, "--dir") {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    }) else {
-        return fail("analyze requires --dir pointing at a `cloudy-repro run` export");
-    };
-    // Honour the export's metadata over CLI defaults.
-    match std::fs::read_to_string(format!("{dir}/study.meta")) {
-        Ok(meta) => {
-            for line in meta.lines() {
-                if let Some((k, v)) = line.split_once('=') {
-                    match k {
-                        "seed" => cfg.seed = v.parse().unwrap_or(cfg.seed),
-                        "days" => cfg.duration_days = v.parse().unwrap_or(cfg.duration_days),
-                        "sc_fraction" => cfg.sc_fraction = v.parse().unwrap_or(cfg.sc_fraction),
-                        "atlas_fraction" => {
-                            cfg.atlas_fraction = v.parse().unwrap_or(cfg.atlas_fraction)
-                        }
-                        _ => {}
-                    }
-                }
-            }
+    // The export's metadata overrides the command line: the world must be
+    // rebuilt from the collecting run's seed or IP→AS resolution is wrong.
+    let meta_path = format!("{dir}/study.meta");
+    let meta = std::fs::read_to_string(&meta_path).map_err(|e| format!("read {meta_path}: {e}"))?;
+    for line in meta.lines().filter(|l| !l.trim().is_empty()) {
+        let bad = |e: &dyn Display| format!("{meta_path}: bad line {line:?}: {e}");
+        let Some((key, value)) = line.split_once('=') else {
+            return Err(bad(&"expected key=value").into());
+        };
+        match key {
+            "seed" => cfg.seed = value.parse().map_err(|e| bad(&e))?,
+            "days" => cfg.duration_days = value.parse().map_err(|e| bad(&e))?,
+            "sc_fraction" => cfg.sc_fraction = value.parse().map_err(|e| bad(&e))?,
+            "atlas_fraction" => cfg.atlas_fraction = value.parse().map_err(|e| bad(&e))?,
+            _ => {}
         }
-        Err(e) => return fail(&format!("read {dir}/study.meta: {e}")),
     }
-    let load = |name: &str| -> Result<cloudy::measure::Dataset, String> {
-        let raw = std::fs::read_to_string(format!("{dir}/{name}"))
-            .map_err(|e| format!("read {dir}/{name}: {e}"))?;
-        Ok(cloudy::measure::Dataset::from_jsonl(&raw)?)
+    check_study(&cfg).map_err(|e| format!("{meta_path}: {e}"))?;
+    let load = |name: &str| -> CliResult<Dataset> {
+        let path = format!("{dir}/{name}");
+        let raw = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
+        Ok(Dataset::from_jsonl(&raw)?)
     };
-    let (sc, atlas) = match (load("speedchecker.jsonl"), load("atlas.jsonl")) {
-        (Ok(s), Ok(a)) => (s, a),
-        (Err(e), _) | (_, Err(e)) => return fail(&e),
-    };
+    let (sc, atlas) = (load("speedchecker.jsonl")?, load("atlas.jsonl")?);
     eprintln!(
         "rebuilding world (seed {}) and analyzing {} + {} records...",
         cfg.seed,
@@ -663,132 +606,57 @@ fn analyze(args: &[String]) -> ExitCode {
         atlas.len()
     );
     let study = Study::from_datasets(cfg, sc, atlas);
-    let ids: Vec<ExperimentId> = positional
-        .iter()
-        .filter(|p| !p.starts_with("--") && *p != &dir)
-        .filter_map(|p| ExperimentId::parse(p))
-        .collect();
     let ids = if ids.is_empty() { ExperimentId::ALL.to_vec() } else { ids };
     for id in ids {
         println!("==== {} ====\n{}", id.label(), experiments::run_one(&study, id));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn store(args: &[String]) -> ExitCode {
-    let Some(sub) = args.first() else {
-        return fail("store requires a subcommand: write | inspect | query");
-    };
-    match sub.as_str() {
-        "write" => store_write(&args[1..]),
-        "inspect" => store_inspect(&args[1..]),
-        "query" => store_query(&args[1..]),
-        other => fail(&format!("unknown store subcommand {other:?} (write | inspect | query)")),
-    }
-}
-
-fn store_write(args: &[String]) -> ExitCode {
-    let (cfg, positional) = match parse_config(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let out_dir = match out_value(&positional, "--out") {
-        Ok(v) => v.unwrap_or_else(|| "cloudy-out".into()),
-        Err(e) => return fail(&e),
-    };
-    let chunk_rows = match out_value(&positional, "--chunk-rows") {
-        Ok(None) => WriterOptions::default().chunk_rows,
-        Ok(Some(v)) => match v.parse() {
-            Ok(n) => n,
-            Err(e) => return fail(&format!("--chunk-rows: {e}")),
-        },
-        Err(e) => return fail(&e),
-    };
-    let metrics = match parse_metrics_opts(&positional) {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        return fail(&format!("cannot create {out_dir}: {e}"));
-    }
-    let open = |name: &str, platform: cloudy::probes::Platform| {
+fn store_write(mut args: Args) -> CliResult {
+    use std::io::{BufWriter, Write as _};
+    let cfg = study_config(&mut args)?;
+    let out_dir = args.value("--out")?.unwrap_or_else(|| "cloudy-out".to_string());
+    let chunk_rows = args.value("--chunk-rows")?.unwrap_or(WriterOptions::default().chunk_rows);
+    let metrics = metrics(&mut args, None)?;
+    args.finish()?;
+    std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
+    let open = |name: &str, platform: Platform| -> CliResult<_> {
         let path = format!("{out_dir}/{name}");
         let file = std::fs::File::create(&path).map_err(|e| format!("create {path}: {e}"))?;
-        let mut w =
-            Writer::new(std::io::BufWriter::new(file), platform, WriterOptions { chunk_rows })
-                .map_err(|e| e.to_string())?;
+        let mut w = Writer::new(BufWriter::new(file), platform, WriterOptions { chunk_rows })?;
         w.set_obs(metrics.obs.clone());
-        Ok::<_, String>((path, w))
+        Ok((path, w))
     };
-    let (sc_path, mut sc) = match open("speedchecker.cst", cloudy::probes::Platform::Speedchecker) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let (atlas_path, mut atlas) = match open("atlas.cst", cloudy::probes::Platform::RipeAtlas) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
+    let (sc_path, mut sc) = open("speedchecker.cst", Platform::Speedchecker)?;
+    let (atlas_path, mut atlas) = open("atlas.cst", Platform::RipeAtlas)?;
     eprintln!("streaming study (seed {}, {} days) into stores...", cfg.seed, cfg.duration_days);
-    match run_study_into(&cfg, &mut sc, &mut atlas) {
-        Ok((sc_stats, atlas_stats)) => {
-            println!("speedchecker {}", failure_summary(&sc_stats));
-            println!("atlas {}", failure_summary(&atlas_stats));
-        }
-        Err(e) => return fail(&e.to_string()),
-    }
+    let (sc_stats, atlas_stats) = run_study_into(&cfg, &mut sc, &mut atlas)?;
+    println!("speedchecker {}", failure_summary(&sc_stats));
+    println!("atlas {}", failure_summary(&atlas_stats));
     for (path, writer) in [(sc_path, sc), (atlas_path, atlas)] {
-        use std::io::Write as _;
-        let (mut out, summary) = match writer.finish() {
-            Ok(v) => v,
-            Err(e) => return fail(&e.to_string()),
-        };
-        if let Err(e) = out.flush() {
-            return fail(&format!("flush {path}: {e}"));
-        }
+        let (mut out, summary) = writer.finish()?;
+        out.flush().map_err(|e| format!("flush {path}: {e}"))?;
         println!(
             "wrote {path}: {} chunks, {} pings + {} traceroutes, {} bytes",
             summary.chunks, summary.ping_rows, summary.trace_rows, summary.bytes
         );
     }
-    if let Err(e) = emit_metrics(&metrics, false) {
-        return fail(&e);
-    }
-    ExitCode::SUCCESS
+    metrics.emit(false)?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn load_store(args: &[String]) -> Result<(Reader, Vec<String>), String> {
-    let (file, rest): (Vec<&String>, Vec<&String>) = {
-        // The store file is the first non-flag argument that isn't a flag value.
-        let mut file = Vec::new();
-        let mut rest = Vec::new();
-        let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            if a.starts_with("--") {
-                rest.push(a);
-                if let Some(v) = it.peek() {
-                    if !v.starts_with("--") {
-                        rest.push(it.next().unwrap_or(a));
-                    }
-                }
-            } else {
-                file.push(a);
-            }
-        }
-        (file, rest)
-    };
-    let [path] = file.as_slice() else {
+/// Open the one store file `store inspect` / `store query` names.
+fn open_store(positionals: Vec<String>) -> CliResult<Reader> {
+    let [path] = positionals.as_slice() else {
         return Err("expected exactly one store file argument".into());
     };
     let data = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    let reader = Reader::from_bytes(data).map_err(|e| format!("{path}: {e}"))?;
-    Ok((reader, rest.into_iter().cloned().collect()))
+    Ok(Reader::from_bytes(data).map_err(|e| format!("{path}: {e}"))?)
 }
 
-fn store_inspect(args: &[String]) -> ExitCode {
-    let (reader, _) = match load_store(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
+fn store_inspect(args: Args) -> CliResult {
+    let reader = open_store(args.positionals()?)?;
     println!("platform: {}", reader.platform().label());
     let (mut pings, mut traces, mut clouds, mut bytes) = (0u64, 0u64, 0u64, 0u64);
     for m in reader.chunks() {
@@ -820,121 +688,58 @@ fn store_inspect(args: &[String]) -> ExitCode {
             f.countries.len()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn store_query(args: &[String]) -> ExitCode {
-    use cloudy::store::{Agg, GroupId, GroupKey, Query};
-    let (mut reader, opts) = match load_store(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let mut query = Query::rtts().threads(4);
-    let mut group_by: Option<GroupKey> = None;
-    let mut metrics_format: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = opts.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed = match arg.as_str() {
-            "--provider" => take("--provider").and_then(|v| {
-                cloudy::cloud::Provider::from_abbrev(&v)
-                    .map(|p| query = query.clone().provider(p))
-                    .ok_or_else(|| format!("unknown provider abbrev {v:?}"))
-            }),
-            "--country" => take("--country").and_then(|v| {
-                cloudy::geo::CountryCode::try_new(&v)
-                    .map(|c| query = query.clone().country(c))
-                    .ok_or_else(|| format!("bad country code {v:?}"))
-            }),
-            "--isp" => take("--isp").and_then(|v| {
-                v.parse::<u32>()
-                    .map(|asn| query = query.clone().isp(cloudy::topology::Asn(asn)))
-                    .map_err(|e| format!("--isp: {e}"))
-            }),
-            "--kind" => take("--kind").and_then(|v| match v.as_str() {
-                "ping" => {
-                    query = query.clone().kind(cloudy::store::RecordKind::Ping);
-                    Ok(())
-                }
-                "trace" => {
-                    query = query.clone().kind(cloudy::store::RecordKind::Trace);
-                    Ok(())
-                }
-                other => Err(format!("--kind must be ping or trace, got {other:?}")),
-            }),
-            "--min-rtt" => take("--min-rtt").and_then(|v| {
-                v.parse()
-                    .map(|x: f64| query = query.clone().min_rtt_ms(x))
-                    .map_err(|e| format!("--min-rtt: {e}"))
-            }),
-            "--max-rtt" => take("--max-rtt").and_then(|v| {
-                v.parse()
-                    .map(|x: f64| query = query.clone().max_rtt_ms(x))
-                    .map_err(|e| format!("--max-rtt: {e}"))
-            }),
-            "--group-by" => take("--group-by").and_then(|v| match v.as_str() {
-                "country" => {
-                    group_by = Some(GroupKey::Country);
-                    Ok(())
-                }
-                "provider" => {
-                    group_by = Some(GroupKey::Provider);
-                    Ok(())
-                }
-                "country-provider" => {
-                    group_by = Some(GroupKey::CountryProvider);
-                    Ok(())
-                }
-                "country-region" => {
-                    group_by = Some(GroupKey::CountryRegion);
-                    Ok(())
-                }
-                "isp" => {
-                    group_by = Some(GroupKey::Isp);
-                    Ok(())
-                }
-                other => Err(format!(
-                    "--group-by must be country|provider|country-provider|country-region|isp, got {other:?}"
-                )),
-            }),
-            "--threads" => take("--threads").and_then(|v| {
-                v.parse().map(|n| query = query.clone().threads(n)).map_err(|e| format!("--threads: {e}"))
-            }),
-            "--metrics" => take("--metrics").and_then(|v| match v.as_str() {
-                "text" | "json" => {
-                    metrics_format = Some(v);
-                    Ok(())
-                }
-                other => Err(format!("--metrics: want text|json, got {other:?}")),
-            }),
-            "--trace-out" => take("--trace-out").map(|v| trace_out = Some(v)),
-            other => Err(format!("unknown query option {other:?}")),
-        };
-        if let Err(e) = parsed {
-            return fail(&e);
-        }
+fn store_query(mut args: Args) -> CliResult {
+    use cloudy::store::{Agg, GroupId, GroupKey, RecordKind};
+    let mut query = Query::rtts().threads(args.value("--threads")?.unwrap_or(4));
+    if let Some(p) =
+        args.choice("--provider", "a provider abbrev", cloudy::cloud::Provider::from_abbrev)?
+    {
+        query = query.provider(p);
     }
-    let metrics = MetricsOpts {
-        obs: match (&metrics_format, &trace_out) {
-            (None, None) => Obs::disabled(),
-            (_, Some(_)) => Obs::with_trace(),
-            _ => Obs::enabled(),
-        },
-        format: metrics_format,
-        trace_out,
-    };
+    if let Some(c) =
+        args.choice("--country", "a two-letter code", cloudy::geo::CountryCode::try_new)?
+    {
+        query = query.country(c);
+    }
+    if let Some(asn) = args.value("--isp")? {
+        query = query.isp(cloudy::topology::Asn(asn));
+    }
+    let kind = args.choice("--kind", "ping or trace", |k| match k {
+        "ping" => Some(RecordKind::Ping),
+        "trace" => Some(RecordKind::Trace),
+        _ => None,
+    })?;
+    if let Some(kind) = kind {
+        query = query.kind(kind);
+    }
+    if let Some(ms) = args.value("--min-rtt")? {
+        query = query.min_rtt_ms(ms);
+    }
+    if let Some(ms) = args.value("--max-rtt")? {
+        query = query.max_rtt_ms(ms);
+    }
+    let group_by =
+        args.choice("--group-by", "country|provider|country-provider|country-region|isp", |k| {
+            match k {
+                "country" => Some(GroupKey::Country),
+                "provider" => Some(GroupKey::Provider),
+                "country-provider" => Some(GroupKey::CountryProvider),
+                "country-region" => Some(GroupKey::CountryRegion),
+                "isp" => Some(GroupKey::Isp),
+                _ => None,
+            }
+        })?;
+    let metrics = metrics(&mut args, None)?;
+    let mut reader = open_store(args.positionals()?)?;
     reader.set_obs(metrics.obs.clone());
 
     if let Some(key) = group_by {
         // Aggregation pushed into the scan: O(groups) memory, no rows.
         let q = query.group_by(key).aggregate(Agg::Moments | Agg::P2Quantiles);
-        let (groups, stats) = match q.grouped(&reader) {
-            Ok(v) => v,
-            Err(e) => return fail(&e.to_string()),
-        };
+        let (groups, stats) = q.grouped(&reader)?;
         println!(
             "rows matched: {}  (chunks: {} scanned, {} pruned of {}; rows decoded: {})",
             stats.rows_matched,
@@ -943,9 +748,7 @@ fn store_query(args: &[String]) -> ExitCode {
             stats.chunks_total,
             stats.rows_decoded
         );
-        if let Err(e) = emit_metrics(&metrics, false) {
-            return fail(&e);
-        }
+        metrics.emit(false)?;
         println!("group                     count     mean      p50       p95");
         for (id, row) in &groups {
             let label = match id {
@@ -967,27 +770,22 @@ fn store_query(args: &[String]) -> ExitCode {
                 row.p95.unwrap_or(0.0)
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let (rows, stats) = match query.rows(&reader) {
-        Ok(v) => v,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let (rows, stats) = query.rows(&reader)?;
     println!(
         "rows matched: {}  (chunks: {} scanned, {} pruned of {})",
         stats.rows_matched, stats.chunks_scanned, stats.chunks_pruned, stats.chunks_total
     );
-    if let Err(e) = emit_metrics(&metrics, false) {
-        return fail(&e);
-    }
+    metrics.emit(false)?;
     if rows.is_empty() {
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let mut moments = cloudy::store::Moments::default();
     let rtts: Vec<f64> = rows.iter().map(|r| r.rtt_ms).collect();
     if rtts.iter().any(|v| v.is_nan()) {
-        return fail("NaN RTT in store scan");
+        return Err("NaN RTT in store scan".into());
     }
     for v in &rtts {
         moments.observe(*v);
@@ -999,79 +797,32 @@ fn store_query(args: &[String]) -> ExitCode {
         moments.mean(),
         moments.cv()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Run the virtual-time measurement service and print its report. The
 /// report itself contains only virtual-time quantities (it is part of the
 /// determinism contract); wall-clock throughput is printed separately.
-fn serve(args: &[String]) -> ExitCode {
+fn serve(mut args: Args) -> CliResult {
     use cloudy::serve::{ServeConfig, Service};
     let mut cfg = ServeConfig { tenants: 50, ..ServeConfig::default() };
-    let mut json = false;
-    let mut store_out: Option<String> = None;
-    let mut metrics_format: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed = match arg.as_str() {
-            "--tenants" => take("--tenants").and_then(|v| {
-                v.parse().map(|n| cfg.tenants = n).map_err(|e| format!("--tenants: {e}"))
-            }),
-            "--hours" => take("--hours").and_then(|v| {
-                v.parse().map(|n| cfg.hours = n).map_err(|e| format!("--hours: {e}"))
-            }),
-            "--seed" => take("--seed").and_then(|v| {
-                v.parse().map(|n| cfg.seed = n).map_err(|e| format!("--seed: {e}"))
-            }),
-            "--threads" => take("--threads").and_then(|v| {
-                v.parse().map(|n| cfg.threads = n).map_err(|e| format!("--threads: {e}"))
-            }),
-            "--top-k" => take("--top-k").and_then(|v| {
-                v.parse().map(|n| cfg.top_k = n).map_err(|e| format!("--top-k: {e}"))
-            }),
-            "--faults" => take("--faults").and_then(|v| {
-                cloudy::netsim::FaultProfile::parse(&v)
-                    .map(|p| cfg.faults = p)
-                    .ok_or_else(|| format!("--faults: unknown profile {v:?} (none | default)"))
-            }),
-            "--json" => {
-                json = true;
-                Ok(())
-            }
-            "--store" => take("--store").map(|v| store_out = Some(v)),
-            "--metrics" => take("--metrics").and_then(|v| match v.as_str() {
-                "text" | "json" => {
-                    metrics_format = Some(v);
-                    Ok(())
-                }
-                other => Err(format!("--metrics: want text|json, got {other:?}")),
-            }),
-            "--trace-out" => take("--trace-out").map(|v| trace_out = Some(v)),
-            other => Err(format!("unknown serve option {other:?}")),
-        };
-        if let Err(e) = parsed {
-            return fail(&e);
-        }
-    }
+    cfg.tenants = args.value("--tenants")?.unwrap_or(cfg.tenants);
+    cfg.hours = args.value("--hours")?.unwrap_or(cfg.hours);
+    cfg.seed = args.value("--seed")?.unwrap_or(cfg.seed);
+    cfg.threads = args.value("--threads")?.unwrap_or(cfg.threads);
+    cfg.top_k = args.value("--top-k")?.unwrap_or(cfg.top_k);
+    cfg.faults =
+        args.choice("--faults", "none | default", FaultProfile::parse)?.unwrap_or(cfg.faults);
+    let json = args.switch("--json");
+    let store_out: Option<String> = args.value("--store")?;
+    let metrics = metrics(&mut args, None)?;
+    args.finish()?;
     if cfg.tenants == 0 {
-        return fail("--tenants must be >= 1");
+        return Err("--tenants must be >= 1".into());
     }
     if cfg.hours == 0 {
-        return fail("--hours must be >= 1");
+        return Err("--hours must be >= 1".into());
     }
-    let metrics = MetricsOpts {
-        obs: match (&metrics_format, &trace_out) {
-            (None, None) => Obs::disabled(),
-            (_, Some(_)) => Obs::with_trace(),
-            _ => Obs::enabled(),
-        },
-        format: metrics_format,
-        trace_out,
-    };
     cfg.obs = metrics.obs.clone();
     eprintln!(
         "serving {} tenants for {} virtual hours (seed {}, {} threads)...",
@@ -1081,23 +832,12 @@ fn serve(args: &[String]) -> ExitCode {
     // An always-on obs handle is the sanctioned way to read the clock.
     let wall_clock = Obs::enabled();
     let started = wall_clock.now();
-    let mut svc = match Service::new(cfg) {
-        Ok(s) => s,
-        Err(e) => return fail(&e.to_string()),
-    };
-    if let Err(e) = svc.run() {
-        return fail(&e.to_string());
-    }
-    let (report, bytes) = match svc.finish() {
-        Ok(v) => v,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let mut svc = Service::new(cfg)?;
+    svc.run()?;
+    let (report, bytes) = svc.finish()?;
     let wall = started.map(|s| s.elapsed().as_secs_f64()).unwrap_or(0.0);
     if json {
-        match serde_json::to_string(&report) {
-            Ok(s) => println!("{s}"),
-            Err(e) => return fail(&format!("serialize report: {e}")),
-        }
+        println!("{}", serde_json::to_string(&report)?);
     } else {
         println!(
             "service report (seed {}, {} tenants, {} virtual hours, faults {})",
@@ -1147,14 +887,9 @@ fn serve(args: &[String]) -> ExitCode {
         if wall > 0.0 { report.records as f64 / wall } else { 0.0 }
     );
     if let Some(path) = store_out {
-        if let Err(e) = std::fs::write(&path, &bytes) {
-            return fail(&format!("write {path}: {e}"));
-        }
-        eprintln!("wrote {path} ({} bytes)", bytes.len());
+        write_file(&path, &bytes)?;
     }
-    if let Err(e) = emit_metrics(&metrics, false) {
-        return fail(&e);
-    }
+    metrics.emit(false)?;
     // The report must agree with its own per-tenant breakdown; a service
     // whose totals drifted must not exit 0.
     let problems = report.reconcile();
@@ -1162,56 +897,28 @@ fn serve(args: &[String]) -> ExitCode {
         for p in &problems {
             eprintln!("reconcile: {p}");
         }
-        return fail("service report does not reconcile with its per-tenant tables");
+        return Err("service report does not reconcile with its per-tenant tables".into());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn intercloud(args: &[String]) -> ExitCode {
+fn intercloud(mut args: Args) -> CliResult {
     use cloudy::cloud::region;
-    use cloudy::core::{Study, StudyConfig};
     use cloudy::intercloud::{
         choose, latency_matrix, median_gap_ms, run_into, stats_from_store, IntercloudConfig,
     };
-    use cloudy::probes::Platform;
-    use cloudy::store::{write_dataset, Reader, Writer, WriterOptions};
+    use cloudy::store::write_dataset;
 
     let mut cfg = IntercloudConfig { hours: 6, threads: 4, ..IntercloudConfig::default() };
-    let mut k: usize = 3;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed = match arg.as_str() {
-            "--seed" => take("--seed").and_then(|v| {
-                v.parse().map(|n| cfg.seed = n).map_err(|e| format!("--seed: {e}"))
-            }),
-            "--hours" => take("--hours").and_then(|v| {
-                v.parse().map(|n| cfg.hours = n).map_err(|e| format!("--hours: {e}"))
-            }),
-            "--samples" => take("--samples").and_then(|v| {
-                v.parse().map(|n| cfg.samples_per_hour = n).map_err(|e| format!("--samples: {e}"))
-            }),
-            "--regions-per-provider" => take("--regions-per-provider").and_then(|v| {
-                v.parse()
-                    .map(|n| cfg.regions_per_provider = n)
-                    .map_err(|e| format!("--regions-per-provider: {e}"))
-            }),
-            "--threads" => take("--threads").and_then(|v| {
-                v.parse().map(|n| cfg.threads = n).map_err(|e| format!("--threads: {e}"))
-            }),
-            "--k" => {
-                take("--k").and_then(|v| v.parse().map(|n| k = n).map_err(|e| format!("--k: {e}")))
-            }
-            "--out" => take("--out").map(|v| out = Some(v)),
-            other => Err(format!("unknown intercloud option {other:?}")),
-        };
-        if let Err(e) = parsed {
-            return fail(&e);
-        }
-    }
+    cfg.seed = args.value("--seed")?.unwrap_or(cfg.seed);
+    cfg.hours = args.value("--hours")?.unwrap_or(cfg.hours);
+    cfg.samples_per_hour = args.value("--samples")?.unwrap_or(cfg.samples_per_hour);
+    cfg.regions_per_provider =
+        args.value("--regions-per-provider")?.unwrap_or(cfg.regions_per_provider);
+    cfg.threads = args.value("--threads")?.unwrap_or(cfg.threads);
+    let k: usize = args.value("--k")?.unwrap_or(3);
+    let out: Option<String> = args.value("--out")?;
+    args.finish()?;
 
     eprintln!(
         "inter-cloud campaign: {} providers x {} region(s), {} hours, seed {}, {} threads...",
@@ -1221,19 +928,9 @@ fn intercloud(args: &[String]) -> ExitCode {
         cfg.seed,
         cfg.threads
     );
-    let mut writer = match Writer::new(Vec::new(), Platform::Speedchecker, WriterOptions::default())
-    {
-        Ok(w) => w,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let stats = match run_into(&cfg, &mut writer) {
-        Ok(s) => s,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let (bytes, summary) = match writer.finish() {
-        Ok(v) => v,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let mut writer = Writer::new(Vec::new(), Platform::Speedchecker, WriterOptions::default())?;
+    let stats = run_into(&cfg, &mut writer)?;
+    let (bytes, summary) = writer.finish()?;
     println!(
         "{} tasks -> {} records ({} delivered, {} lost), {} store rows in {} bytes",
         stats.tasks,
@@ -1244,20 +941,10 @@ fn intercloud(args: &[String]) -> ExitCode {
         bytes.len()
     );
     if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, &bytes) {
-            return fail(&format!("write {path}: {e}"));
-        }
-        eprintln!("wrote {path} ({} bytes)", bytes.len());
+        write_file(path, &bytes)?;
     }
 
-    let reader = match Reader::from_bytes(bytes) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let rows = match latency_matrix(&reader) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let rows = latency_matrix(&Reader::from_bytes(bytes)?)?;
     println!("\nprovider latency-gap matrix (median RTT, ms):");
     println!("  src  -> dst     private    public       gap         n");
     for r in &rows {
@@ -1281,26 +968,13 @@ fn intercloud(args: &[String]) -> ExitCode {
     scfg.sc_fraction = 0.02;
     scfg.duration_days = 2;
     let study = Study::run(scfg);
-    let (user_bytes, _) = match write_dataset(&study.sc, WriterOptions::default()) {
-        Ok(v) => v,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let user_reader = match Reader::from_bytes(user_bytes) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let mut pstats = match stats_from_store(&user_reader) {
-        Ok(s) => s,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let (user_bytes, _) = write_dataset(&study.sc, WriterOptions::default())?;
+    let mut pstats = stats_from_store(&Reader::from_bytes(user_bytes)?)?;
     let all_candidates = pstats.candidates.len();
     // The exact search is exponential in the candidate count; greedily
     // keep a complementary shortlist first.
     pstats.restrict_to_top(k.max(16));
-    let placement = match choose(&pstats, k) {
-        Ok(p) => p,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let placement = choose(&pstats, k)?;
     println!(
         "\nplacement: best {} of {} candidate regions ({} before shortlisting):",
         placement.regions.len(),
@@ -1321,149 +995,72 @@ fn intercloud(args: &[String]) -> ExitCode {
              measured latency to any chosen region; raise --k for full coverage"
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parsed `--metrics FORMAT` / `--trace-out FILE` options plus the obs
 /// handle they imply: disabled when neither is present, trace-collecting
 /// when a trace file is requested.
-struct MetricsOpts {
+struct Metrics {
     obs: Obs,
-    format: Option<String>,
+    format: Option<&'static str>,
     trace_out: Option<String>,
 }
 
-fn parse_metrics_opts(positional: &[String]) -> Result<MetricsOpts, String> {
-    let format = out_value(positional, "--metrics")?;
-    if let Some(f) = &format {
-        if f != "text" && f != "json" {
-            return Err(format!("--metrics: want text|json, got {f:?}"));
-        }
-    }
-    let trace_out = out_value(positional, "--trace-out")?;
-    let obs = match (&format, &trace_out) {
-        (None, None) => Obs::disabled(),
+/// Read `--metrics` and `--trace-out` and build the obs handle. A
+/// `default_format` collects even when neither flag is given.
+fn metrics(args: &mut Args, default_format: Option<&'static str>) -> CliResult<Metrics> {
+    let format = args
+        .choice("--metrics", "text|json", |f| ["text", "json"].into_iter().find(|&k| k == f))?
+        .or(default_format);
+    let trace_out: Option<String> = args.value("--trace-out")?;
+    let obs = match (format, &trace_out) {
         (_, Some(_)) => Obs::with_trace(),
-        _ => Obs::enabled(),
+        (Some(_), None) => Obs::enabled(),
+        (None, None) => Obs::disabled(),
     };
-    Ok(MetricsOpts { obs, format, trace_out })
+    Ok(Metrics { obs, format, trace_out })
 }
 
-/// Print the snapshot and write the trace file. Metrics go to stderr so
-/// they never mix into a command's primary stdout output (JSONL exports,
-/// `--json` reports, ...); pass `to_stdout` when the metrics ARE the
-/// primary output (`cloudy-repro obs`).
-fn emit_metrics(m: &MetricsOpts, to_stdout: bool) -> Result<(), String> {
-    if let (Some(format), Some(snap)) = (&m.format, m.obs.snapshot()) {
-        let rendered = if format == "json" { snap.render_json() } else { snap.render_text() };
-        if to_stdout {
-            println!("{rendered}");
-        } else {
-            eprintln!("{rendered}");
+impl Metrics {
+    /// Print the snapshot and write the trace file. Metrics go to stderr so
+    /// they never mix into a command's primary stdout output (JSONL
+    /// exports, `--json` reports, ...); pass `to_stdout` when the metrics
+    /// ARE the primary output (`cloudy-repro obs`).
+    fn emit(&self, to_stdout: bool) -> Result<(), String> {
+        if let (Some(format), Some(snap)) = (self.format, self.obs.snapshot()) {
+            let rendered = if format == "json" { snap.render_json() } else { snap.render_text() };
+            if to_stdout {
+                println!("{rendered}");
+            } else {
+                eprintln!("{rendered}");
+            }
         }
+        if let Some(path) = &self.trace_out {
+            write_file(path, self.obs.trace_json().unwrap_or_default())?;
+        }
+        Ok(())
     }
-    if let Some(path) = &m.trace_out {
-        let json = m.obs.trace_json().unwrap_or_default();
-        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
 }
 
 /// `cloudy-repro obs` — run one instrumented campaign end to end (executor
 /// → store write → store scan) and print the merged metrics snapshot.
 /// The snapshot is the primary output here, so it goes to stdout.
-fn obs_summary(args: &[String]) -> ExitCode {
-    let (cfg, positional) = match parse_config(args) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let mut metrics = match parse_metrics_opts(&positional) {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    // `obs` also takes `--format` (metrics are its primary output), and
-    // collects even when no format flag is given at all.
-    if metrics.format.is_none() {
-        match out_value(&positional, "--format") {
-            Ok(v @ (Some(_) | None)) => match v.as_deref() {
-                Some("text") | Some("json") | None => metrics.format = v,
-                Some(other) => return fail(&format!("--format: want text|json, got {other:?}")),
-            },
-            Err(e) => return fail(&e),
-        }
-    }
-    if !metrics.obs.is_enabled() {
-        metrics.obs = if metrics.trace_out.is_some() { Obs::with_trace() } else { Obs::enabled() };
-    }
-    if metrics.format.is_none() {
-        metrics.format = Some("text".to_string());
-    }
-    let campaign_cfg = match cloudy::measure::CampaignConfig::builder()
-        .plan(cfg.campaign_config().plan)
-        .artifacts(cfg.artifacts)
-        .threads(cfg.threads)
-        .faults(cfg.faults)
-        .obs(metrics.obs.clone())
-        .build()
-    {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let world = cloudy::netsim::build::build(&cloudy::netsim::build::WorldConfig {
-        seed: cfg.seed,
-        isps_per_country: cfg.isps_per_country,
-        countries: None,
-    });
-    let pop = cloudy::probes::speedchecker::population(&world, cfg.sc_fraction, cfg.seed ^ 0x5C);
-    let sim = cloudy::netsim::Simulator::new(world.net);
+fn obs_summary(mut args: Args) -> CliResult {
+    let cfg = study_config(&mut args)?;
+    let metrics = metrics(&mut args, Some("text"))?;
+    args.finish()?;
+    let (campaign_cfg, sim, pop) = speedchecker_campaign(&cfg, &metrics.obs, false)?;
     eprintln!(
         "instrumented campaign + store round-trip (seed {}, {} days, {} threads)...",
         cfg.seed, cfg.duration_days, cfg.threads
     );
-    let mut writer =
-        match Writer::new(Vec::new(), cloudy::probes::Platform::Speedchecker, WriterOptions::default())
-        {
-            Ok(w) => w,
-            Err(e) => return fail(&e.to_string()),
-        };
+    let mut writer = Writer::new(Vec::new(), Platform::Speedchecker, WriterOptions::default())?;
     writer.set_obs(metrics.obs.clone());
-    if let Err(e) = cloudy::measure::run_campaign_into(&campaign_cfg, &sim, &pop, &mut writer) {
-        return fail(&e.to_string());
-    }
-    let bytes = match writer.finish() {
-        Ok((b, _)) => b,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let mut reader = match Reader::from_bytes(bytes) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
+    cloudy::measure::run_campaign_into(&campaign_cfg, &sim, &pop, &mut writer)?;
+    let mut reader = Reader::from_bytes(writer.finish()?.0)?;
     reader.set_obs(metrics.obs.clone());
-    if let Err(e) = cloudy::store::Query::rtts().threads(cfg.threads).rows(&reader) {
-        return fail(&e.to_string());
-    }
-    match emit_metrics(&metrics, true) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
-}
-
-fn out_value(positional: &[String], key: &str) -> Result<Option<String>, String> {
-    let mut it = positional.iter();
-    while let Some(p) = it.next() {
-        if p == key {
-            return it
-                .next()
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| format!("{key} needs a value"));
-        }
-    }
-    Ok(None)
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::from(2)
+    Query::rtts().threads(cfg.threads).rows(&reader)?;
+    metrics.emit(true)?;
+    Ok(ExitCode::SUCCESS)
 }

@@ -79,6 +79,51 @@ fn run_export_then_analyze() {
     let dir = scratch("run_export_then_analyze");
     check("run", &stdout_of(&dir, &small(&["run", "--out", "export"])));
     check("analyze_fig3", &stdout_of(&dir, &["analyze", "--dir", "export", "fig3"]));
+    // A metadata value that does not parse, or merges out of range, is an
+    // error: falling back to the command line would rebuild the wrong world.
+    for meta in ["seed=4x2\n", "seed=42\ndays=1\nsc_fraction=0\n"] {
+        std::fs::write(dir.join("export").join("study.meta"), meta).expect("rewrite study.meta");
+        let out = repro(&dir, &["analyze", "--dir", "export", "--seed", "9", "fig3"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{meta:?} accepted:\n{stderr}");
+        assert!(stderr.contains("study.meta"), "{stderr}");
+    }
+}
+
+/// Every subcommand rejects a flag it does not accept, names it, and
+/// exits 2 before doing any work.
+#[test]
+fn unknown_flags_exit_2() {
+    let dir = scratch("unknown_flags_exit_2");
+    let commands: [&[&str]; 15] = [
+        &["list"],
+        &["world"],
+        &["run"],
+        &["analyze", "--dir", "export"],
+        &["campaign"],
+        &["experiment", "fig3"],
+        &["all"],
+        &["store", "write"],
+        &["store", "inspect", "st.cst"],
+        &["store", "query", "st.cst"],
+        &["serve"],
+        &["intercloud"],
+        &["obs"],
+        &["audit"],
+        &["audit", "lint"],
+    ];
+    for command in commands {
+        let args = [command, &["--sed", "7"]].concat();
+        let out = repro(&dir, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} exited {:?}:\n{stderr}",
+            out.status.code()
+        );
+        assert!(stderr.contains("\"--sed\""), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
