@@ -24,22 +24,31 @@
 //! delivered (`Ok`) rows' values. All-`Ok` chunks are byte-identical to the
 //! pre-outcome format, which keeps zero-fault campaigns reproducible against
 //! historical store bytes and legacy files readable.
+//!
+//! Reading goes through one column reader, `read`, with one arm per kind
+//! stating that kind's column order. `decode_*` asks it for every column and
+//! [`scan_chunk`] for the columns its projection and predicate name; every
+//! other block stays a length-skip. Framing is strict: bytes after the
+//! outcome block are corrupt. A length read from the file sizes an
+//! allocation only once the bytes that remain bound it (every entry takes at
+//! least one byte), so a damaged file fails with `StoreError::Corrupt`.
 
 use crate::error::StoreError;
 use crate::codec::{
-    get_bitmap, get_block, get_delta_u64, get_indices, get_rtts, put_bitmap, put_block,
-    put_delta_u64, put_indices, put_rtts, put_varint, Cursor, DictBuilder,
+    get_block, get_delta, get_entries, get_indices, get_rtts, get_sparse, put_bitmap,
+    put_block, put_delta_u64, put_indices, put_rtts, put_varint, Cursor, DictBuilder,
 };
 use crate::schema::{
-    access_from_tag, access_tag, continent_from_tag, continent_tag, outcome_from_tag,
-    outcome_tag, proto_from_tag, proto_tag, route_from_tag, route_tag, RecordKind, OUTCOME_OK,
-    OUTCOME_TIMEOUT,
+    access_from_tag, access_tag, continent_from_tag, continent_tag, outcome_from_tag, outcome_tag,
+    proto_from_tag, proto_tag, route_from_tag, route_tag, RecordKind, OUTCOME_TIMEOUT,
 };
 use cloudy_cloud::{region, Provider, RegionId, RouteClass};
-use cloudy_geo::CountryCode;
+use cloudy_geo::{Continent, CountryCode};
+use cloudy_lastmile::AccessType;
 use cloudy_measure::{
     outcome_for_hops, CloudPingRecord, HopRecord, PingRecord, TaskOutcome, TracerouteRecord,
 };
+use cloudy_netsim::Protocol;
 use cloudy_probes::{Platform, ProbeId};
 use cloudy_topology::Asn;
 use std::net::Ipv4Addr;
@@ -231,37 +240,6 @@ fn put_outcomes<'a>(out: &mut Vec<u8>, outcomes: impl Iterator<Item = &'a TaskOu
     put_block(out, &blk);
 }
 
-/// Decoded optional outcome column: one tag per row plus the `Timeout`
-/// budgets in row order; `None` for legacy / all-`Ok` chunk bodies.
-type OutcomeColumn = Option<(Vec<u8>, Vec<f64>)>;
-
-/// Read the optional trailing outcome column: one validated tag per row
-/// plus the `Timeout` budgets in row order. `None` for legacy / all-`Ok`
-/// chunk bodies (no bytes remain after the preceding column).
-fn get_outcomes(cur: &mut Cursor<'_>, rows: usize) -> Result<OutcomeColumn, StoreError> {
-    if cur.remaining() == 0 {
-        return Ok(None);
-    }
-    let mut blk = get_block(cur)?;
-    let tags = blk.bytes(rows)?.to_vec();
-    let mut budgets = Vec::new();
-    for t in &tags {
-        outcome_from_tag(*t, 0.0)?;
-        if *t == OUTCOME_TIMEOUT {
-            budgets.push(f64::from_bits(blk.u64_le()?));
-        }
-    }
-    Ok(Some((tags, budgets)))
-}
-
-/// Delivered-row count: the rtt column holds exactly these rows' values.
-fn ok_count(outcomes: &OutcomeColumn, rows: usize) -> usize {
-    match outcomes {
-        Some((tags, _)) => tags.iter().filter(|t| **t == OUTCOME_OK).count(),
-        None => rows,
-    }
-}
-
 /// Encode one ping chunk; returns (body, footer).
 pub fn encode_pings(rows: &[PingRecord], provider: Provider) -> (Vec<u8>, ChunkFooter) {
     let meta = encode_meta(rows.iter().map(MetaRow::from));
@@ -403,294 +381,6 @@ pub fn encode_cloud_pings(rows: &[CloudPingRecord], provider: Provider) -> (Vec<
     (out, footer)
 }
 
-/// Decode an inter-cloud chunk body into full records. No platform
-/// parameter: both endpoints are cloud regions, so the record type carries
-/// none.
-pub fn decode_cloud_pings(
-    body: &[u8],
-    rows: usize,
-    _provider: Provider,
-) -> Result<Vec<CloudPingRecord>, StoreError> {
-    let mut cur = Cursor::new(body);
-    let mut src_blk = get_block(&mut cur)?;
-    let src = get_delta_u64(&mut src_blk, rows)?;
-    let mut dst_blk = get_block(&mut cur)?;
-    let dst = get_delta_u64(&mut dst_blk, rows)?;
-    let route_raw = get_block(&mut cur)?.bytes(rows)?.to_vec();
-    let route = route_raw.into_iter().map(route_from_tag).collect::<Result<Vec<_>, _>>()?;
-    let mut rtt_blk = get_block(&mut cur)?;
-    let mut hour_blk = get_block(&mut cur)?;
-    let hour = get_delta_u64(&mut hour_blk, rows)?;
-    let outcomes = get_outcomes(&mut cur, rows)?;
-    let rtt = get_rtts(&mut rtt_blk, ok_count(&outcomes, rows))?;
-
-    let mut out = Vec::with_capacity(rows);
-    let mut rtt_ix = 0usize;
-    let mut budget_ix = 0usize;
-    for i in 0..rows {
-        let tag = outcomes.as_ref().map_or(OUTCOME_OK, |(tags, _)| tags[i]);
-        let payload = match tag {
-            OUTCOME_OK => {
-                let v = rtt[rtt_ix];
-                rtt_ix += 1;
-                v
-            }
-            OUTCOME_TIMEOUT => {
-                let b = outcomes.as_ref().map_or(0.0, |(_, budgets)| budgets[budget_ix]);
-                budget_ix += 1;
-                b
-            }
-            _ => 0.0,
-        };
-        out.push(CloudPingRecord {
-            src: region_of(src[i])?,
-            dst: region_of(dst[i])?,
-            route: route[i],
-            outcome: outcome_from_tag(tag, payload)?,
-            hour: hour[i],
-        });
-    }
-    Ok(out)
-}
-
-struct MetaDecoded {
-    probe: Vec<u64>,
-    country: Vec<CountryCode>,
-    continent: Vec<cloudy_geo::Continent>,
-    city: Vec<String>,
-    isp: Vec<u32>,
-    access: Vec<cloudy_lastmile::AccessType>,
-    region: Vec<u64>,
-    proto: Vec<cloudy_netsim::Protocol>,
-}
-
-fn decode_country_block(cur: &mut Cursor<'_>, rows: usize) -> Result<Vec<CountryCode>, StoreError> {
-    let mut blk = get_block(cur)?;
-    let n = blk.varint()? as usize;
-    let mut dict = Vec::with_capacity(n);
-    for _ in 0..n {
-        let raw = blk.bytes(2)?;
-        let code = std::str::from_utf8(raw)
-            .map_err(|e| StoreError::corrupt(format!("country code: {e}")))?;
-        dict.push(
-            CountryCode::try_new(code)
-                .ok_or_else(|| StoreError::corrupt(format!("invalid country code {code:?}")))?,
-        );
-    }
-    let ix = get_indices(&mut blk, rows, dict.len())?;
-    Ok(ix.into_iter().map(|i| dict[i as usize]).collect())
-}
-
-fn decode_meta(cur: &mut Cursor<'_>, rows: usize) -> Result<MetaDecoded, StoreError> {
-    let mut probe_blk = get_block(cur)?;
-    let probe = get_delta_u64(&mut probe_blk, rows)?;
-
-    let country = decode_country_block(cur, rows)?;
-
-    let continent_raw = get_block(cur)?.bytes(rows)?.to_vec();
-    let continent = continent_raw
-        .into_iter()
-        .map(continent_from_tag)
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let mut city_blk = get_block(cur)?;
-    let n = city_blk.varint()? as usize;
-    let mut city_dict = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = city_blk.varint()? as usize;
-        let raw = city_blk.bytes(len)?;
-        let name =
-            std::str::from_utf8(raw).map_err(|e| StoreError::corrupt(format!("city: {e}")))?;
-        city_dict.push(name.to_string());
-    }
-    let city_ix = get_indices(&mut city_blk, rows, city_dict.len())?;
-    let city = city_ix.into_iter().map(|i| city_dict[i as usize].clone()).collect();
-
-    let mut isp_blk = get_block(cur)?;
-    let n = isp_blk.varint()? as usize;
-    let mut isp_dict = Vec::with_capacity(n);
-    for _ in 0..n {
-        isp_dict.push(
-            u32::try_from(isp_blk.varint()?)
-                .map_err(|e| StoreError::corrupt(format!("asn: {e}")))?,
-        );
-    }
-    let isp_ix = get_indices(&mut isp_blk, rows, isp_dict.len())?;
-    let isp = isp_ix.into_iter().map(|i| isp_dict[i as usize]).collect();
-
-    let access_raw = get_block(cur)?.bytes(rows)?.to_vec();
-    let access =
-        access_raw.into_iter().map(access_from_tag).collect::<Result<Vec<_>, _>>()?;
-
-    let mut region_blk = get_block(cur)?;
-    let region = get_delta_u64(&mut region_blk, rows)?;
-
-    let proto_raw = get_block(cur)?.bytes(rows)?.to_vec();
-    let proto = proto_raw.into_iter().map(proto_from_tag).collect::<Result<Vec<_>, _>>()?;
-
-    Ok(MetaDecoded { probe, country, continent, city, isp, access, region, proto })
-}
-
-fn region_of(raw: u64) -> Result<RegionId, StoreError> {
-    u16::try_from(raw).map(RegionId).map_err(|_| StoreError::corrupt(format!("region id {raw} overflows u16")))
-}
-
-/// Decode a ping chunk body into full records.
-pub fn decode_pings(
-    body: &[u8],
-    rows: usize,
-    platform: Platform,
-    provider: Provider,
-) -> Result<Vec<PingRecord>, StoreError> {
-    let mut cur = Cursor::new(body);
-    let m = decode_meta(&mut cur, rows)?;
-    // The rtt column holds only delivered rows' values, and how many there
-    // are is known once the trailing outcome block (if any) is read — so
-    // hold this block's cursor and decode it after.
-    let mut rtt_blk = get_block(&mut cur)?;
-    let mut hour_blk = get_block(&mut cur)?;
-    let hour = get_delta_u64(&mut hour_blk, rows)?;
-    let outcomes = get_outcomes(&mut cur, rows)?;
-    let rtt = get_rtts(&mut rtt_blk, ok_count(&outcomes, rows))?;
-
-    let mut out = Vec::with_capacity(rows);
-    let mut rtt_ix = 0usize;
-    let mut budget_ix = 0usize;
-    for i in 0..rows {
-        let tag = outcomes.as_ref().map_or(OUTCOME_OK, |(tags, _)| tags[i]);
-        let payload = match tag {
-            OUTCOME_OK => {
-                let v = rtt[rtt_ix];
-                rtt_ix += 1;
-                v
-            }
-            OUTCOME_TIMEOUT => {
-                let b = outcomes.as_ref().map_or(0.0, |(_, budgets)| budgets[budget_ix]);
-                budget_ix += 1;
-                b
-            }
-            _ => 0.0,
-        };
-        out.push(PingRecord {
-            probe: ProbeId(m.probe[i]),
-            platform,
-            country: m.country[i],
-            continent: m.continent[i],
-            city: m.city[i].clone(),
-            isp: Asn(m.isp[i]),
-            access: m.access[i],
-            region: region_of(m.region[i])?,
-            provider,
-            proto: m.proto[i],
-            outcome: outcome_from_tag(tag, payload)?,
-            hour: hour[i],
-        });
-    }
-    Ok(out)
-}
-
-/// Decode a traceroute chunk body into full records.
-pub fn decode_traces(
-    body: &[u8],
-    rows: usize,
-    platform: Platform,
-    provider: Provider,
-) -> Result<Vec<TracerouteRecord>, StoreError> {
-    let mut cur = Cursor::new(body);
-    let m = decode_meta(&mut cur, rows)?;
-
-    let mut src_blk = get_block(&mut cur)?;
-    let src = get_delta_u64(&mut src_blk, rows)?;
-    let mut hour_blk = get_block(&mut cur)?;
-    let hour = get_delta_u64(&mut hour_blk, rows)?;
-
-    let mut lens_blk = get_block(&mut cur)?;
-    let mut lens = Vec::with_capacity(rows);
-    let mut total = 0usize;
-    for _ in 0..rows {
-        let l = lens_blk.varint()? as usize;
-        total =
-            total.checked_add(l).ok_or_else(|| StoreError::corrupt("hop count overflow"))?;
-        lens.push(l);
-    }
-
-    let ttl = get_block(&mut cur)?.bytes(total)?.to_vec();
-
-    let mut ipb_blk = get_block(&mut cur)?;
-    let ip_present = get_bitmap(&mut ipb_blk, total)?;
-    let n_ips = ip_present.iter().filter(|p| **p).count();
-    let mut ips_blk = get_block(&mut cur)?;
-    let ips = get_delta_u64(&mut ips_blk, n_ips)?;
-
-    let mut rttb_blk = get_block(&mut cur)?;
-    let rtt_present = get_bitmap(&mut rttb_blk, total)?;
-    let n_rtts = rtt_present.iter().filter(|p| **p).count();
-    let mut rtts_blk = get_block(&mut cur)?;
-    let rtts = get_rtts(&mut rtts_blk, n_rtts)?;
-
-    let outcomes = get_outcomes(&mut cur, rows)?;
-
-    let mut out = Vec::with_capacity(rows);
-    let mut hop_ix = 0usize;
-    let mut ip_ix = 0usize;
-    let mut rtt_ix = 0usize;
-    let mut budget_ix = 0usize;
-    for i in 0..rows {
-        let mut hops = Vec::with_capacity(lens[i]);
-        for _ in 0..lens[i] {
-            let ip = if ip_present[hop_ix] {
-                let v = u32::try_from(ips[ip_ix])
-                    .map_err(|_| StoreError::corrupt("hop ip overflows u32"))?;
-                ip_ix += 1;
-                Some(Ipv4Addr::from(v))
-            } else {
-                None
-            };
-            let rtt_ms = if rtt_present[hop_ix] {
-                let v = rtts[rtt_ix];
-                rtt_ix += 1;
-                Some(v)
-            } else {
-                None
-            };
-            hops.push(HopRecord { ttl: ttl[hop_ix], ip, rtt_ms });
-            hop_ix += 1;
-        }
-        let src_v =
-            u32::try_from(src[i]).map_err(|_| StoreError::corrupt("src ip overflows u32"))?;
-        let outcome = match &outcomes {
-            // Legacy / all-Ok chunk: the shared derivation rule.
-            None => outcome_for_hops(&hops),
-            Some((tags, budgets)) => match tags[i] {
-                OUTCOME_OK => outcome_for_hops(&hops),
-                OUTCOME_TIMEOUT => {
-                    let b = budgets[budget_ix];
-                    budget_ix += 1;
-                    TaskOutcome::Timeout(b)
-                }
-                t => outcome_from_tag(t, 0.0)?,
-            },
-        };
-        out.push(TracerouteRecord {
-            probe: ProbeId(m.probe[i]),
-            platform,
-            country: m.country[i],
-            continent: m.continent[i],
-            city: m.city[i].clone(),
-            isp: Asn(m.isp[i]),
-            access: m.access[i],
-            region: region_of(m.region[i])?,
-            provider,
-            proto: m.proto[i],
-            src_ip: Ipv4Addr::from(src_v),
-            hops,
-            outcome,
-            hour: hour[i],
-        });
-    }
-    Ok(out)
-}
-
 /// One row of the RTT projection: everything group-by aggregation needs,
 /// nothing it does not (no strings, no hops).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -705,14 +395,11 @@ pub struct RttRow {
     pub rtt_ms: f64,
 }
 
-use crate::codec::skip_block;
-
-/// Row-level predicate resolved against one chunk by the projection
-/// kernels. Country and ISP filters are matched against the chunk's
-/// *dictionaries* first: a value absent from the dictionary prunes the
-/// whole chunk before any per-row column is decoded, and a present value
-/// is compared per row as a dictionary id — no per-row value
-/// materialization either way.
+/// Row-level predicate resolved against one chunk by [`scan_chunk`].
+/// Country and ISP filters are matched against the chunk's *dictionaries*
+/// first: a value absent from the dictionary prunes the whole chunk before
+/// any per-row column is decoded, and a present value is compared per row
+/// against the row's dictionary entry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RowPred {
     pub country: Option<CountryCode>,
@@ -721,24 +408,10 @@ pub struct RowPred {
     pub max_rtt_ms: Option<f64>,
     pub min_hour: Option<u64>,
     pub max_hour: Option<u64>,
-    /// Route-class filter; only inter-cloud rows carry a route, so the
-    /// ping/trace kernels ignore it (the query layer restricts a routed
-    /// query to cloud chunks before the kernels run).
+    /// Route-class filter. Only inter-cloud rows carry a route, so it
+    /// matches no ping or traceroute row (the query layer restricts a
+    /// routed query to cloud chunks before the scan runs).
     pub route: Option<RouteClass>,
-}
-
-impl RowPred {
-    fn rtt_in_bounds(&self, v: f64) -> bool {
-        !self.min_rtt_ms.is_some_and(|min| v < min) && !self.max_rtt_ms.is_some_and(|max| v > max)
-    }
-
-    fn hour_in_bounds(&self, h: u64) -> bool {
-        self.min_hour.is_none_or(|min| h >= min) && self.max_hour.is_none_or(|max| h <= max)
-    }
-
-    fn needs_hour(&self) -> bool {
-        self.min_hour.is_some() || self.max_hour.is_some()
-    }
 }
 
 /// Which columns the scan must decode. Columns that are neither projected
@@ -755,9 +428,23 @@ pub struct ProjSpec {
     pub route: bool,
     /// Resolve the inter-cloud source provider (cloud chunks only).
     pub src_provider: bool,
+    /// Decode the columns only full records carry: probe id, continent,
+    /// city, access type, protocol, traceroute source IP, hop TTLs and IPs.
+    pub records: bool,
 }
 
 impl ProjSpec {
+    /// Every column: what a full-record decode asks for.
+    const ALL: ProjSpec = ProjSpec {
+        country: true,
+        region: true,
+        isp: true,
+        hour: true,
+        route: true,
+        src_provider: true,
+        records: true,
+    };
+
     /// The projection behind [`RttRow`] results: country, region,
     /// and hour decoded, ISP skipped.
     pub fn rtt_row() -> ProjSpec {
@@ -767,7 +454,7 @@ impl ProjSpec {
 
 /// One row emitted by the projection kernels: [`RttRow`] plus the ISP
 /// column (needed by ISP filters and group-bys). Fields outside the
-/// requested [`ProjSpec`] hold placeholder values.
+/// requested projection hold placeholder values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProjRow {
     pub kind: RecordKind,
@@ -778,7 +465,7 @@ pub struct ProjRow {
     pub hour: u64,
     pub rtt_ms: f64,
     /// Inter-cloud route class; `None` for ping/trace rows (and when the
-    /// route column was not in the [`ProjSpec`]).
+    /// route column was not projected).
     pub route: Option<RouteClass>,
     /// Inter-cloud source-region provider; `None` for ping/trace rows (and
     /// when unrequested). `provider` itself is the destination provider —
@@ -809,274 +496,386 @@ pub enum ChunkScan {
     Scanned { matched: u64 },
 }
 
-/// A dictionary column's per-chunk scan state: the decoded dictionary, the
-/// per-row ids (empty when the column is neither filtered nor projected),
-/// and the filter value resolved to this chunk's id space.
-struct DictScan<T> {
-    dict: Vec<T>,
-    ix: Vec<u32>,
-    want: Option<u32>,
-}
-
-impl<T> DictScan<T> {
-    fn empty() -> DictScan<T> {
-        DictScan { dict: Vec::new(), ix: Vec::new(), want: None }
+/// Split the next `N` length-prefixed column blocks off a chunk body.
+fn blocks<'a, const N: usize>(cur: &mut Cursor<'a>) -> Result<[Cursor<'a>; N], StoreError> {
+    let mut out = [Cursor::new(&[]); N];
+    for b in &mut out {
+        *b = get_block(cur)?;
     }
+    Ok(out)
+}
 
-    fn row_passes(&self, i: usize) -> bool {
-        self.want.is_none_or(|w| self.ix[i] == w)
+/// The optional trailing outcome block, which must end the body.
+fn outcome_block(mut cur: Cursor<'_>) -> Result<Option<Cursor<'_>>, StoreError> {
+    let blk = if cur.remaining() == 0 { None } else { Some(get_block(&mut cur)?) };
+    match cur.remaining() {
+        0 => Ok(blk),
+        n => Err(StoreError::corrupt(format!("{n} bytes after the outcome block"))),
     }
 }
 
-/// The shared meta-block prefix (probe..proto) walked with predicate and
-/// projection pushdown. Returns `None` when a dictionary filter proves the
-/// chunk cannot match — the caller skips it without decoding a row.
-struct MetaScan {
-    country: DictScan<CountryCode>,
-    isp: DictScan<u32>,
-    region: Vec<u64>,
-}
-
-fn dict_id_of(pos: usize) -> Result<u32, StoreError> {
-    u32::try_from(pos).map_err(|_| StoreError::corrupt("dictionary id overflows u32"))
-}
-
-fn scan_meta_blocks(
+/// `n` delta-coded values, each narrowed to `U` (a region id's u16, an
+/// IPv4 address's u32) and wrapped by `wrap`.
+fn get_narrow<T, U: TryFrom<u64>>(
     cur: &mut Cursor<'_>,
-    rows: usize,
-    pred: &RowPred,
-    proj: ProjSpec,
-) -> Result<Option<MetaScan>, StoreError> {
-    skip_block(cur)?; // probe
+    n: usize,
+    wrap: fn(U) -> T,
+) -> Result<Vec<T>, StoreError> {
+    let overflow = |v| StoreError::corrupt(format!("{v} overflows {}", std::any::type_name::<U>()));
+    get_delta(cur, n, |v| U::try_from(v).map(wrap).map_err(|_| overflow(v)))
+}
 
-    // Country: the dictionary header is a handful of bytes; resolving the
-    // filter against it costs nothing compared to decoding `rows` indices.
-    let mut blk = get_block(cur)?;
-    let n = blk.varint()? as usize;
-    let mut dict = Vec::with_capacity(n.min(512));
-    for _ in 0..n {
-        let raw = blk.bytes(2)?;
-        let code = std::str::from_utf8(raw)
-            .map_err(|e| StoreError::corrupt(format!("country code: {e}")))?;
-        dict.push(
-            CountryCode::try_new(code)
-                .ok_or_else(|| StoreError::corrupt(format!("invalid country code {code:?}")))?,
-        );
+fn country_entry(cur: &mut Cursor<'_>) -> Result<CountryCode, StoreError> {
+    let raw = cur.bytes(2)?;
+    std::str::from_utf8(raw)
+        .ok()
+        .and_then(CountryCode::try_new)
+        .ok_or_else(|| StoreError::corrupt(format!("invalid country code {raw:?}")))
+}
+
+fn city_entry(cur: &mut Cursor<'_>) -> Result<String, StoreError> {
+    let len = cur.varint()? as usize;
+    let raw = cur.bytes(len)?;
+    String::from_utf8(raw.to_vec()).map_err(|e| StoreError::corrupt(format!("city: {e}")))
+}
+
+fn isp_entry(cur: &mut Cursor<'_>) -> Result<Asn, StoreError> {
+    u32::try_from(cur.varint()?).map(Asn).map_err(|e| StoreError::corrupt(format!("asn: {e}")))
+}
+
+/// A dictionary column: the chunk's dictionary, then one id per row.
+struct Dict<T> {
+    entries: Vec<T>,
+    /// Per-row ids, validated against `entries`; empty when not decoded.
+    ids: Vec<u32>,
+}
+
+impl<T> Default for Dict<T> {
+    fn default() -> Dict<T> {
+        Dict { entries: Vec::new(), ids: Vec::new() }
     }
-    let want = match pred.country {
-        Some(c) => match dict.iter().position(|d| *d == c) {
-            Some(pos) => Some(dict_id_of(pos)?),
-            None => return Ok(None),
-        },
-        None => None,
-    };
-    let ix = if proj.country || want.is_some() {
-        get_indices(&mut blk, rows, dict.len())?
-    } else {
-        Vec::new()
-    };
-    let country = DictScan { dict, ix, want };
+}
 
-    skip_block(cur)?; // continent
-    skip_block(cur)?; // city
-
-    let isp = if proj.isp || pred.isp.is_some() {
-        let mut blk = get_block(cur)?;
+impl<T: PartialEq> Dict<T> {
+    /// Decode a dictionary block: an entry count, the entries (each read
+    /// by `entry`), then one varint id per row. Nothing is decoded unless
+    /// the ids are asked for or `filter` is set. `None` when `filter` is
+    /// missing from the dictionary: no row can match, and no id has been
+    /// decoded.
+    fn read<'a>(
+        mut blk: Cursor<'a>,
+        rows: usize,
+        ids: bool,
+        filter: Option<T>,
+        entry: impl FnMut(&mut Cursor<'a>) -> Result<T, StoreError>,
+    ) -> Result<Option<Dict<T>>, StoreError> {
+        if !ids && filter.is_none() {
+            return Ok(Some(Dict::default()));
+        }
         let n = blk.varint()? as usize;
-        let mut dict = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            dict.push(
-                u32::try_from(blk.varint()?)
-                    .map_err(|e| StoreError::corrupt(format!("asn: {e}")))?,
-            );
+        let entries = get_entries(&mut blk, n, entry)?;
+        if filter.is_some_and(|f| !entries.contains(&f)) {
+            return Ok(None);
         }
-        let want = match pred.isp {
-            Some(asn) => match dict.iter().position(|d| *d == asn.0) {
-                Some(pos) => Some(dict_id_of(pos)?),
-                None => return Ok(None),
-            },
-            None => None,
-        };
-        let ix = get_indices(&mut blk, rows, dict.len())?;
-        DictScan { dict, ix, want }
-    } else {
-        skip_block(cur)?;
-        DictScan::empty()
-    };
+        let ids = get_indices(&mut blk, rows, entries.len())?;
+        Ok(Some(Dict { entries, ids }))
+    }
 
-    skip_block(cur)?; // access
+    /// Row `i`'s value; the ids must have been decoded.
+    fn at(&self, i: usize) -> &T {
+        &self.entries[self.ids[i] as usize]
+    }
 
-    let region = if proj.region {
-        let mut blk = get_block(cur)?;
-        get_delta_u64(&mut blk, rows)?
-    } else {
-        skip_block(cur)?;
-        Vec::new()
-    };
-
-    skip_block(cur)?; // proto
-    Ok(Some(MetaScan { country, isp, region }))
+    /// Row `i`'s value, `None` when the ids were not decoded.
+    fn get(&self, i: usize) -> Option<&T> {
+        self.ids.get(i).map(|id| &self.entries[*id as usize])
+    }
 }
 
-impl MetaScan {
-    fn row(&self, i: usize, kind: RecordKind, provider: Provider, hour: u64, rtt_ms: f64) -> Result<ProjRow, StoreError> {
-        Ok(ProjRow {
-            kind,
-            provider,
-            country: if self.country.ix.is_empty() {
-                CountryCode::new("ZZ")
-            } else {
-                self.country.dict[self.country.ix[i] as usize]
-            },
-            region: if self.region.is_empty() { RegionId(0) } else { region_of(self.region[i])? },
-            isp: if self.isp.ix.is_empty() {
-                Asn(0)
-            } else {
-                Asn(self.isp.dict[self.isp.ix[i] as usize])
-            },
-            hour,
-            rtt_ms,
-            route: None,
-            src_provider: None,
+/// Read an outcome block: one validated tag per row, then an f64 budget
+/// per `Timeout` row in row order. `Ok` rows come back as `Ok(0.0)`: their
+/// payload lives in the rtt column (pings, inter-cloud) or the hops.
+fn get_outcomes(blk: &mut Cursor<'_>, rows: usize) -> Result<Vec<TaskOutcome>, StoreError> {
+    let tags = blk.bytes(rows)?;
+    tags.iter()
+        .map(|t| {
+            let budget = if *t == OUTCOME_TIMEOUT { f64::from_bits(blk.u64_le()?) } else { 0.0 };
+            outcome_from_tag(*t, budget)
         })
-    }
+        .collect()
 }
 
-/// Pushdown projection scan of a ping chunk: decodes only the columns
-/// `proj`/`pred` name, prunes the whole chunk on a dictionary miss, and
-/// emits matching rows without materializing any per-row column it can
-/// avoid. Failed rows carry no RTT and are never emitted — they can never
-/// aggregate as zero-latency samples.
-pub fn scan_ping_chunk(
-    body: &[u8],
+/// Every row's outcome, `Ok` rows carrying their RTT. The rtt column holds
+/// only the delivered rows' values, in row order; a body without an
+/// outcome block delivered every row.
+fn rtt_outcomes(
+    mut rtt: Cursor<'_>,
+    outcome: Option<Cursor<'_>>,
     rows: usize,
-    provider: Provider,
-    pred: &RowPred,
-    proj: ProjSpec,
-    emit: &mut impl FnMut(ProjRow),
-) -> Result<ChunkScan, StoreError> {
-    let mut cur = Cursor::new(body);
-    let Some(meta) = scan_meta_blocks(&mut cur, rows, pred, proj)? else {
-        return Ok(ChunkScan::Pruned);
+) -> Result<Vec<TaskOutcome>, StoreError> {
+    let Some(mut blk) = outcome else {
+        return get_rtts(&mut rtt, rows, TaskOutcome::Ok);
     };
-    let mut rtt_blk = get_block(&mut cur)?;
-    let hour = if proj.hour || pred.needs_hour() {
-        let mut hour_blk = get_block(&mut cur)?;
-        get_delta_u64(&mut hour_blk, rows)?
-    } else {
-        skip_block(&mut cur)?;
-        Vec::new()
-    };
-    let outcomes = get_outcomes(&mut cur, rows)?;
-    let rtt = get_rtts(&mut rtt_blk, ok_count(&outcomes, rows))?;
-
-    let mut matched = 0u64;
-    let mut rtt_ix = 0usize;
-    for i in 0..rows {
-        if outcomes.as_ref().is_some_and(|(tags, _)| tags[i] != OUTCOME_OK) {
-            continue;
-        }
-        let v = rtt[rtt_ix];
-        rtt_ix += 1;
-        let h = if hour.is_empty() { 0 } else { hour[i] };
-        if !pred.rtt_in_bounds(v)
-            || !pred.hour_in_bounds(h)
-            || !meta.country.row_passes(i)
-            || !meta.isp.row_passes(i)
-        {
-            continue;
-        }
-        matched += 1;
-        emit(meta.row(i, RecordKind::Ping, provider, h, v)?);
+    let mut out = get_outcomes(&mut blk, rows)?;
+    let rtts = get_rtts(&mut rtt, out.iter().filter(|o| o.is_ok()).count(), |v| v)?;
+    for (o, v) in out.iter_mut().filter(|o| o.is_ok()).zip(rtts) {
+        *o = TaskOutcome::Ok(v);
     }
-    Ok(ChunkScan::Scanned { matched })
+    Ok(out)
 }
 
-/// Pushdown projection scan of a traceroute chunk; see [`scan_ping_chunk`].
-/// The primary RTT is the end-to-end value (last hop's response); rows
-/// whose last hop did not respond are dropped, matching
-/// `TracerouteRecord::end_to_end_ms`, as are failed rows.
-pub fn scan_trace_chunk(
-    body: &[u8],
-    rows: usize,
-    provider: Provider,
-    pred: &RowPred,
-    proj: ProjSpec,
-    emit: &mut impl FnMut(ProjRow),
-) -> Result<ChunkScan, StoreError> {
-    let mut cur = Cursor::new(body);
-    let Some(meta) = scan_meta_blocks(&mut cur, rows, pred, proj)? else {
-        return Ok(ChunkScan::Pruned);
-    };
-    skip_block(&mut cur)?; // src_ip
-    let hour = if proj.hour || pred.needs_hour() {
-        let mut hour_blk = get_block(&mut cur)?;
-        get_delta_u64(&mut hour_blk, rows)?
-    } else {
-        skip_block(&mut cur)?;
-        Vec::new()
-    };
+/// One chunk's columns as [`read`] decoded them. A column the chunk's kind
+/// lacks, or the read did not ask for, is empty.
+#[derive(Default)]
+struct Cols {
+    probe: Vec<u64>,
+    country: Dict<CountryCode>,
+    continent: Vec<Continent>,
+    city: Dict<String>,
+    isp: Dict<Asn>,
+    access: Vec<AccessType>,
+    /// The probe's region; an inter-cloud row's destination region.
+    region: Vec<RegionId>,
+    proto: Vec<Protocol>,
+    src_ip: Vec<Ipv4Addr>,
+    /// An inter-cloud row's source region.
+    src: Vec<RegionId>,
+    route: Vec<RouteClass>,
+    hour: Vec<u64>,
+    /// A traceroute row's hops (full records only).
+    hops: Vec<Vec<HopRecord>>,
+    /// A traceroute row's end-to-end RTT: its last hop's, if it answered.
+    end_to_end: Vec<Option<f64>>,
+    /// Every row's outcome. `Ok` carries the RTT of a ping or inter-cloud
+    /// row; a delivered traceroute's is derived from its hops.
+    outcome: Vec<TaskOutcome>,
+}
 
-    let mut lens_blk = get_block(&mut cur)?;
-    let mut lens = Vec::with_capacity(rows);
-    let mut total = 0usize;
-    for _ in 0..rows {
-        let l = lens_blk.varint()? as usize;
-        total =
-            total.checked_add(l).ok_or_else(|| StoreError::corrupt("hop count overflow"))?;
-        lens.push(l);
+impl Cols {
+    /// Decode the eight metadata blocks pings and traceroutes share, given
+    /// in file order. `false` when a country or ISP filter misses its
+    /// dictionary.
+    fn read_meta(
+        &mut self,
+        meta: [Cursor<'_>; 8],
+        rows: usize,
+        pred: &RowPred,
+        proj: ProjSpec,
+    ) -> Result<bool, StoreError> {
+        let [mut probe, country, mut continent, city, isp, mut access, mut region, mut proto] =
+            meta;
+        let country = Dict::read(country, rows, proj.country, pred.country, country_entry)?;
+        let Some(country) = country else { return Ok(false) };
+        let isp = Dict::read(isp, rows, proj.isp, pred.isp, isp_entry)?;
+        let Some(isp) = isp else { return Ok(false) };
+        // An unwanted column decodes zero rows: its block stays a skip.
+        let n = |want: bool| if want { rows } else { 0 };
+        let full = proj.records;
+        self.country = country;
+        self.isp = isp;
+        self.city = Dict::read(city, rows, full, None, city_entry)?.unwrap_or_default();
+        self.probe = get_delta(&mut probe, n(full), Ok)?;
+        self.continent = get_entries(&mut continent, n(full), |b| continent_from_tag(b.u8()?))?;
+        self.access = get_entries(&mut access, n(full), |b| access_from_tag(b.u8()?))?;
+        self.region = get_narrow(&mut region, n(proj.region), RegionId)?;
+        self.proto = get_entries(&mut proto, n(full), |b| proto_from_tag(b.u8()?))?;
+        Ok(true)
     }
-    skip_block(&mut cur)?; // ttl
-    skip_block(&mut cur)?; // ip bitmap
-    skip_block(&mut cur)?; // ips
-    let mut rttb_blk = get_block(&mut cur)?;
-    let rtt_present = get_bitmap(&mut rttb_blk, total)?;
-    let n_rtts = rtt_present.iter().filter(|p| **p).count();
-    let mut rtts_blk = get_block(&mut cur)?;
-    let rtts = get_rtts(&mut rtts_blk, n_rtts)?;
 
-    let outcomes = get_outcomes(&mut cur, rows)?;
-
-    let mut matched = 0u64;
-    let mut hop_ix = 0usize;
-    let mut rtt_ix = 0usize;
-    for i in 0..rows {
-        let failed = outcomes.as_ref().is_some_and(|(tags, _)| tags[i] != OUTCOME_OK);
-        let mut last: Option<f64> = None;
-        for j in 0..lens[i] {
-            if rtt_present[hop_ix] {
-                let v = rtts[rtt_ix];
-                rtt_ix += 1;
-                if j == lens[i] - 1 && !failed {
-                    last = Some(v);
+    /// Walk the six hop blocks: one varint hop count per row, then per hop
+    /// a TTL byte, and the IP and RTT as presence bitmaps over the hops
+    /// with the present values packed after each. TTLs and IPs are decoded
+    /// only for full records (over zero hops otherwise).
+    fn read_hops(
+        &mut self,
+        blocks: [Cursor<'_>; 6],
+        rows: usize,
+        records: bool,
+    ) -> Result<(), StoreError> {
+        let [mut lens, mut ttl, mut ip_bitmap, mut ips, mut rtt_bitmap, mut rtts] = blocks;
+        let mut total = 0usize;
+        let overflow = || StoreError::corrupt("hop count overflow");
+        let lens = get_entries(&mut lens, rows, |c| {
+            let len = c.varint()? as usize;
+            total = total.checked_add(len).ok_or_else(overflow)?;
+            Ok(len)
+        })?;
+        let record_hops = if records { total } else { 0 };
+        let get_ips = |c: &mut Cursor<'_>, n| get_narrow(c, n, Ipv4Addr::from_bits);
+        let get_ms = |c: &mut Cursor<'_>, n| get_rtts(c, n, |ms: f64| ms);
+        let ip = get_sparse(&mut ip_bitmap, &mut ips, record_hops, get_ips)?;
+        let mut ttl_ip = ttl.bytes(record_hops)?.iter().copied().zip(ip);
+        let mut rtt = get_sparse(&mut rtt_bitmap, &mut rtts, total, get_ms)?;
+        let mut walk = |len| {
+            let (mut hops, mut last) = (Vec::new(), None);
+            for _ in 0..len {
+                last = rtt.next().flatten();
+                if let Some((ttl, ip)) = ttl_ip.next() {
+                    hops.push(HopRecord { ttl, ip, rtt_ms: last });
                 }
             }
-            hop_ix += 1;
-        }
-        let Some(v) = last else { continue };
-        let h = if hour.is_empty() { 0 } else { hour[i] };
-        if !pred.rtt_in_bounds(v)
-            || !pred.hour_in_bounds(h)
-            || !meta.country.row_passes(i)
-            || !meta.isp.row_passes(i)
-        {
-            continue;
-        }
-        matched += 1;
-        emit(meta.row(i, RecordKind::Trace, provider, h, v)?);
+            if records {
+                self.hops.push(hops);
+            }
+            last
+        };
+        self.end_to_end = lens.into_iter().map(&mut walk).collect();
+        Ok(())
     }
-    Ok(ChunkScan::Scanned { matched })
 }
 
-/// Pushdown projection scan of an inter-cloud chunk; see
-/// [`scan_ping_chunk`]. Row semantics for the shared [`ProjRow`] shape:
-/// `provider` is the destination provider (the partition key), `region`
-/// the destination region, `country` the *source* region's country, and
-/// `isp` the source provider's ASN — so country/ISP predicates ask "probes
-/// homed at this source" just as they do for user rows. Rows whose source
-/// region is missing from the region table never match a country or ISP
-/// predicate.
-pub fn scan_cloud_chunk(
+/// The column reader behind every decode and scan: frame `body` by its
+/// kind's column order, then decode the columns `proj` and `pred` name.
+/// `None` when a country or ISP filter misses its dictionary: no row can
+/// match, and no per-row column has been decoded.
+fn read(
+    kind: RecordKind,
+    body: &[u8],
+    rows: usize,
+    pred: &RowPred,
+    proj: ProjSpec,
+) -> Result<Option<Cols>, StoreError> {
+    let mut cur = Cursor::new(body);
+    let mut c = Cols::default();
+    // An unwanted column decodes zero rows: its block stays a skip.
+    let n = |want: bool| if want { rows } else { 0 };
+    let hour_rows = n(proj.hour || pred.min_hour.is_some() || pred.max_hour.is_some());
+    match kind {
+        RecordKind::Ping => {
+            let meta = blocks(&mut cur)?;
+            let [rtt, mut hour] = blocks(&mut cur)?;
+            let outcome = outcome_block(cur)?;
+            if !c.read_meta(meta, rows, pred, proj)? {
+                return Ok(None);
+            }
+            c.hour = get_delta(&mut hour, hour_rows, Ok)?;
+            c.outcome = rtt_outcomes(rtt, outcome, rows)?;
+        }
+        RecordKind::Trace => {
+            let meta = blocks(&mut cur)?;
+            let [mut src_ip, mut hour] = blocks(&mut cur)?;
+            let hops = blocks(&mut cur)?;
+            let outcome = outcome_block(cur)?;
+            if !c.read_meta(meta, rows, pred, proj)? {
+                return Ok(None);
+            }
+            c.src_ip = get_narrow(&mut src_ip, n(proj.records), Ipv4Addr::from_bits)?;
+            c.hour = get_delta(&mut hour, hour_rows, Ok)?;
+            c.read_hops(hops, rows, proj.records)?;
+            c.outcome = match outcome {
+                Some(mut blk) => get_outcomes(&mut blk, rows)?,
+                None => vec![TaskOutcome::Ok(0.0); c.end_to_end.len()],
+            };
+        }
+        RecordKind::CloudPing => {
+            let [mut src, mut dst, mut route, rtt, mut hour] = blocks(&mut cur)?;
+            let outcome = outcome_block(cur)?;
+            let want_src = proj.country || proj.isp || proj.src_provider;
+            let want_src = want_src || pred.country.is_some() || pred.isp.is_some();
+            c.src = get_narrow(&mut src, n(want_src), RegionId)?;
+            c.region = get_narrow(&mut dst, n(proj.region), RegionId)?;
+            let route_rows = n(proj.route || pred.route.is_some());
+            c.route = get_entries(&mut route, route_rows, |b| route_from_tag(b.u8()?))?;
+            c.hour = get_delta(&mut hour, hour_rows, Ok)?;
+            c.outcome = rtt_outcomes(rtt, outcome, rows)?;
+        }
+    }
+    Ok(Some(c))
+}
+
+/// Every column of a chunk, for full records (no filter, so never pruned).
+fn read_all(kind: RecordKind, body: &[u8], rows: usize) -> Result<Cols, StoreError> {
+    Ok(read(kind, body, rows, &RowPred::default(), ProjSpec::ALL)?.unwrap_or_default())
+}
+
+/// Decode a ping chunk body into full records.
+pub fn decode_pings(
+    body: &[u8],
+    rows: usize,
+    platform: Platform,
+    provider: Provider,
+) -> Result<Vec<PingRecord>, StoreError> {
+    let c = read_all(RecordKind::Ping, body, rows)?;
+    Ok((0..rows)
+        .map(|i| PingRecord {
+            probe: ProbeId(c.probe[i]),
+            platform,
+            country: *c.country.at(i),
+            continent: c.continent[i],
+            city: c.city.at(i).clone(),
+            isp: *c.isp.at(i),
+            access: c.access[i],
+            region: c.region[i],
+            provider,
+            proto: c.proto[i],
+            outcome: c.outcome[i],
+            hour: c.hour[i],
+        })
+        .collect())
+}
+
+/// Decode a traceroute chunk body into full records. A delivered row's
+/// outcome is derived from its hops (`outcome_for_hops`).
+pub fn decode_traces(
+    body: &[u8],
+    rows: usize,
+    platform: Platform,
+    provider: Provider,
+) -> Result<Vec<TracerouteRecord>, StoreError> {
+    let c = read_all(RecordKind::Trace, body, rows)?;
+    Ok(c.hops
+        .into_iter()
+        .enumerate()
+        .map(|(i, hops)| TracerouteRecord {
+            probe: ProbeId(c.probe[i]),
+            platform,
+            country: *c.country.at(i),
+            continent: c.continent[i],
+            city: c.city.at(i).clone(),
+            isp: *c.isp.at(i),
+            access: c.access[i],
+            region: c.region[i],
+            provider,
+            proto: c.proto[i],
+            src_ip: c.src_ip[i],
+            outcome: if c.outcome[i].is_ok() { outcome_for_hops(&hops) } else { c.outcome[i] },
+            hops,
+            hour: c.hour[i],
+        })
+        .collect())
+}
+
+/// Decode an inter-cloud chunk body into full records. No platform or
+/// provider parameter: both endpoints are cloud regions, and the record
+/// names them.
+pub fn decode_cloud_pings(body: &[u8], rows: usize) -> Result<Vec<CloudPingRecord>, StoreError> {
+    let c = read_all(RecordKind::CloudPing, body, rows)?;
+    Ok((0..rows)
+        .map(|i| CloudPingRecord {
+            src: c.src[i],
+            dst: c.region[i],
+            route: c.route[i],
+            outcome: c.outcome[i],
+            hour: c.hour[i],
+        })
+        .collect())
+}
+
+/// Pushdown projection scan of one chunk: decodes only the columns
+/// `proj`/`pred` name, prunes the whole chunk on a dictionary miss, and
+/// emits the matching rows. A row's primary RTT is its ping RTT or its
+/// traceroute end-to-end value (last hop's response, as in
+/// `TracerouteRecord::end_to_end_ms`); failed rows have none and are never
+/// emitted, so they can never aggregate as zero-latency samples.
+///
+/// An inter-cloud row fills [`ProjRow`] as follows: `provider` is the
+/// destination provider (the partition key), `region` the destination
+/// region, `country` the *source* region's country, and `isp` the source
+/// provider's ASN — so country/ISP predicates ask "probes homed at this
+/// source" just as they do for user rows. Rows whose source region is
+/// missing from the region table never match a country or ISP predicate.
+pub fn scan_chunk(
+    kind: RecordKind,
     body: &[u8],
     rows: usize,
     provider: Provider,
@@ -1084,71 +883,48 @@ pub fn scan_cloud_chunk(
     proj: ProjSpec,
     emit: &mut impl FnMut(ProjRow),
 ) -> Result<ChunkScan, StoreError> {
-    let mut cur = Cursor::new(body);
-    let need_src =
-        proj.country || proj.isp || proj.src_provider || pred.country.is_some() || pred.isp.is_some();
-    let src = if need_src {
-        let mut blk = get_block(&mut cur)?;
-        get_delta_u64(&mut blk, rows)?
-    } else {
-        skip_block(&mut cur)?;
-        Vec::new()
+    let Some(c) = read(kind, body, rows, pred, proj)? else {
+        return Ok(ChunkScan::Pruned);
     };
-    let dst = if proj.region {
-        let mut blk = get_block(&mut cur)?;
-        get_delta_u64(&mut blk, rows)?
-    } else {
-        skip_block(&mut cur)?;
-        Vec::new()
-    };
-    let route = if proj.route || pred.route.is_some() {
-        let raw = get_block(&mut cur)?.bytes(rows)?.to_vec();
-        raw.into_iter().map(route_from_tag).collect::<Result<Vec<_>, _>>()?
-    } else {
-        skip_block(&mut cur)?;
-        Vec::new()
-    };
-    let mut rtt_blk = get_block(&mut cur)?;
-    let hour = if proj.hour || pred.needs_hour() {
-        let mut hour_blk = get_block(&mut cur)?;
-        get_delta_u64(&mut hour_blk, rows)?
-    } else {
-        skip_block(&mut cur)?;
-        Vec::new()
-    };
-    let outcomes = get_outcomes(&mut cur, rows)?;
-    let rtt = get_rtts(&mut rtt_blk, ok_count(&outcomes, rows))?;
-
     let mut matched = 0u64;
-    let mut rtt_ix = 0usize;
-    for i in 0..rows {
-        if outcomes.as_ref().is_some_and(|(tags, _)| tags[i] != OUTCOME_OK) {
+    for (i, outcome) in c.outcome.iter().enumerate() {
+        let rtt = match kind {
+            RecordKind::Trace => c.end_to_end[i].filter(|_| outcome.is_ok()),
+            _ => outcome.rtt_ms(),
+        };
+        let Some(v) = rtt else { continue };
+        let h = c.hour.get(i).copied().unwrap_or(0);
+        if pred.min_rtt_ms.is_some_and(|min| v < min)
+            || pred.max_rtt_ms.is_some_and(|max| v > max)
+            || pred.min_hour.is_some_and(|min| h < min)
+            || pred.max_hour.is_some_and(|max| h > max)
+        {
             continue;
         }
-        let v = rtt[rtt_ix];
-        rtt_ix += 1;
-        let h = if hour.is_empty() { 0 } else { hour[i] };
-        let rc = if route.is_empty() { None } else { Some(route[i]) };
-        let src_region = if src.is_empty() { None } else { region::by_id(region_of(src[i])?) };
-        if !pred.rtt_in_bounds(v)
-            || !pred.hour_in_bounds(h)
-            || pred.route.is_some_and(|want| rc != Some(want))
-            || pred.country.is_some_and(|want| src_region.map(|r| r.country()) != Some(want))
-            || pred.isp.is_some_and(|want| src_region.map(|r| r.provider.asn()) != Some(want))
+        let (country, isp, route, src_provider) = if kind == RecordKind::CloudPing {
+            let src = c.src.get(i).and_then(|s| region::by_id(*s));
+            let (country, asn) = (src.map(|r| r.country()), src.map(|r| r.provider.asn()));
+            (country, asn, c.route.get(i).copied(), src.map(|r| r.provider))
+        } else {
+            (c.country.get(i).copied(), c.isp.get(i).copied(), None, None)
+        };
+        if pred.country.is_some_and(|want| country != Some(want))
+            || pred.isp.is_some_and(|want| isp != Some(want))
+            || pred.route.is_some_and(|want| route != Some(want))
         {
             continue;
         }
         matched += 1;
         emit(ProjRow {
-            kind: RecordKind::CloudPing,
+            kind,
             provider,
-            country: src_region.map_or(CountryCode::new("ZZ"), |r| r.country()),
-            region: if dst.is_empty() { RegionId(0) } else { region_of(dst[i])? },
-            isp: src_region.map_or(Asn(0), |r| r.provider.asn()),
+            country: country.unwrap_or_else(|| CountryCode::new("ZZ")),
+            region: c.region.get(i).copied().unwrap_or(RegionId(0)),
+            isp: isp.unwrap_or(Asn(0)),
             hour: h,
             rtt_ms: v,
-            route: rc,
-            src_provider: src_region.map(|r| r.provider),
+            route,
+            src_provider,
         });
     }
     Ok(ChunkScan::Scanned { matched })
@@ -1207,16 +983,7 @@ pub fn get_chunk_meta(cur: &mut Cursor<'_>) -> Result<ChunkMeta, StoreError> {
     let hour_min = cur.varint()?;
     let hour_max = cur.varint()?;
     let n = cur.varint()? as usize;
-    let mut countries = Vec::with_capacity(n.min(512));
-    for _ in 0..n {
-        let raw = cur.bytes(2)?;
-        let s = std::str::from_utf8(raw)
-            .map_err(|e| StoreError::corrupt(format!("footer country: {e}")))?;
-        countries.push(
-            CountryCode::try_new(s)
-                .ok_or_else(|| StoreError::corrupt(format!("footer country {s:?}")))?,
-        );
-    }
+    let countries = get_entries(cur, n, country_entry)?;
     Ok(ChunkMeta {
         footer: ChunkFooter { kind, provider, rows, rtt_ms, hour_min, hour_max, countries },
         offset,
@@ -1237,12 +1004,7 @@ mod tests {
         let mut out = Vec::new();
         let (pred, proj) = (RowPred::default(), ProjSpec::rtt_row());
         let mut emit = |p: ProjRow| out.push(p.to_rtt_row());
-        match kind {
-            RecordKind::Ping => scan_ping_chunk(body, rows, provider, &pred, proj, &mut emit),
-            RecordKind::Trace => scan_trace_chunk(body, rows, provider, &pred, proj, &mut emit),
-            RecordKind::CloudPing => scan_cloud_chunk(body, rows, provider, &pred, proj, &mut emit),
-        }
-        .unwrap();
+        scan_chunk(kind, body, rows, provider, &pred, proj, &mut emit).unwrap();
         out
     }
 
@@ -1321,7 +1083,7 @@ mod tests {
         // all-Ok chunk must end exactly there (pre-outcome byte layout).
         let mut cur = Cursor::new(&body);
         for _ in 0..10 {
-            crate::codec::skip_block(&mut cur).unwrap();
+            get_block(&mut cur).unwrap();
         }
         assert_eq!(cur.remaining(), 0, "unexpected trailing outcome block");
 
@@ -1329,7 +1091,7 @@ mod tests {
         let (faulted_body, _) = encode_pings(&faulted, Provider::Google);
         let mut cur = Cursor::new(&faulted_body);
         for _ in 0..10 {
-            crate::codec::skip_block(&mut cur).unwrap();
+            get_block(&mut cur).unwrap();
         }
         assert!(cur.remaining() > 0, "outcome block missing from faulted chunk");
     }
@@ -1482,7 +1244,7 @@ mod tests {
         want.sort();
         want.dedup();
         assert_eq!(footer.countries, want);
-        let back = decode_cloud_pings(&body, 80, Provider::Google).unwrap();
+        let back = decode_cloud_pings(&body, 80).unwrap();
         assert_eq!(back, rows);
     }
 
@@ -1494,7 +1256,7 @@ mod tests {
         // RTT bounds.
         let (lo, hi) = footer.rtt_ms.unwrap();
         assert!(lo >= 12.0 && hi < 40.0, "failure payloads leaked into footer: {lo}..{hi}");
-        let back = decode_cloud_pings(&body, rows.len(), Provider::Google).unwrap();
+        let back = decode_cloud_pings(&body, rows.len()).unwrap();
         assert_eq!(back, rows);
     }
 
@@ -1509,9 +1271,11 @@ mod tests {
             hour: true,
             route: true,
             src_provider: true,
+            records: false,
         };
         let mut got = Vec::new();
-        let scan = scan_cloud_chunk(&body, rows.len(), Provider::Google, &RowPred::default(), proj, &mut |r| {
+        let (pred, kind) = (RowPred::default(), RecordKind::CloudPing);
+        let scan = scan_chunk(kind, &body, rows.len(), Provider::Google, &pred, proj, &mut |r| {
             got.push(r)
         })
         .unwrap();
@@ -1537,7 +1301,8 @@ mod tests {
         let rows = mixed_cloud_pings();
         let (body, _) = encode_cloud_pings(&rows, Provider::Google);
         let mut got = Vec::new();
-        scan_cloud_chunk(
+        scan_chunk(
+            RecordKind::CloudPing,
             &body,
             rows.len(),
             Provider::Google,
@@ -1566,25 +1331,24 @@ mod tests {
         let rows = mixed_cloud_pings();
         let (body, _) = encode_cloud_pings(&rows, Provider::Google);
         let ok: Vec<&CloudPingRecord> = rows.iter().filter(|r| r.outcome.is_ok()).collect();
+        let kind = RecordKind::CloudPing;
 
         // Route filter, with the route column *not* projected: the
         // predicate alone must force the decode.
         let pred = RowPred { route: Some(RouteClass::PrivateWan), ..RowPred::default() };
         let mut n = 0u64;
-        scan_cloud_chunk(&body, rows.len(), Provider::Google, &pred, ProjSpec::default(), &mut |_| {
-            n += 1
-        })
-        .unwrap();
+        let none = ProjSpec::default();
+        scan_chunk(kind, &body, rows.len(), Provider::Google, &pred, none, &mut |_| n += 1)
+            .unwrap();
         assert_eq!(n, ok.iter().filter(|r| r.route == RouteClass::PrivateWan).count() as u64);
 
         // Country filter matches against the source region's country.
         let want = region::by_id(ok[0].src).unwrap().country();
         let pred = RowPred { country: Some(want), ..RowPred::default() };
         let mut n = 0u64;
-        scan_cloud_chunk(&body, rows.len(), Provider::Google, &pred, ProjSpec::default(), &mut |_| {
-            n += 1
-        })
-        .unwrap();
+        let none = ProjSpec::default();
+        scan_chunk(kind, &body, rows.len(), Provider::Google, &pred, none, &mut |_| n += 1)
+            .unwrap();
         let expect = ok
             .iter()
             .filter(|r| region::by_id(r.src).map(|reg| reg.country()) == Some(want))
@@ -1595,10 +1359,9 @@ mod tests {
         // RTT and hour bounds behave as for user rows.
         let pred = RowPred { min_rtt_ms: Some(20.0), min_hour: Some(3), ..RowPred::default() };
         let mut n = 0u64;
-        scan_cloud_chunk(&body, rows.len(), Provider::Google, &pred, ProjSpec::default(), &mut |_| {
-            n += 1
-        })
-        .unwrap();
+        let none = ProjSpec::default();
+        scan_chunk(kind, &body, rows.len(), Provider::Google, &pred, none, &mut |_| n += 1)
+            .unwrap();
         let expect =
             ok.iter().filter(|r| r.rtt_ms().unwrap_or(0.0) >= 20.0 && r.hour >= 3).count() as u64;
         assert_eq!(n, expect);
@@ -1609,19 +1372,19 @@ mod tests {
         let rows = mixed_cloud_pings();
         let (body, _) = encode_cloud_pings(&rows, Provider::Google);
         for cut in 0..body.len() {
-            assert!(decode_cloud_pings(&body[..cut], rows.len(), Provider::Google).is_err());
+            assert!(decode_cloud_pings(&body[..cut], rows.len()).is_err());
         }
         // Row-count lies and bogus route tags are errors too.
-        assert!(decode_cloud_pings(&body, rows.len() + 1, Provider::Google).is_err());
+        assert!(decode_cloud_pings(&body, rows.len() + 1).is_err());
         let mut bad = body.clone();
         // Route block: after the two region delta blocks, one raw byte per
         // row. Corrupt its first payload byte to an undefined route tag.
         let mut cur = Cursor::new(&body);
-        crate::codec::skip_block(&mut cur).unwrap();
-        crate::codec::skip_block(&mut cur).unwrap();
-        crate::codec::skip_block(&mut cur).unwrap();
+        get_block(&mut cur).unwrap();
+        get_block(&mut cur).unwrap();
+        get_block(&mut cur).unwrap();
         let route_payload = body.len() - cur.remaining() - rows.len();
         bad[route_payload] = 7;
-        assert!(decode_cloud_pings(&bad, rows.len(), Provider::Google).is_err());
+        assert!(decode_cloud_pings(&bad, rows.len()).is_err());
     }
 }

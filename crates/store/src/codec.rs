@@ -20,6 +20,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Cursor over a byte slice; all reads are bounds-checked.
+#[derive(Clone, Copy)]
 pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -78,6 +79,23 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Decode `n` entries of at least one byte each with `entry`. `n` is
+/// checked against the bytes left before anything is allocated.
+pub fn get_entries<'a, T>(
+    cur: &mut Cursor<'a>,
+    n: usize,
+    mut entry: impl FnMut(&mut Cursor<'a>) -> Result<T, StoreError>,
+) -> Result<Vec<T>, StoreError> {
+    if n > cur.remaining() {
+        return Err(StoreError::corrupt(format!("{n} entries in {} bytes", cur.remaining())));
+    }
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(entry(cur)?);
+    }
+    Ok(out)
+}
+
 /// Zigzag-encode a signed value into an unsigned varint payload.
 pub fn zigzag(n: i64) -> u64 {
     ((n << 1) ^ (n >> 63)) as u64
@@ -98,15 +116,18 @@ pub fn put_delta_u64(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
     }
 }
 
-/// Decode `n` values written by [`put_delta_u64`].
-pub fn get_delta_u64(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u64>, StoreError> {
+/// Decode `n` values written by [`put_delta_u64`], each mapped through `f`
+/// in the same pass.
+pub fn get_delta<T>(
+    cur: &mut Cursor<'_>,
+    n: usize,
+    mut f: impl FnMut(u64) -> Result<T, StoreError>,
+) -> Result<Vec<T>, StoreError> {
     let mut prev = 0u64;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        prev = prev.wrapping_add(unzigzag(cur.varint()?) as u64);
-        out.push(prev);
-    }
-    Ok(out)
+    get_entries(cur, n, |c| {
+        prev = prev.wrapping_add(unzigzag(c.varint()?) as u64);
+        f(prev)
+    })
 }
 
 /// A presence bitmap over `n` slots, bit i = slot i present.
@@ -130,6 +151,20 @@ pub fn put_bitmap(out: &mut Vec<u8>, present: &[bool]) {
 pub fn get_bitmap(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<bool>, StoreError> {
     let bytes = cur.bytes(n.div_ceil(8))?;
     Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
+}
+
+/// Decode a sparse column over `n` slots: a presence bitmap, then `decode`
+/// reads the set slots' values, packed in slot order. Yields one `Option`
+/// per slot.
+pub fn get_sparse<'a, T>(
+    bitmap: &mut Cursor<'a>,
+    values: &mut Cursor<'a>,
+    n: usize,
+    decode: impl FnOnce(&mut Cursor<'a>, usize) -> Result<Vec<T>, StoreError>,
+) -> Result<impl Iterator<Item = Option<T>>, StoreError> {
+    let present = get_bitmap(bitmap, n)?;
+    let mut packed = decode(values, present.iter().filter(|p| **p).count())?.into_iter();
+    Ok(present.into_iter().map(move |p| if p { packed.next() } else { None }))
 }
 
 /// Dictionary builder: ids are assigned in first-appearance order, so the
@@ -172,15 +207,13 @@ pub fn put_indices(out: &mut Vec<u8>, indices: &[u32]) {
 
 /// Decode `n` dictionary indices, validating against `dict_len`.
 pub fn get_indices(cur: &mut Cursor<'_>, n: usize, dict_len: usize) -> Result<Vec<u32>, StoreError> {
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let ix = cur.varint()?;
+    get_entries(cur, n, |c| {
+        let ix = c.varint()?;
         if ix >= dict_len as u64 {
             return Err(StoreError::corrupt(format!("dictionary index {ix} out of range (dict has {dict_len})")));
         }
-        out.push(ix as u32); // audit:allow(as-truncate)
-    }
-    Ok(out)
+        Ok(ix as u32) // audit:allow(as-truncate)
+    })
 }
 
 /// Hybrid RTT column tag: values stored as integer microseconds.
@@ -219,13 +252,15 @@ pub fn put_rtts(out: &mut Vec<u8>, values: &[f64]) {
     }
 }
 
-/// Decode `n` RTT values written by [`put_rtts`].
-pub fn get_rtts(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<f64>, StoreError> {
-    let tag = cur.u8()?;
-    let raw = get_delta_u64(cur, n)?;
-    match tag {
-        RTT_MICROS => Ok(raw.into_iter().map(|us| us as f64 / 1000.0).collect()),
-        RTT_F64BITS => Ok(raw.into_iter().map(f64::from_bits).collect()),
+/// Decode `n` RTT values written by [`put_rtts`], each mapped through `f`.
+pub fn get_rtts<T>(
+    cur: &mut Cursor<'_>,
+    n: usize,
+    f: impl Fn(f64) -> T,
+) -> Result<Vec<T>, StoreError> {
+    match cur.u8()? {
+        RTT_MICROS => get_delta(cur, n, |us| Ok(f(us as f64 / 1000.0))),
+        RTT_F64BITS => get_delta(cur, n, |bits| Ok(f(f64::from_bits(bits)))),
         other => Err(StoreError::corrupt(format!("unknown rtt encoding tag {other}"))),
     }
 }
@@ -241,13 +276,6 @@ pub fn put_block(out: &mut Vec<u8>, body: &[u8]) {
 pub fn get_block<'a>(cur: &mut Cursor<'a>) -> Result<Cursor<'a>, StoreError> {
     let len = cur.varint()? as usize;
     Ok(Cursor::new(cur.bytes(len)?))
-}
-
-/// Skip one length-prefixed block without decoding it.
-pub fn skip_block(cur: &mut Cursor<'_>) -> Result<(), StoreError> {
-    let len = cur.varint()? as usize;
-    cur.bytes(len)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -286,7 +314,7 @@ mod tests {
         let mut buf = Vec::new();
         put_delta_u64(&mut buf, vals.iter().copied());
         let mut cur = Cursor::new(&buf);
-        assert_eq!(get_delta_u64(&mut cur, vals.len()).unwrap(), vals);
+        assert_eq!(get_delta(&mut cur, vals.len(), Ok).unwrap(), vals);
     }
 
     #[test]
@@ -326,7 +354,7 @@ mod tests {
         put_rtts(&mut buf, &vals);
         assert_eq!(buf[0], RTT_MICROS);
         let mut cur = Cursor::new(&buf);
-        assert_eq!(get_rtts(&mut cur, vals.len()).unwrap(), vals);
+        assert_eq!(get_rtts(&mut cur, vals.len(), |v| v).unwrap(), vals);
     }
 
     #[test]
@@ -336,7 +364,7 @@ mod tests {
         put_rtts(&mut buf, &vals);
         assert_eq!(buf[0], RTT_F64BITS);
         let mut cur = Cursor::new(&buf);
-        let back = get_rtts(&mut cur, vals.len()).unwrap();
+        let back = get_rtts(&mut cur, vals.len(), |v| v).unwrap();
         for (a, b) in vals.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -348,7 +376,7 @@ mod tests {
         put_block(&mut buf, b"abc");
         put_block(&mut buf, b"defg");
         let mut cur = Cursor::new(&buf);
-        skip_block(&mut cur).unwrap();
+        get_block(&mut cur).unwrap();
         let mut inner = get_block(&mut cur).unwrap();
         assert_eq!(inner.bytes(4).unwrap(), b"defg");
     }

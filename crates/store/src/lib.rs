@@ -10,14 +10,16 @@
 //!   `cloudy_measure::RecordSink`, so a campaign streams records straight
 //!   to disk with memory bounded by the chunk size — never the run size.
 //!   Records are partitioned into per-(kind, provider) chunks; each column
-//!   is delta+varint, dictionary, or raw encoded (see [`chunk`]).
+//!   is delta+varint, dictionary, or raw encoded (the layout is private to
+//!   the crate).
 //! * **Read path**: two entry points. [`Query`] terminals (`stream`,
 //!   `rows`, `values`, `grouped`, `summary`) serve projected rows and
 //!   aggregates; [`Reader::for_each`] serves full records. Both prune
 //!   chunks from the file-level directory of per-chunk footers (row count,
 //!   RTT/hour bounds, country set) — a provider-filtered query typically
-//!   skips ~9/10 chunks. `Query` additionally pushes predicates,
-//!   projections and aggregates into the chunk decoders and can scan
+//!   skips ~9/10 chunks. Both read a chunk through the same per-kind column
+//!   reader; `Query` asks it only for the columns its predicates and
+//!   projection name, pushes aggregates into the scan, and can scan
 //!   survivors across threads with output identical to a serial scan.
 //! * **Aggregation** ([`agg`]): one-pass Welford moments and the P²
 //!   streaming quantile estimator, folded per group inside a `Query` scan.
@@ -28,15 +30,18 @@
 //! enforced by `cloudy-audit`'s race check and `tests/determinism.rs`.
 //!
 //! All decode paths return `Result`, never panic: a store file is external
-//! input.
+//! input. `tests/corruption.rs` is the test: it truncates a mixed store at
+//! every length, overwrites every offset (XOR 0xFF, a maximal varint) and
+//! flips thousands of seeded bits, and reads every result through
+//! `Reader::from_bytes`, `Reader::for_each` and each `Query` terminal.
 
 pub mod agg;
-pub mod chunk;
-pub mod codec;
+mod chunk;
+mod codec;
 pub mod error;
 pub mod query;
 pub mod reader;
-pub mod schema;
+mod schema;
 pub mod writer;
 
 #[cfg(test)]

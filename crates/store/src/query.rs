@@ -11,11 +11,12 @@
 //! * **Footer pushdown** — chunks whose directory footers cannot match
 //!   (kind, provider, country set, RTT/hour bounds) are pruned without
 //!   reading a byte of the chunk.
-//! * **Dictionary pushdown** — country/ISP filters are resolved to
-//!   per-chunk dictionary ids before the per-row columns decode: a value
+//! * **Dictionary pushdown** — country/ISP filters are resolved against
+//!   each chunk's dictionary before the per-row columns decode: a value
 //!   absent from the dictionary prunes the chunk, a present one is
-//!   compared per row as an integer id. ISP pruning is real chunk-level
-//!   pruning the footers cannot express (footers carry no ISP set).
+//!   compared per row against the row's dictionary entry. ISP pruning is
+//!   real chunk-level pruning the footers cannot express (footers carry no
+//!   ISP set).
 //! * **Projection pushdown** — only the columns the query names (for its
 //!   output *or* its predicates) are decoded; everything else is skipped
 //!   as length-prefixed blocks.
@@ -31,10 +32,7 @@
 //! the file format and `wire.lock` are untouched.
 
 use crate::agg::{Moments, P2Quantile};
-use crate::chunk::{
-    scan_cloud_chunk, scan_ping_chunk, scan_trace_chunk, ChunkMeta, ChunkScan, ProjRow, ProjSpec,
-    RowPred, RttRow,
-};
+use crate::chunk::{self, ChunkMeta, ChunkScan, ProjRow, ProjSpec, RowPred, RttRow};
 use crate::error::StoreError;
 use crate::reader::{effective_workers, Reader, ScanFilter, ScanStats};
 use crate::schema::RecordKind;
@@ -610,7 +608,7 @@ fn group_id(key: GroupKey, row: &ProjRow) -> GroupId {
     }
 }
 
-/// Dispatch one chunk to its kind's pushdown kernel.
+/// Scan one survivor chunk with the pushdown kernel.
 fn scan_chunk(
     reader: &Reader,
     m: &ChunkMeta,
@@ -618,13 +616,8 @@ fn scan_chunk(
     proj: ProjSpec,
     emit: &mut impl FnMut(ProjRow),
 ) -> Result<ChunkScan, StoreError> {
-    let body = reader.body_of(m);
-    let rows = m.footer.rows as usize;
-    match m.footer.kind {
-        RecordKind::Ping => scan_ping_chunk(body, rows, m.footer.provider, pred, proj, emit),
-        RecordKind::Trace => scan_trace_chunk(body, rows, m.footer.provider, pred, proj, emit),
-        RecordKind::CloudPing => scan_cloud_chunk(body, rows, m.footer.provider, pred, proj, emit),
-    }
+    let f = &m.footer;
+    chunk::scan_chunk(f.kind, reader.body_of(m), f.rows as usize, f.provider, pred, proj, emit)
 }
 
 /// Fold one chunk's scan outcome into the stats: a dictionary-pruned chunk
@@ -666,6 +659,8 @@ where
     Mk: Fn(usize) -> A + Sync,
     Em: Fn(&mut A, ProjRow) + Sync,
 {
+    // At most the file size: `Reader::from_bytes` rejects chunks that
+    // overlap or hold more rows than bytes.
     let row_cap =
         |chunks: &[&ChunkMeta]| chunks.iter().map(|m| m.footer.rows as usize).sum::<usize>();
 

@@ -13,7 +13,7 @@
 
 use crate::error::StoreError;
 use crate::chunk::{decode_cloud_pings, decode_pings, decode_traces, get_chunk_meta, ChunkMeta};
-use crate::codec::Cursor;
+use crate::codec::{get_entries, Cursor};
 use crate::schema::{platform_from_tag, RecordKind};
 use crate::writer::{END_MAGIC, MAGIC};
 use cloudy_cloud::Provider;
@@ -121,7 +121,7 @@ pub struct Reader {
 
 impl Reader {
     /// Parse a store file. Validates magic, trailer, directory, and every
-    /// chunk's byte range before any scan touches the data.
+    /// chunk's byte range and row count before any scan touches the data.
     pub fn from_bytes(data: Vec<u8>) -> Result<Reader, StoreError> {
         let header_len = MAGIC.len() + 1;
         let trailer_len = 16 + END_MAGIC.len();
@@ -147,21 +147,31 @@ impl Reader {
         }
         let mut dcur = Cursor::new(&data[dir_offset..dir_offset + dir_len]);
         let n = dcur.varint()? as usize;
-        let mut dir = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let m = get_chunk_meta(&mut dcur)?;
+        // Chunks follow the header in directory order without overlap, and
+        // every chunk kind writes at least one byte per row: so the row
+        // counts that size scan buffers sum to at most the file size.
+        let mut prev_end = header_len as u64;
+        let dir = get_entries(&mut dcur, n, |c| {
+            let m = get_chunk_meta(c)?;
             let end = m
                 .offset
                 .checked_add(m.len)
                 .ok_or_else(|| StoreError::corrupt("chunk range overflow"))?;
-            if (m.offset as usize) < header_len || end as usize > dir_offset {
+            if m.offset < prev_end || end > dir_offset as u64 {
                 return Err(StoreError::corrupt(format!(
-                    "chunk range {}+{} overlaps header or directory",
+                    "chunk range {}+{} overlaps the header, another chunk or the directory",
                     m.offset, m.len
                 )));
             }
-            dir.push(m);
-        }
+            if m.footer.rows > m.len {
+                return Err(StoreError::corrupt(format!(
+                    "chunk claims {} rows in {} bytes",
+                    m.footer.rows, m.len
+                )));
+            }
+            prev_end = end;
+            Ok(m)
+        })?;
         if dcur.remaining() != 0 {
             return Err(StoreError::corrupt("trailing bytes in directory"));
         }
@@ -206,7 +216,7 @@ impl Reader {
     }
 
     /// Decode every row of one chunk.
-    pub fn decode_chunk(&self, m: &ChunkMeta) -> Result<ChunkRows, StoreError> {
+    fn decode_chunk(&self, m: &ChunkMeta) -> Result<ChunkRows, StoreError> {
         let body = self.body_of(m);
         let rows = m.footer.rows as usize;
         match m.footer.kind {
@@ -215,9 +225,7 @@ impl Reader {
             }
             RecordKind::Trace => decode_traces(body, rows, self.platform, m.footer.provider)
                 .map(ChunkRows::Traces),
-            RecordKind::CloudPing => {
-                decode_cloud_pings(body, rows, m.footer.provider).map(ChunkRows::CloudPings)
-            }
+            RecordKind::CloudPing => decode_cloud_pings(body, rows).map(ChunkRows::CloudPings),
         }
     }
 
@@ -259,6 +267,8 @@ pub(crate) fn effective_workers(threads: usize, chunks: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::put_chunk_meta;
+    use crate::codec::put_varint;
     use crate::query::Query;
     use crate::testutil::sample_ping;
     use crate::writer::{write_dataset, Writer, WriterOptions};
@@ -277,6 +287,27 @@ mod tests {
             w.push_ping(r).unwrap();
         }
         w.finish().unwrap().0
+    }
+
+    /// `bytes` with its directory decoded, edited by `edit`, and rewritten.
+    fn with_directory(bytes: Vec<u8>, edit: impl FnOnce(&mut Vec<ChunkMeta>)) -> Vec<u8> {
+        let mut trailer = Cursor::new(&bytes[bytes.len() - 16 - END_MAGIC.len()..]);
+        let dir_offset = trailer.u64_le().unwrap() as usize;
+        let dir_len = trailer.u64_le().unwrap() as usize;
+        let mut cur = Cursor::new(&bytes[dir_offset..dir_offset + dir_len]);
+        let n = cur.varint().unwrap();
+        let mut dir: Vec<ChunkMeta> = (0..n).map(|_| get_chunk_meta(&mut cur).unwrap()).collect();
+        edit(&mut dir);
+        let mut out = bytes[..dir_offset].to_vec();
+        put_varint(&mut out, dir.len() as u64);
+        for m in &dir {
+            put_chunk_meta(&mut out, m);
+        }
+        let new_len = (out.len() - dir_offset) as u64;
+        out.extend_from_slice(&(dir_offset as u64).to_le_bytes());
+        out.extend_from_slice(&new_len.to_le_bytes());
+        out.extend_from_slice(END_MAGIC);
+        out
     }
 
     /// Every ping of the store, in scan order, through the full-record path.
@@ -387,6 +418,14 @@ mod tests {
         let at = bytes.len() - trailer;
         dir_ptr[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(corrupt(dir_ptr));
+        // The directory rewrite itself round-trips.
+        assert!(Reader::from_bytes(with_directory(store_bytes(40, 64), |_| {})).is_ok());
+        // A directory entry claiming more rows than its chunk has bytes:
+        // every kind writes at least one byte per row, and scans size their
+        // buffers from these counts.
+        assert!(corrupt(with_directory(store_bytes(40, 64), |dir| dir[0].footer.rows = 1 << 61)));
+        // Chunks out of file order or overlapping.
+        assert!(corrupt(with_directory(store_bytes(40, 64), |dir| dir[1].offset = dir[0].offset)));
         // Flipping a byte inside the directory region must not panic.
         let dirish = bytes.len() - 30;
         let mut scrambled = bytes;
