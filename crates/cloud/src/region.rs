@@ -6,7 +6,7 @@
 //! the city, and the nearest plausible metro otherwise.
 
 use crate::provider::Provider;
-use cloudy_geo::{city, Continent, CountryCode, GeoPoint};
+use cloudy_geo::{city, City, CityId, Continent, CountryCode, GeoPoint};
 use serde::{Deserialize, Serialize};
 
 /// Index into [`REGIONS`].
@@ -21,25 +21,33 @@ pub struct CloudRegion {
     pub name: &'static str,
     /// Gazetteer city hosting the region.
     pub city: &'static str,
+    /// `city`, resolved against the gazetteer when the table compiles.
+    city_id: CityId,
 }
 
 impl CloudRegion {
+    /// Gazetteer id of the hosting city.
+    pub fn city_id(&self) -> CityId {
+        self.city_id
+    }
+
+    fn site(&self) -> &'static City {
+        city::get(self.city_id)
+    }
+
     /// Location of the hosting city.
     pub fn location(&self) -> GeoPoint {
-        city::by_name(self.city)
-            .unwrap_or_else(|| panic!("region {} references unknown city {}", self.name, self.city)) // audit:allow(panic)
-            .1
-            .location()
+        self.site().location()
     }
 
     /// Country of the hosting city.
     pub fn country(&self) -> CountryCode {
-        city::by_name(self.city).expect("known city").1.country_code() // audit:allow(expect)
+        self.site().country_code()
     }
 
     /// Continent of the hosting city.
     pub fn continent(&self) -> Continent {
-        city::by_name(self.city).expect("known city").1.continent() // audit:allow(expect)
+        self.site().continent()
     }
 }
 
@@ -79,6 +87,7 @@ macro_rules! regions {
                 provider: Provider::$prov,
                 name: $name,
                 city: $city,
+                city_id: city::id($city),
             }, )* )*
         ];
     };
@@ -248,14 +257,16 @@ mod tests {
     }
 
     #[test]
-    fn all_cities_resolve() {
+    fn resolved_rows_match_the_by_name_derivation() {
+        // The compiler already rejects an unknown city; this checks that the
+        // resolved row is the one a run-time name lookup finds.
         for r in REGIONS {
-            assert!(
-                cloudy_geo::city::by_name(r.city).is_some(),
-                "region {} has unknown city {}",
-                r.name,
-                r.city
-            );
+            let (id, c) = city::by_name(r.city).unwrap();
+            let country = cloudy_geo::country::lookup_str(c.country).unwrap();
+            assert_eq!(r.city_id(), id, "{}", r.name);
+            assert_eq!(r.country(), country.code(), "{}", r.name);
+            assert_eq!(r.continent(), country.continent, "{}", r.name);
+            assert_eq!(r.location(), GeoPoint::new(c.lat, c.lon), "{}", r.name);
         }
     }
 

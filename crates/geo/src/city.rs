@@ -11,6 +11,8 @@ use crate::continent::Continent;
 use crate::coord::GeoPoint;
 use crate::country::{self, CountryCode};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Index into the global city table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -27,6 +29,8 @@ pub struct City {
     /// (weights within a country need not sum to 1; they are normalised at
     /// sampling time).
     pub weight: f64,
+    /// The country's continent, resolved when the table compiles.
+    continent: Continent,
 }
 
 impl City {
@@ -39,9 +43,7 @@ impl City {
     }
 
     pub fn continent(&self) -> Continent {
-        country::lookup_str(self.country)
-            .map(|c| c.continent)
-            .expect("city references known country") // audit:allow(expect)
+        self.continent
     }
 }
 
@@ -55,21 +57,55 @@ pub fn by_id(id: CityId) -> Option<&'static City> {
     CITIES.get(id.0 as usize)
 }
 
-/// Find a city by name (exact match).
+/// The row of an id taken from this table: from [`id`], [`by_name`], or a
+/// static table that stores resolved ids. Panics on an id past the table's
+/// end, which no such source yields.
+pub fn get(id: CityId) -> &'static City {
+    &CITIES[id.0 as usize]
+}
+
+/// The id of a gazetteer city, resolved while the caller's static table
+/// compiles: a name missing from the gazetteer fails the build. Names that
+/// arrive at run time (JSONL, the CLI, store decodes) go through
+/// [`by_name`].
+pub const fn id(name: &str) -> CityId {
+    let mut i = 0;
+    while i < ROWS.len() {
+        if crate::str_eq(ROWS[i].name, name) {
+            return CityId(i as u32);
+        }
+        i += 1;
+    }
+    // audit:allow(panic): fires only while compiling a static table
+    panic!("static table names a city missing from the gazetteer")
+}
+
+/// Find a city by name (exact match), through a name index built on first
+/// use.
 pub fn by_name(name: &str) -> Option<(CityId, &'static City)> {
-    CITIES
-        .iter()
-        .enumerate()
-        .find(|(_, c)| c.name == name)
-        .map(|(i, c)| (CityId(i as u32), c))
+    static INDEX: OnceLock<HashMap<&'static str, CityId>> = OnceLock::new();
+    let index = INDEX.get_or_init(|| {
+        CITIES.iter().enumerate().map(|(i, c)| (c.name, CityId(i as u32))).collect()
+    });
+    index.get(name).map(|&id| (id, get(id)))
 }
 
 macro_rules! cities {
     ($( $name:literal, $cc:literal, $lat:literal, $lon:literal, $w:literal; )*) => {
-        /// The global static city table.
-        pub static CITIES: &[City] = &[
-            $( City { name: $name, country: $cc, lat: $lat, lon: $lon, weight: $w }, )*
+        /// The city rows, as a constant so `const fn` lookups can read them.
+        const ROWS: &[City] = &[
+            $( City {
+                name: $name,
+                country: $cc,
+                lat: $lat,
+                lon: $lon,
+                weight: $w,
+                continent: country::continent_of($cc),
+            }, )*
         ];
+
+        /// The global static city table.
+        pub static CITIES: &[City] = ROWS;
     };
 }
 
@@ -323,6 +359,14 @@ mod tests {
     }
 
     #[test]
+    fn stored_continent_is_the_countrys() {
+        for c in CITIES {
+            let country = crate::country::lookup_str(c.country).unwrap();
+            assert_eq!(c.continent(), country.continent, "{}", c.name);
+        }
+    }
+
+    #[test]
     fn coordinates_valid() {
         for c in CITIES {
             assert!(c.lat.abs() <= 90.0 && c.lon.abs() <= 180.0, "{}", c.name);
@@ -338,9 +382,14 @@ mod tests {
     }
 
     #[test]
-    fn by_name_and_by_id_agree() {
-        let (id, city) = by_name("Tokyo").unwrap();
-        assert_eq!(by_id(id).unwrap().name, city.name);
+    fn by_name_by_id_get_and_id_agree() {
+        for (i, c) in CITIES.iter().enumerate() {
+            let (by_name_id, row) = by_name(c.name).unwrap();
+            assert_eq!(by_name_id, CityId(i as u32), "{}", c.name);
+            assert_eq!(id(c.name), by_name_id, "{}", c.name);
+            assert!(std::ptr::eq(row, c) && std::ptr::eq(get(by_name_id), c));
+            assert!(std::ptr::eq(by_id(by_name_id).unwrap(), c));
+        }
         assert!(by_name("Atlantis").is_none());
     }
 

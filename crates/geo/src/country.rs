@@ -87,10 +87,24 @@ pub fn in_continent(continent: Continent) -> impl Iterator<Item = &'static Count
     COUNTRIES.iter().filter(move |c| c.continent == continent)
 }
 
+/// Continent of a country code in [`COUNTRIES`], for tables that resolve
+/// their rows while the crate compiles: an unknown code fails the build.
+pub(crate) const fn continent_of(code: &str) -> Continent {
+    let mut i = 0;
+    while i < ROWS.len() {
+        if crate::str_eq(ROWS[i].code, code) {
+            return ROWS[i].continent;
+        }
+        i += 1;
+    }
+    // audit:allow(panic): fires only while compiling a static table
+    panic!("gazetteer row names a country missing from the country table")
+}
+
 macro_rules! countries {
     ($( $code:literal, $name:literal, $cont:ident, $lat:literal, $lon:literal; )*) => {
-        /// The full static country table.
-        pub static COUNTRIES: &[Country] = &[
+        /// The country rows, as a constant so `const fn` lookups can read them.
+        const ROWS: &[Country] = &[
             $( Country {
                 code: $code,
                 name: $name,
@@ -98,6 +112,9 @@ macro_rules! countries {
                 centroid: ($lat, $lon),
             }, )*
         ];
+
+        /// The full static country table.
+        pub static COUNTRIES: &[Country] = ROWS;
     };
 }
 

@@ -11,11 +11,12 @@
 //! Bolivia/Peru reaching NA as fast as Brazil) are emergent properties of
 //! exactly this model.
 
-use crate::cable::{self, LandingId, CABLES, LANDING_POINTS};
+use crate::cable::{CABLES, LANDING_POINTS};
 use crate::continent::Continent;
 use crate::coord::GeoPoint;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// Terrestrial fiber path-stretch per continent: how much longer the real
 /// fiber route is than the great circle.
@@ -104,15 +105,6 @@ pub fn routed_distance_km(
     shortest_cable_route(src, src_continent, dst, dst_continent)
 }
 
-/// Node in the Dijkstra graph: virtual source, virtual destination, or a
-/// landing point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Node {
-    Source,
-    Dest,
-    Landing(LandingId),
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct QueueEntry {
     cost: f64,
@@ -132,65 +124,79 @@ impl PartialOrd for QueueEntry {
     }
 }
 
+/// Adjacency lists over landing points: (neighbour landing, effective
+/// cost, leg).
+type LandingGraph = Vec<Vec<(usize, f64, RouteLeg)>>;
+
+/// The landing–landing terrestrial edges and the cable edges: the part of
+/// the Dijkstra graph no call changes, built on first use. Each landing's
+/// list keeps the order in which a per-call builder adds them: terrestrial
+/// edges by ascending neighbour, then cables in [`CABLES`] order.
+fn landing_graph() -> &'static LandingGraph {
+    static GRAPH: OnceLock<LandingGraph> = OnceLock::new();
+    GRAPH.get_or_init(|| {
+        let n = LANDING_POINTS.len();
+        let mut adj: LandingGraph = vec![Vec::new(); n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let (a, b) = (&LANDING_POINTS[i], &LANDING_POINTS[j]);
+                // Terrestrial edge on the cheapest shared continent.
+                let best = Continent::ALL
+                    .iter()
+                    .filter(|&&c| a.serves(c) && b.serves(c))
+                    .map(|&c| (terrestrial_stretch(c), c))
+                    .min_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(Ordering::Equal));
+                if let Some((_, cont)) = best {
+                    let km = a.location().haversine_km(&b.location());
+                    let leg = RouteLeg::Terrestrial { km, continent: cont };
+                    let cost = leg.effective_km();
+                    adj[i].push((j, cost, leg.clone()));
+                    adj[j].push((i, cost, leg));
+                }
+            }
+        }
+        for c in CABLES {
+            let (i, j) = (c.a.0 as usize, c.b.0 as usize);
+            let leg = RouteLeg::Cable { name: c.name, km: c.length_km };
+            let cost = leg.effective_km();
+            adj[i].push((j, cost, leg.clone()));
+            adj[j].push((i, cost, leg));
+        }
+        adj
+    })
+}
+
+/// The terrestrial edge from an endpoint on `continent` to every landing
+/// point that continent reaches: (effective cost, leg), by landing index.
+fn endpoint_edges(p: GeoPoint, continent: Continent) -> Vec<Option<(f64, RouteLeg)>> {
+    LANDING_POINTS
+        .iter()
+        .map(|lp| {
+            lp.serves(continent).then(|| {
+                let leg = RouteLeg::Terrestrial { km: p.haversine_km(&lp.location()), continent };
+                (leg.effective_km(), leg)
+            })
+        })
+        .collect()
+}
+
+/// Dijkstra between two endpoints on *different* continents (the caller
+/// routes same-continent pairs directly). Nodes: 0 = source, 1 =
+/// destination, `2 + k` = landing point `k`. Only the endpoint edges are
+/// built per call; a landing lists them ahead of its [`landing_graph`]
+/// edges, so relaxations, and with them every `f64` sum and tie, happen in
+/// the order a graph built from scratch gives.
 fn shortest_cable_route(
     src: GeoPoint,
     src_continent: Continent,
     dst: GeoPoint,
     dst_continent: Continent,
 ) -> RoutedPath {
-    // Node list: 0 = Source, 1 = Dest, 2.. = landing points.
+    let graph = landing_graph();
+    let from_src = endpoint_edges(src, src_continent);
+    let to_dst = endpoint_edges(dst, dst_continent);
     let n = 2 + LANDING_POINTS.len();
-    let node = |i: usize| -> Node {
-        match i {
-            0 => Node::Source,
-            1 => Node::Dest,
-            k => Node::Landing(LandingId((k - 2) as u32)),
-        }
-    };
 
-    let loc = |i: usize| -> GeoPoint {
-        match node(i) {
-            Node::Source => src,
-            Node::Dest => dst,
-            Node::Landing(id) => cable::landing(id).location(),
-        }
-    };
-    let serves = |i: usize, c: Continent| -> bool {
-        match node(i) {
-            Node::Source => c == src_continent,
-            Node::Dest => c == dst_continent,
-            Node::Landing(id) => cable::landing(id).serves(c),
-        }
-    };
-
-    // Adjacency: (neighbour, effective cost, leg).
-    let mut adj: Vec<Vec<(usize, f64, RouteLeg)>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            // Terrestrial edge on the cheapest shared continent.
-            let best = Continent::ALL
-                .iter()
-                .filter(|&&c| serves(i, c) && serves(j, c))
-                .map(|&c| (terrestrial_stretch(c), c))
-                .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-            if let Some((_, cont)) = best {
-                let km = loc(i).haversine_km(&loc(j));
-                let leg = RouteLeg::Terrestrial { km, continent: cont };
-                let cost = leg.effective_km();
-                adj[i].push((j, cost, leg.clone()));
-                adj[j].push((i, cost, leg));
-            }
-        }
-    }
-    for c in CABLES {
-        let (i, j) = (2 + c.a.0 as usize, 2 + c.b.0 as usize);
-        let leg = RouteLeg::Cable { name: c.name, km: c.length_km };
-        let cost = leg.effective_km();
-        adj[i].push((j, cost, leg.clone()));
-        adj[j].push((i, cost, leg));
-    }
-
-    // Dijkstra from Source (0) to Dest (1) on effective cost.
     let mut dist = vec![f64::INFINITY; n];
     let mut prev: Vec<Option<(usize, RouteLeg)>> = vec![None; n];
     let mut heap = BinaryHeap::new();
@@ -203,12 +209,29 @@ fn shortest_cable_route(
         if node_ix == 1 {
             break;
         }
-        for (next, w, leg) in &adj[node_ix] {
+        let mut relax = |next: usize, w: f64, leg: &RouteLeg| {
             let nd = cost + w;
-            if nd < dist[*next] {
-                dist[*next] = nd;
-                prev[*next] = Some((node_ix, leg.clone()));
-                heap.push(QueueEntry { cost: nd, node_ix: *next });
+            if nd < dist[next] {
+                dist[next] = nd;
+                prev[next] = Some((node_ix, leg.clone()));
+                heap.push(QueueEntry { cost: nd, node_ix: next });
+            }
+        };
+        if node_ix == 0 {
+            for (k, edge) in from_src.iter().enumerate() {
+                if let Some((w, leg)) = edge {
+                    relax(2 + k, *w, leg);
+                }
+            }
+        } else {
+            // A landing's edge back to the source comes first but never
+            // relaxes: the source is settled at cost 0.
+            let k = node_ix - 2;
+            if let Some((w, leg)) = &to_dst[k] {
+                relax(1, *w, leg);
+            }
+            for (j, w, leg) in &graph[k] {
+                relax(2 + j, *w, leg);
             }
         }
     }
@@ -227,7 +250,7 @@ fn shortest_cable_route(
     }
     let mut legs = Vec::new();
     let mut cur = 1usize;
-    while let Some((p, leg)) = prev[cur].clone() {
+    while let Some((p, leg)) = prev[cur].take() {
         legs.push(leg);
         cur = p;
     }
@@ -240,8 +263,172 @@ fn shortest_cable_route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::city::by_name;
+    use crate::cable::{self, LandingId};
+    use crate::city::{by_name, City, CITIES};
     use crate::country::lookup_str;
+
+    /// Node in the reference Dijkstra graph: virtual source, virtual
+    /// destination, or a landing point.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Node {
+        Source,
+        Dest,
+        Landing(LandingId),
+    }
+
+    /// The graph built from scratch on every call, as the router did before
+    /// the landing graph was built once: the oracle for
+    /// [`shortest_cable_route`].
+    fn reference_cable_route(
+        src: GeoPoint,
+        src_continent: Continent,
+        dst: GeoPoint,
+        dst_continent: Continent,
+    ) -> RoutedPath {
+        // Node list: 0 = Source, 1 = Dest, 2.. = landing points.
+        let n = 2 + LANDING_POINTS.len();
+        let node = |i: usize| -> Node {
+            match i {
+                0 => Node::Source,
+                1 => Node::Dest,
+                k => Node::Landing(LandingId((k - 2) as u32)),
+            }
+        };
+
+        let loc = |i: usize| -> GeoPoint {
+            match node(i) {
+                Node::Source => src,
+                Node::Dest => dst,
+                Node::Landing(id) => cable::landing(id).location(),
+            }
+        };
+        let serves = |i: usize, c: Continent| -> bool {
+            match node(i) {
+                Node::Source => c == src_continent,
+                Node::Dest => c == dst_continent,
+                Node::Landing(id) => cable::landing(id).serves(c),
+            }
+        };
+
+        // Adjacency: (neighbour, effective cost, leg).
+        let mut adj: Vec<Vec<(usize, f64, RouteLeg)>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                // Terrestrial edge on the cheapest shared continent.
+                let best = Continent::ALL
+                    .iter()
+                    .filter(|&&c| serves(i, c) && serves(j, c))
+                    .map(|&c| (terrestrial_stretch(c), c))
+                    .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+                if let Some((_, cont)) = best {
+                    let km = loc(i).haversine_km(&loc(j));
+                    let leg = RouteLeg::Terrestrial { km, continent: cont };
+                    let cost = leg.effective_km();
+                    adj[i].push((j, cost, leg.clone()));
+                    adj[j].push((i, cost, leg));
+                }
+            }
+        }
+        for c in CABLES {
+            let (i, j) = (2 + c.a.0 as usize, 2 + c.b.0 as usize);
+            let leg = RouteLeg::Cable { name: c.name, km: c.length_km };
+            let cost = leg.effective_km();
+            adj[i].push((j, cost, leg.clone()));
+            adj[j].push((i, cost, leg));
+        }
+
+        // Dijkstra from Source (0) to Dest (1) on effective cost.
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev: Vec<Option<(usize, RouteLeg)>> = vec![None; n];
+        let mut heap = BinaryHeap::new();
+        dist[0] = 0.0;
+        heap.push(QueueEntry { cost: 0.0, node_ix: 0 });
+        while let Some(QueueEntry { cost, node_ix }) = heap.pop() {
+            if cost > dist[node_ix] {
+                continue;
+            }
+            if node_ix == 1 {
+                break;
+            }
+            for (next, w, leg) in &adj[node_ix] {
+                let nd = cost + w;
+                if nd < dist[*next] {
+                    dist[*next] = nd;
+                    prev[*next] = Some((node_ix, leg.clone()));
+                    heap.push(QueueEntry { cost: nd, node_ix: *next });
+                }
+            }
+        }
+
+        if !dist[1].is_finite() {
+            let km = src.haversine_km(&dst);
+            let leg = RouteLeg::Terrestrial { km, continent: src_continent };
+            return RoutedPath {
+                effective_km: leg.effective_km(),
+                legs: vec![leg],
+                total_km: km,
+                crosses_sea: true,
+            };
+        }
+        let mut legs = Vec::new();
+        let mut cur = 1usize;
+        while let Some((p, leg)) = prev[cur].clone() {
+            legs.push(leg);
+            cur = p;
+        }
+        legs.reverse();
+        let crosses_sea = legs.iter().any(|l| matches!(l, RouteLeg::Cable { .. }));
+        let total_km = legs.iter().map(|l| l.km()).sum();
+        RoutedPath { legs, total_km, effective_km: dist[1], crosses_sea }
+    }
+
+    /// Legs compared bit for bit: `RouteLeg`'s `PartialEq` would let
+    /// `0.0 == -0.0` through.
+    fn leg_bits(leg: &RouteLeg) -> (u64, Option<Continent>, Option<&'static str>) {
+        match leg {
+            RouteLeg::Terrestrial { km, continent } => (km.to_bits(), Some(*continent), None),
+            RouteLeg::Cable { name, km } => (km.to_bits(), None, Some(*name)),
+        }
+    }
+
+    /// The distinct host cities of `cloudy_cloud::region::REGIONS`, the
+    /// endpoints every probe route and inter-cloud route ends at.
+    const REGION_CITIES: [&str; 60] = [
+        "Frankfurt", "Dublin", "London", "Paris", "Stockholm", "Milan", "Ashburn", "Chicago",
+        "San Francisco", "Seattle", "Montreal", "Dallas", "Sao Paulo", "Tokyo", "Seoul", "Osaka",
+        "Singapore", "Mumbai", "Hong Kong", "Cape Town", "Sydney", "Brussels", "Amsterdam",
+        "Zurich", "Helsinki", "Atlanta", "Los Angeles", "Denver", "Toronto", "New York", "Taipei",
+        "Jakarta", "Berlin", "Manchester", "Marseille", "Vienna", "Oslo", "Warsaw", "Madrid",
+        "Miami", "Busan", "Hyderabad", "Chennai", "Shanghai", "Beijing", "Dubai", "Bangkok",
+        "Johannesburg", "Melbourne", "Brisbane", "Perth", "Hangzhou", "Qingdao", "Zhangjiakou",
+        "Hohhot", "Shenzhen", "Chengdu", "Guangzhou", "Kuala Lumpur", "Jeddah",
+    ];
+
+    #[test]
+    fn once_built_graph_matches_the_per_call_graph_bit_for_bit() {
+        let region_cities: Vec<&City> =
+            REGION_CITIES.iter().map(|name| by_name(name).unwrap().1).collect();
+        let ordered_pairs = CITIES
+            .iter()
+            .flat_map(|g| region_cities.iter().flat_map(move |r| [(g, *r), (*r, g)]));
+        let mut pairs = 0usize;
+        for (a, b) in ordered_pairs {
+            if a.continent() == b.continent() {
+                continue;
+            }
+            let (pa, pb) = (a.location(), b.location());
+            let got = shortest_cable_route(pa, a.continent(), pb, b.continent());
+            let want = reference_cable_route(pa, a.continent(), pb, b.continent());
+            let legs = |p: &RoutedPath| p.legs.iter().map(leg_bits).collect::<Vec<_>>();
+            let pair = format!("{} -> {}", a.name, b.name);
+            assert_eq!(legs(&got), legs(&want), "{pair}");
+            assert_eq!(got.total_km.to_bits(), want.total_km.to_bits(), "{pair}");
+            assert_eq!(got.effective_km.to_bits(), want.effective_km.to_bits(), "{pair}");
+            assert_eq!(got.crosses_sea, want.crosses_sea, "{pair}");
+            pairs += 1;
+        }
+        assert!(pairs > 10_000, "only {pairs} pairs");
+    }
 
     fn city_point(name: &str) -> GeoPoint {
         by_name(name).unwrap().1.location()

@@ -38,5 +38,21 @@ pub use coord::GeoPoint;
 pub use country::{Country, CountryCode};
 pub use distance::{routed_distance_km, RouteLeg, RoutedPath};
 
+/// Byte-wise string equality usable in `const fn` table lookups.
+pub(crate) const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
 #[cfg(test)]
 mod proptests;

@@ -20,7 +20,7 @@
 use crate::network::{IxpSpec, Network, RegionEndpoint};
 use crate::rng::mix;
 use cloudy_cloud::{InterconnectPolicy, PeeringKind, Provider};
-use cloudy_geo::{city, country, Continent, CountryCode};
+use cloudy_geo::{city, country, City, CityId, Continent, CountryCode};
 use cloudy_topology::{known, AsGraph, AsInfo, AsKind, Asn, Relationship};
 use std::collections::HashMap;
 
@@ -50,23 +50,23 @@ pub struct BuiltWorld {
     pub isps_by_country: HashMap<CountryCode, Vec<Asn>>,
 }
 
-/// Synthetic Tier-2 transit providers: (name, anchor city, continent).
-const TIER2S: &[(&str, &str)] = &[
-    ("EuroTransit", "Frankfurt"),
-    ("NordBackbone", "Stockholm"),
-    ("AmeriCore", "Ashburn"),
-    ("PacificWest Transit", "Los Angeles"),
-    ("AsiaConnect", "Singapore"),
-    ("EastBridge Networks", "Hong Kong"),
-    ("GulfLink", "Dubai"),
-    ("AndesNet", "Sao Paulo"),
-    ("CaribeRoutes", "Bogota"),
-    ("PanAfrica IP", "Johannesburg"),
-    ("MedLink Carrier", "Cairo"),
-    ("Maghreb Net", "Casablanca"),
-    ("SaharaLink", "Lagos"),
-    ("EastAfrica Carrier", "Nairobi"),
-    ("Aussie Backhaul", "Sydney"),
+/// Synthetic Tier-2 transit providers: (name, anchor city).
+const TIER2S: &[(&str, CityId)] = &[
+    ("EuroTransit", city::id("Frankfurt")),
+    ("NordBackbone", city::id("Stockholm")),
+    ("AmeriCore", city::id("Ashburn")),
+    ("PacificWest Transit", city::id("Los Angeles")),
+    ("AsiaConnect", city::id("Singapore")),
+    ("EastBridge Networks", city::id("Hong Kong")),
+    ("GulfLink", city::id("Dubai")),
+    ("AndesNet", city::id("Sao Paulo")),
+    ("CaribeRoutes", city::id("Bogota")),
+    ("PanAfrica IP", city::id("Johannesburg")),
+    ("MedLink Carrier", city::id("Cairo")),
+    ("Maghreb Net", city::id("Casablanca")),
+    ("SaharaLink", city::id("Lagos")),
+    ("EastAfrica Carrier", city::id("Nairobi")),
+    ("Aussie Backhaul", city::id("Sydney")),
 ];
 
 /// Major public exchanges.
@@ -91,8 +91,7 @@ const IXPS: &[(&str, &str)] = &[
 /// First synthetic Tier-2 ASN.
 const TIER2_ASN_BASE: u32 = 190_000;
 
-fn as_info(asn: Asn, name: &str, kind: AsKind, city_name: &str) -> AsInfo {
-    let (_, c) = city::by_name(city_name).unwrap_or_else(|| panic!("unknown city {city_name}")); // audit:allow(panic)
+fn as_info(asn: Asn, name: &str, kind: AsKind, c: &City) -> AsInfo {
     AsInfo::new(asn, name, kind, c.country_code(), c.continent(), c.location())
 }
 
@@ -114,7 +113,7 @@ pub fn build(cfg: &WorldConfig) -> BuiltWorld {
 
     // --- Tier-1 clique -------------------------------------------------
     for (asn, name) in known::TIER1S {
-        let anchor = crate::hubs::hub_cities(*asn)[0];
+        let anchor = city::get(crate::hubs::hub_cities(*asn)[0]);
         graph.add_as(as_info(*asn, name, AsKind::Tier1, anchor));
     }
     for i in 0..known::TIER1S.len() {
@@ -125,9 +124,9 @@ pub fn build(cfg: &WorldConfig) -> BuiltWorld {
 
     // --- Regional Tier-2s ----------------------------------------------
     let mut tier2s: Vec<(Asn, Continent)> = Vec::new();
-    for (i, (name, city_name)) in TIER2S.iter().enumerate() {
+    for (i, (name, anchor)) in TIER2S.iter().enumerate() {
         let asn = Asn(TIER2_ASN_BASE + i as u32);
-        let info = as_info(asn, name, AsKind::Tier2, city_name);
+        let info = as_info(asn, name, AsKind::Tier2, city::get(*anchor));
         let continent = info.continent;
         graph.add_as(info);
         // Each Tier-2 buys from two deterministic Tier-1s.
@@ -143,12 +142,12 @@ pub fn build(cfg: &WorldConfig) -> BuiltWorld {
 
     // --- Cloud networks --------------------------------------------------
     for p in Provider::ALL {
-        let anchor_city = cloudy_cloud::region::of_provider(p)
+        let anchor = cloudy_cloud::region::of_provider(p)
             .next()
             .expect("provider has regions") // audit:allow(expect)
             .1
-            .city;
-        graph.add_as(as_info(p.asn(), p.name(), AsKind::Cloud, anchor_city));
+            .city_id();
+        graph.add_as(as_info(p.asn(), p.name(), AsKind::Cloud, city::get(anchor)));
         // Transit breadth scales with provider size: hypergiants connect to
         // many Tier-1s, small clouds to two.
         let n_transit = if p.is_hypergiant() {

@@ -7,41 +7,46 @@
 //! Middle-Eastern paths detouring via Europe, which the paper's Fig. 6a and
 //! Fig. 18b latencies exhibit.
 
-use cloudy_geo::{city, GeoPoint};
+use cloudy_geo::{city, City, CityId, GeoPoint};
 use cloudy_topology::{known, Asn};
 
-/// Hub cities for each named Tier-1. Synthetic Tier-2s use their anchor city
-/// instead (see `Network`).
-pub fn hub_cities(carrier: Asn) -> &'static [&'static str] {
-    match carrier {
-        a if a == known::TELIA => &["Stockholm", "Frankfurt", "London", "Ashburn", "Chicago"],
-        a if a == known::GTT => &["London", "Frankfurt", "New York", "Dallas", "Madrid"],
-        a if a == known::NTT_GLOBAL => &["Tokyo", "Osaka", "Los Angeles", "London", "Singapore"],
-        a if a == known::TATA => &["Mumbai", "Chennai", "Singapore", "London", "New York"],
-        a if a == known::COGENT => &["Ashburn", "Chicago", "Los Angeles", "Paris", "Frankfurt"],
-        a if a == known::LUMEN => &["Denver", "Ashburn", "London", "Amsterdam", "Sao Paulo"],
-        a if a == known::SPARKLE => &["Milan", "Marseille", "Miami", "Sao Paulo", "Buenos Aires"],
-        a if a == known::ZAYO => &["Denver", "New York", "London", "Paris"],
-        a if a == known::PCCW => &["Hong Kong", "Singapore", "Tokyo", "London", "San Francisco"],
-        a if a == known::ORANGE_OTI => &["Paris", "Marseille", "Dakar", "Abidjan", "Mumbai"],
-        _ => &[],
-    }
+macro_rules! hubs {
+    ($( $carrier:ident: $( $city:literal ),+; )*) => {
+        /// Hub cities of each named Tier-1, as gazetteer ids resolved when
+        /// the table compiles.
+        static HUBS: &[(Asn, &[CityId])] = &[
+            $( (known::$carrier, &[$( city::id($city) ),+]), )*
+        ];
+    };
+}
+
+hubs! {
+    TELIA: "Stockholm", "Frankfurt", "London", "Ashburn", "Chicago";
+    GTT: "London", "Frankfurt", "New York", "Dallas", "Madrid";
+    NTT_GLOBAL: "Tokyo", "Osaka", "Los Angeles", "London", "Singapore";
+    TATA: "Mumbai", "Chennai", "Singapore", "London", "New York";
+    COGENT: "Ashburn", "Chicago", "Los Angeles", "Paris", "Frankfurt";
+    LUMEN: "Denver", "Ashburn", "London", "Amsterdam", "Sao Paulo";
+    SPARKLE: "Milan", "Marseille", "Miami", "Sao Paulo", "Buenos Aires";
+    ZAYO: "Denver", "New York", "London", "Paris";
+    PCCW: "Hong Kong", "Singapore", "Tokyo", "London", "San Francisco";
+    ORANGE_OTI: "Paris", "Marseille", "Dakar", "Abidjan", "Mumbai";
+}
+
+/// Hub cities for each named Tier-1, as gazetteer ids. Synthetic Tier-2s
+/// use their anchor city instead (see `Network`).
+pub fn hub_cities(carrier: Asn) -> &'static [CityId] {
+    HUBS.iter().find(|(asn, _)| *asn == carrier).map_or(&[], |(_, ids)| ids)
 }
 
 /// The carrier hub nearest to `point`, or `None` for carriers without a hub
 /// table (synthetic Tier-2s).
-pub fn nearest_hub(carrier: Asn, point: GeoPoint) -> Option<(&'static str, GeoPoint)> {
-    hub_cities(carrier)
-        .iter()
-        .map(|name| {
-            let (_, c) = city::by_name(name).expect("hub city in gazetteer"); // audit:allow(expect)
-            (*name, c.location())
-        })
-        .min_by(|a, b| {
-            let da = a.1.haversine_km(&point);
-            let db = b.1.haversine_km(&point);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
+pub fn nearest_hub(carrier: Asn, point: GeoPoint) -> Option<&'static City> {
+    hub_cities(carrier).iter().map(|&id| city::get(id)).min_by(|a, b| {
+        let da = a.location().haversine_km(&point);
+        let db = b.location().haversine_km(&point);
+        da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+    })
 }
 
 #[cfg(test)]
@@ -49,10 +54,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_hub_cities_exist_in_gazetteer() {
+    fn resolved_hubs_match_their_by_name_rows() {
         for (asn, _) in known::TIER1S {
-            for name in hub_cities(*asn) {
-                assert!(city::by_name(name).is_some(), "missing hub city {name}");
+            for &id in hub_cities(*asn) {
+                let hub = city::get(id);
+                let (by_name_id, row) = city::by_name(hub.name).unwrap();
+                assert_eq!(by_name_id, id, "{asn} hub {}", hub.name);
+                let by_name_loc = GeoPoint::new(row.lat, row.lon);
+                assert_eq!(hub.location(), by_name_loc, "{asn} hub {}", hub.name);
             }
             assert!(!hub_cities(*asn).is_empty(), "no hubs for {asn}");
         }
@@ -69,15 +78,13 @@ mod tests {
         // From Nairobi, Telia's nearest hub is in Europe (no African hub) —
         // the trombone.
         let nairobi = GeoPoint::new(-1.29, 36.82);
-        let (name, _) = nearest_hub(known::TELIA, nairobi).unwrap();
+        let name = nearest_hub(known::TELIA, nairobi).unwrap().name;
         assert!(["Frankfurt", "London", "Stockholm"].contains(&name), "got {name}");
         // From Tokyo, NTT's nearest hub is Tokyo itself.
         let tokyo = GeoPoint::new(35.68, 139.65);
-        let (name, _) = nearest_hub(known::NTT_GLOBAL, tokyo).unwrap();
-        assert_eq!(name, "Tokyo");
+        assert_eq!(nearest_hub(known::NTT_GLOBAL, tokyo).unwrap().name, "Tokyo");
         // Orange has West-African hubs: from Dakar, the hub is local.
         let dakar = GeoPoint::new(14.72, -17.47);
-        let (name, _) = nearest_hub(known::ORANGE_OTI, dakar).unwrap();
-        assert_eq!(name, "Dakar");
+        assert_eq!(nearest_hub(known::ORANGE_OTI, dakar).unwrap().name, "Dakar");
     }
 }

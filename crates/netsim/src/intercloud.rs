@@ -28,7 +28,7 @@ use crate::hop::HopKind;
 use crate::latency::{self, propagation_rtt_ms, QueueProfile};
 use crate::rng::{mix, FlowRng};
 use cloudy_cloud::{cloud_interconnect, region, PeeringKind, Provider, RegionId, RouteClass};
-use cloudy_geo::{city, distance::routed_distance_km, Continent, GeoPoint};
+use cloudy_geo::{distance::routed_distance_km, Continent, GeoPoint};
 use cloudy_lastmile::stats_math::LogNormal;
 use cloudy_topology::{known, Asn};
 use rand::Rng;
@@ -211,10 +211,8 @@ impl Geometry {
         let carrier = public_carrier(src, dst);
         let mid = self.src_loc.midpoint(&self.dst_loc);
         let via_hub = crate::hubs::nearest_hub(carrier, mid)
-            .map(|(hub_city, hub_loc)| {
-                let hub_cont = city::by_name(hub_city)
-                    .map(|(_, c)| c.continent())
-                    .unwrap_or(Continent::Europe);
+            .map(|hub| {
+                let (hub_loc, hub_cont) = (hub.location(), hub.continent());
                 routed_distance_km(self.src_loc, self.src_cont, hub_loc, hub_cont).effective_km
                     + routed_distance_km(hub_loc, hub_cont, self.dst_loc, self.dst_cont)
                         .effective_km

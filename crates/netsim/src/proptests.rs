@@ -261,13 +261,28 @@ proptest! {
     }
 
     #[test]
-    fn route_structure_is_location_stable(client in arb_client(), region in arb_region()) {
-        // Probes in the same grid cell and ISP share wide-area structure;
-        // calling twice must be identical (cache or not).
+    fn route_structure_is_location_stable(
+        client in arb_client(),
+        region in arb_region(),
+        other_hash in any::<u64>(),
+        dlat in 0.1f64..6.0,
+        dlon in -6.0f64..6.0,
+        south in any::<bool>(),
+    ) {
+        // The wide-area memo is shared across grid cells. A probe of the
+        // same ISP and country in another 0.1° cell (a latitude shift of at
+        // least 0.1° always changes the cell) is routed first: near by, it
+        // picks the same ISP anchor and fills the entry this client then
+        // reads; farther off, it picks another anchor and must not. Either
+        // way this client's route must be the one built from scratch, so
+        // the memo key must hold every input the wide-area build reads.
         let (sim, _) = world();
-        let a = sim.route(&client, region);
-        let b = sim.route(&client, region);
-        prop_assert_eq!(a.hops, b.hops);
-        prop_assert_eq!(a.interconnect, b.interconnect);
+        let mut other = client.clone();
+        other.probe_hash = other_hash;
+        let shift = if south { -dlat } else { dlat };
+        other.location = GeoPoint::new(client.location.lat() + shift, client.location.lon() + dlon);
+        let _ = sim.route(&other, region);
+        let cached = sim.route(&client, region);
+        prop_assert_eq!(&*cached, &sim.route_uncached(&client, region));
     }
 }

@@ -14,7 +14,7 @@ use crate::network::Network;
 use crate::path::RoutePath;
 use crate::rng::{mix, FlowRng};
 use cloudy_cloud::{PeeringKind, Provider, RegionId, WanFootprint};
-use cloudy_geo::{city, distance::routed_distance_km, Continent, GeoPoint};
+use cloudy_geo::{city, distance::routed_distance_km, Continent, CountryCode, GeoPoint};
 use cloudy_lastmile::stats_math::LogNormal;
 use cloudy_lastmile::AccessType;
 use cloudy_topology::{AsKind, Asn, IxpId};
@@ -23,7 +23,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Measurement protocol. The paper runs TCP pings and ICMP traceroutes on
 /// Speedchecker, and compares protocols in Appendix A.2.
@@ -54,15 +54,16 @@ pub struct TraceHop {
 /// Extra RTT charged when a probe tunnels through a VPN (median, ms).
 const VPN_DETOUR_RTT_MS: f64 = 24.0;
 
-/// Cached wide-area structure shared by probes in the same (city, ISP).
+/// Wide-area structure past the access leg, shared by every probe with the
+/// same [`WideKey`].
 struct WideArea {
     interconnect: PeeringKind,
     as_path: Vec<Asn>,
     via_ixp: Option<IxpId>,
-    d_access_km: f64,
     /// Hops after the ISP core: (kind, owner, location, effective km).
     middle: Vec<(HopKind, Option<Asn>, GeoPoint, f64)>,
     isp_anchor: GeoPoint,
+    isp_cont: Continent,
 }
 
 /// The route + RTT engine over an assembled [`Network`].
@@ -72,29 +73,31 @@ pub struct Simulator {
     route_cache: RouteCache,
 }
 
-/// Memoized wide-area geometry keyed by (ISP, coarse location, region).
-type WideCache = HashMap<(Asn, (i32, i32), RegionId), Arc<WideArea>>;
+/// Every input [`Simulator::build_wide_area`] reads: the ISP, the bits of
+/// its anchor (the egress point the probe's cell picks), the region, and the
+/// probe's country (the transit-carrier policy reads it). Probes in
+/// different cells that pick the same anchor share one entry.
+type WideKey = (Asn, (u64, u64), RegionId, CountryCode);
+
+/// Memoized wide-area geometry.
+type WideCache = HashMap<WideKey, Arc<WideArea>>;
 
 fn loc_key(p: GeoPoint) -> (i32, i32) {
     ((p.lat() * 10.0).round() as i32, (p.lon() * 10.0).round() as i32)
 }
 
-/// Centre of a cache grid cell. Wide-area geometry is computed from this
-/// point (not the probe's exact jittered location), so every probe in the
-/// same (ISP, cell, region) shares bit-identical geometry regardless of
-/// which one populated the cache first — a determinism requirement under
-/// parallel execution. The quantisation error is < 8 km, far below the
-/// geometric uncertainty already modelled by path stretch.
+/// Centre of a probe's 0.1° grid cell. The ISP anchor and the access leg
+/// are computed from this point (not the probe's exact jittered location),
+/// so every probe in a cell gets bit-identical geometry whichever one is
+/// routed first — a determinism requirement under parallel execution. The
+/// quantisation error is < 8 km, far below the geometric uncertainty
+/// already modelled by path stretch.
 fn grid_center(key: (i32, i32)) -> GeoPoint {
     GeoPoint::new(key.0 as f64 / 10.0, key.1 as f64 / 10.0)
 }
 
 fn eff(a: GeoPoint, ca: Continent, b: GeoPoint, cb: Continent) -> f64 {
     routed_distance_km(a, ca, b, cb).effective_km
-}
-
-fn city_continent(name: &str) -> Continent {
-    city::by_name(name).expect("gazetteer city").1.continent() // audit:allow(expect)
 }
 
 impl Simulator {
@@ -124,20 +127,24 @@ impl Simulator {
 
     /// Build the full route from scratch, bypassing every layer of route
     /// memoization — the sharded route-plan cache *and* the wide-area
-    /// geometry cache. Wide-area geometry is a pure function of the grid
-    /// cell (see [`grid_center`]), so the result is bit-identical to the
-    /// cached plan; only the cost differs. This is the
-    /// `CampaignConfig::route_cache = false` path and the reference leg of
-    /// the audit race check.
+    /// geometry cache. Wide-area geometry is a pure function of its
+    /// [`WideKey`], so the result is bit-identical to the cached plan; only
+    /// the cost differs. This is the `CampaignConfig::route_cache = false`
+    /// path and the reference leg of the audit race check.
     pub fn route_uncached(&self, client: &ClientCtx, region: RegionId) -> RoutePath {
-        self.assemble_route(client, region, &self.build_wide_area(client, region))
+        let anchor = self.isp_anchor(client);
+        self.assemble_route(client, region, &self.build_wide_area(client, region, anchor))
     }
 
     /// Assemble the per-probe route around shared wide-area geometry:
     /// client-side hops (home router / CGN / ISP access+core) plus the
-    /// memoizable middle and destination hops.
+    /// memoizable middle and destination hops. The access leg, from the
+    /// probe's cell to the ISP anchor, is the one distance that reads the
+    /// cell, so it is computed here rather than shared.
     fn assemble_route(&self, client: &ClientCtx, region: RegionId, wa: &WideArea) -> RoutePath {
-        let salt_base = mix(&[loc_key(client.location).0 as u64, loc_key(client.location).1 as u64]);
+        let cell = loc_key(client.location);
+        let salt_base = mix(&[cell.0 as u64, cell.1 as u64]);
+        let d_access_km = eff(grid_center(cell), client.continent, wa.isp_anchor, wa.isp_cont);
         let mut hops: Vec<Hop> = Vec::with_capacity(wa.middle.len() + 4);
 
         // Client side.
@@ -173,7 +180,7 @@ impl Simulator {
             self.net.router_ip(client.isp, mix(&[salt_base, 2])),
             Some(client.isp),
             wa.isp_anchor,
-            wa.d_access_km,
+            d_access_km,
         ));
 
         // Middle + destination.
@@ -396,35 +403,50 @@ impl Simulator {
     // ---- wide-area construction ----------------------------------------
 
     fn wide_area(&self, client: &ClientCtx, region: RegionId) -> Arc<WideArea> {
-        let key = (client.isp, loc_key(client.location), region);
+        let anchor = self.isp_anchor(client);
+        let anchor_bits = (anchor.lat().to_bits(), anchor.lon().to_bits());
+        let key = (client.isp, anchor_bits, region, client.country);
         if let Some(hit) = self.wide_cache.read().get(&key) {
             return hit.clone();
         }
-        let built = Arc::new(self.build_wide_area(client, region));
+        let built = Arc::new(self.build_wide_area(client, region, anchor));
         self.wide_cache.write().insert(key, built.clone());
         built
     }
 
-    fn build_wide_area(&self, client: &ClientCtx, region_id: RegionId) -> WideArea {
-        // All geometry derives from the cache cell's centre; see
-        // `grid_center`.
+    fn isp_info(&self, isp: Asn) -> &cloudy_topology::AsInfo {
+        self.net
+            .graph
+            .info(isp)
+            .unwrap_or_else(|| panic!("client ISP {isp} not in graph")) // audit:allow(panic)
+    }
+
+    /// Where the client's ISP hands traffic to the wide area. Real ISPs
+    /// egress to peering/transit at their PoP nearest the subscriber, not at
+    /// a single national hub: the nearest major city of the probe's country
+    /// to its cell's centre (see [`grid_center`]), or the AS anchor for
+    /// countries without gazetteer cities.
+    fn isp_anchor(&self, client: &ClientCtx) -> GeoPoint {
         let cell = grid_center(loc_key(client.location));
+        nearest_major_city(client.country, cell)
+            .unwrap_or_else(|| self.isp_info(client.isp).location)
+    }
+
+    /// The wide area past the access leg. Reads exactly the fields of its
+    /// [`WideKey`]: `client.isp`, `client.country`, the region and
+    /// `isp_anchor`.
+    fn build_wide_area(
+        &self,
+        client: &ClientCtx,
+        region_id: RegionId,
+        isp_anchor: GeoPoint,
+    ) -> WideArea {
         let ep = self.net.region(region_id);
         let provider = ep.region.provider;
         let region_loc = ep.region.location();
         let region_cont = ep.region.continent();
-        let isp_info = self
-            .net
-            .graph
-            .info(client.isp)
-            .unwrap_or_else(|| panic!("client ISP {} not in graph", client.isp)); // audit:allow(panic)
-        // Real ISPs egress to peering/transit at their PoP nearest the
-        // subscriber, not at a single national hub: use the nearest major
-        // city of the probe's country (falls back to the AS anchor for
-        // countries without gazetteer cities).
-        let isp_anchor = nearest_major_city(client.country, cell).unwrap_or(isp_info.location);
+        let isp_info = self.isp_info(client.isp);
         let isp_cont = isp_info.continent;
-        let d_access = eff(cell, client.continent, isp_anchor, isp_cont);
 
         // The interconnection is the provider's client-facing policy for
         // this ISP (the same deterministic decision the world builder used
@@ -532,9 +554,9 @@ impl Simulator {
             interconnect,
             as_path: effective_as_path,
             via_ixp: if interconnect == PeeringKind::IxpPublic { via_ixp } else { None },
-            d_access_km: d_access,
             middle,
             isp_anchor,
+            isp_cont,
         }
     }
 
@@ -631,23 +653,33 @@ impl Simulator {
     }
 }
 
-/// Nearest major city (gazetteer weight >= 0.08) of the client's country.
-fn nearest_major_city(country: cloudy_geo::CountryCode, near: GeoPoint) -> Option<GeoPoint> {
-    city::in_country(country)
-        .into_iter()
-        .filter(|c| c.weight >= 0.08)
-        .map(|c| c.location())
-        .min_by(|a, b| {
-            let da = a.haversine_km(&near);
-            let db = b.haversine_km(&near);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
+/// Each country's major cities (gazetteer weight >= 0.08), in table
+/// order, built on first use.
+fn major_cities(country: CountryCode) -> &'static [GeoPoint] {
+    static MAJOR: OnceLock<HashMap<CountryCode, Vec<GeoPoint>>> = OnceLock::new();
+    let by_country = MAJOR.get_or_init(|| {
+        let mut by_country: HashMap<CountryCode, Vec<GeoPoint>> = HashMap::new();
+        for c in city::CITIES.iter().filter(|c| c.weight >= 0.08) {
+            by_country.entry(c.country_code()).or_default().push(c.location());
+        }
+        by_country
+    });
+    by_country.get(&country).map_or(&[], Vec::as_slice)
+}
+
+/// Nearest major city of the client's country.
+fn nearest_major_city(country: CountryCode, near: GeoPoint) -> Option<GeoPoint> {
+    major_cities(country).iter().copied().min_by(|a, b| {
+        let da = a.haversine_km(&near);
+        let db = b.haversine_km(&near);
+        da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+    })
 }
 
 /// Carrier hub near a point, falling back to the AS anchor.
 fn hub_or_anchor(net: &Network, carrier: Asn, near: GeoPoint) -> (GeoPoint, Continent) {
-    if let Some((name, loc)) = hubs::nearest_hub(carrier, near) {
-        (loc, city_continent(name))
+    if let Some(hub) = hubs::nearest_hub(carrier, near) {
+        (hub.location(), hub.continent())
     } else {
         let info = net.graph.info(carrier).expect("carrier registered"); // audit:allow(expect)
         (info.location, info.continent)
