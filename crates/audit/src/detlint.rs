@@ -14,7 +14,7 @@
 //! * [`Allowlist`] — the `audit.toml` path-scoped suppressions, with
 //!   per-entry use-tracking so dead entries surface as `stale-allow`
 //!   findings instead of silently widening the blind spot.
-//! * [`FileContext`] — path classification (bench/test/bin/wire) that
+//! * [`FileContext`] — path classification (test/bin/wire/obs) that
 //!   decides which rules apply to a file.
 //! * [`lint_workspace`] / [`scan_workspace`] — the deterministic
 //!   sorted-order walk over `crates/`, `src/`, and `tests/` (skipping
@@ -46,9 +46,9 @@ pub struct AllowEntry {
 ///
 /// ```toml
 /// [[allow]]
-/// path = "crates/bench"
-/// rules = ["nondet-time"]
-/// reason = "benchmarks legitimately read the wall clock"
+/// path = "crates/demo/src/legacy.rs"
+/// rules = ["map-iter"]
+/// reason = "every caller sorts the result"
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Allowlist {
@@ -170,8 +170,6 @@ fn unquote(s: &str, ln: usize) -> Result<String, AuditError> {
 pub struct FileContext {
     /// Path relative to the workspace root, forward slashes.
     pub rel_path: String,
-    /// Benchmark code (wall-clock reads are its job).
-    pub is_bench: bool,
     /// Test-only file (integration tests, proptest modules).
     pub is_test: bool,
     /// Binary entry point (CLI code may abort with a message).
@@ -189,7 +187,6 @@ impl FileContext {
     pub fn classify(rel_path: &str) -> FileContext {
         FileContext {
             rel_path: rel_path.to_string(),
-            is_bench: rel_path.starts_with("crates/bench/") || rel_path.contains("/benches/"),
             is_test: rel_path.contains("/tests/")
                 || rel_path.starts_with("tests/")
                 || rel_path.ends_with("proptests.rs"),
@@ -317,10 +314,9 @@ mod tests {
     #[test]
     fn classify_covers_all_contexts() {
         let lib = FileContext::classify("crates/demo/src/lib.rs");
-        assert!(!lib.is_bench && !lib.is_test && !lib.is_bin && !lib.is_wire && !lib.is_obs);
+        assert!(!lib.is_test && !lib.is_bin && !lib.is_wire && !lib.is_obs);
         assert!(FileContext::classify("crates/obs/src/registry.rs").is_obs);
         assert!(!FileContext::classify("crates/serve/src/service.rs").is_obs);
-        assert!(FileContext::classify("crates/bench/benches/routing.rs").is_bench);
         assert!(FileContext::classify("crates/demo/tests/it.rs").is_test);
         assert!(FileContext::classify("crates/geo/src/proptests.rs").is_test);
         assert!(FileContext::classify("src/bin/tool.rs").is_bin);

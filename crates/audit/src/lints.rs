@@ -38,9 +38,9 @@ pub const RULES: &[LintRule] = &[
     LintRule {
         name: "nondet-time",
         severity: Severity::Error,
-        summary: "Instant::now/SystemTime::now outside bench or cloudy-obs code",
+        summary: "Instant::now/SystemTime::now outside cloudy-obs",
         help: "derive timestamps from the campaign's virtual hours; wall clocks belong to \
-               benches and the obs layer (read one via `Obs::now`)",
+               the obs layer (read one via `Obs::now`)",
     },
     LintRule {
         name: "obs-in-wire",
@@ -102,7 +102,7 @@ pub const RULES: &[LintRule] = &[
         name: "print-stdout",
         severity: Severity::Warning,
         summary: "println!/eprintln! in non-CLI code",
-        help: "library crates return data; printing belongs to src/bin and benches",
+        help: "library crates return data; printing belongs to src/bin",
     },
     LintRule {
         name: "stale-pragma",
@@ -480,9 +480,9 @@ pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan 
     let test_ranges = cfg_test_ranges(&code);
     let in_test =
         |line: u32| ctx.is_test || test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
-    // Library context: abort- and print-style rules skip tests, benches
-    // and binaries.
-    let lib_ctx = |line: u32| !ctx.is_bin && !ctx.is_bench && !in_test(line);
+    // Library context: abort- and print-style rules skip tests and
+    // binaries.
+    let lib_ctx = |line: u32| !ctx.is_bin && !in_test(line);
 
     // Raw findings before suppression: (rule, line, col, message).
     let mut raw: Vec<(&'static str, u32, u32, String)> = Vec::new();
@@ -492,10 +492,9 @@ pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan 
         let col = code.col(k);
 
         // nondet-time: `Instant::now` / `SystemTime::now` anywhere but
-        // benches and the obs crate (whose `Obs::now` is the sanctioned
-        // wall-clock read for everything else).
-        if !ctx.is_bench
-            && !ctx.is_obs
+        // the obs crate (whose `Obs::now` is the sanctioned wall-clock read
+        // for everything else).
+        if !ctx.is_obs
             && (code.is_ident(k, "Instant") || code.is_ident(k, "SystemTime"))
             && code.is(k + 1, ":")
             && code.is(k + 2, ":")
@@ -886,12 +885,12 @@ mod tests {
     }
 
     #[test]
-    fn abort_rules_skip_tests_bins_and_benches() {
+    fn abort_rules_skip_tests_and_bins() {
         let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
                    pub fn g(x: Option<u8>) -> u8 { x.expect(\"set\") }\n\
                    pub fn h() { panic!(\"boom\"); }\n";
         assert_eq!(rules_of(&scan(src)), vec!["unwrap", "expect", "panic"]);
-        for path in ["crates/demo/tests/it.rs", "src/bin/tool.rs", "crates/bench/benches/b.rs"] {
+        for path in ["crates/demo/tests/it.rs", "src/bin/tool.rs"] {
             let ctx = FileContext::classify(path);
             let f = lint_source(&ctx, src, &Allowlist::empty()).findings;
             assert_eq!(f, vec![], "{path} should be exempt");

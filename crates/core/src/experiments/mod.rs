@@ -1,12 +1,15 @@
-//! One module per table/figure of the paper.
+//! One module per table/figure of the paper, plus DESIGN.md §5's ablations.
 //!
 //! Every experiment exposes `run(&Study) -> <TypedResult>` where the result
 //! implements [`Render`] — producing the same rows/series the paper's
-//! artifact plots. The [`run_all`] registry drives `EXPERIMENTS.md` generation
-//! and the bench harness.
+//! artifact plots. [`run_one`] renders any [`ExperimentId`] for
+//! `cloudy-repro experiment`; [`run_all`] renders the paper's artifacts for
+//! `cloudy-repro all`, `EXPERIMENTS.md` and the benchmark's `repro`
+//! workload.
 
 use crate::Study;
 
+pub mod ablation;
 pub mod continent_cdf;
 pub mod util;
 pub mod country_map;
@@ -50,6 +53,10 @@ pub enum ExperimentId {
     Fig17UaCase,
     Fig18BhCase,
     Fig19LastMileNearest,
+    AblationRouting,
+    AblationWan,
+    AblationBias,
+    AblationLastMile,
 }
 
 impl ExperimentId {
@@ -76,6 +83,15 @@ impl ExperimentId {
         ExperimentId::Fig19LastMileNearest,
     ];
 
+    /// DESIGN.md §5's ablations. `experiment` runs them by slug; `all`,
+    /// `analyze` and the CSV export iterate only [`ExperimentId::ALL`].
+    pub const ABLATIONS: [ExperimentId; 4] = [
+        ExperimentId::AblationRouting,
+        ExperimentId::AblationWan,
+        ExperimentId::AblationBias,
+        ExperimentId::AblationLastMile,
+    ];
+
     /// Short CLI slug ("table1", "fig3", "fig12", ...).
     pub fn slug(&self) -> &'static str {
         match self {
@@ -99,13 +115,17 @@ impl ExperimentId {
             ExperimentId::Fig17UaCase => "fig17",
             ExperimentId::Fig18BhCase => "fig18",
             ExperimentId::Fig19LastMileNearest => "fig19",
+            ExperimentId::AblationRouting => "ablation_routing",
+            ExperimentId::AblationWan => "ablation_wan",
+            ExperimentId::AblationBias => "ablation_bias",
+            ExperimentId::AblationLastMile => "ablation_lastmile",
         }
     }
 
     /// Parse a CLI slug.
     pub fn parse(s: &str) -> Option<ExperimentId> {
         let s = s.to_ascii_lowercase();
-        ExperimentId::ALL.iter().copied().find(|id| id.slug() == s)
+        ExperimentId::ALL.iter().chain(&ExperimentId::ABLATIONS).copied().find(|id| id.slug() == s)
     }
 
     pub fn label(&self) -> &'static str {
@@ -130,6 +150,10 @@ impl ExperimentId {
             ExperimentId::Fig17UaCase => "Fig 17 (A.4): UA->UK peering matrix & latency",
             ExperimentId::Fig18BhCase => "Fig 18 (A.4): BH->IN peering matrix & latency",
             ExperimentId::Fig19LastMileNearest => "Fig 19 (A.5): last-mile share to nearest DC",
+            ExperimentId::AblationRouting => "Ablation §5.1: valley-free vs naive routing (Fig 10)",
+            ExperimentId::AblationWan => "Ablation §5.2: cloud-WAN queueing sweep (Fig 13b)",
+            ExperimentId::AblationBias => "Ablation §5.3: probe-deployment bias (Fig 5)",
+            ExperimentId::AblationLastMile => "Ablation §5.4: last-mile distribution (Figs 7/8)",
         }
     }
 }
@@ -165,11 +189,15 @@ pub fn run_one(study: &Study, id: ExperimentId) -> String {
             peering_case::run(study, peering_case::CaseStudy::BahrainToIndia).render()
         }
         ExperimentId::Fig19LastMileNearest => lastmile_share::run_nearest(study).render(),
+        ExperimentId::AblationRouting => ablation::routing(study).render(),
+        ExperimentId::AblationWan => ablation::wan(study.config.seed).render(),
+        ExperimentId::AblationBias => ablation::bias(study).render(),
+        ExperimentId::AblationLastMile => ablation::lastmile(study.config.seed).render(),
     }
 }
 
-/// Run every experiment and return (id, rendered artifact) pairs — the body
-/// of `EXPERIMENTS.md` and the full-study examples.
+/// Run every paper artifact and return (id, rendered artifact) pairs — the
+/// body of `EXPERIMENTS.md` and the full-study examples.
 pub fn run_all(study: &Study) -> Vec<(ExperimentId, String)> {
     ExperimentId::ALL.iter().map(|id| (*id, run_one(study, *id))).collect()
 }

@@ -12,7 +12,7 @@ use cloudy_analysis::compare;
 use cloudy_analysis::report::{ms, pct, Table};
 use cloudy_analysis::Cdf;
 use cloudy_geo::Continent;
-use cloudy_measure::PingRecord;
+use cloudy_measure::{Dataset, PingRecord};
 
 /// One continent's difference series (Fig. 5).
 #[derive(Debug, Clone)]
@@ -24,6 +24,13 @@ pub struct DiffSeries {
     pub sc_faster: f64,
     pub sc_samples: usize,
     pub atlas_samples: usize,
+}
+
+impl DiffSeries {
+    /// SC − Atlas at the 0.5 quantile: the gap between the two medians.
+    pub fn median_gap(&self) -> f64 {
+        self.diffs.get(self.diffs.len() / 2).copied().unwrap_or(f64::NAN)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -38,8 +45,14 @@ impl PlatformDiff {
 }
 
 pub fn run(study: &Study) -> PlatformDiff {
-    let sc_samples = util::samples_to_nearest(&study.sc);
-    let atlas_samples = util::samples_to_nearest(&study.atlas);
+    between(&study.sc, &study.atlas)
+}
+
+/// Fig. 5's comparison of any two campaigns: `sc` against `atlas`, each
+/// reduced to its samples to the nearest same-continent DC.
+pub fn between(sc: &Dataset, atlas: &Dataset) -> PlatformDiff {
+    let sc_samples = util::samples_to_nearest(sc);
+    let atlas_samples = util::samples_to_nearest(atlas);
     let sc_by_cont = util::group_rtts(&sc_samples, |p| p.continent);
     let at_by_cont = util::group_rtts(&atlas_samples, |p| p.continent);
     let mut series = Vec::new();

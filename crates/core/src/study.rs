@@ -5,9 +5,9 @@ use cloudy_lastmile::ArtifactConfig;
 use cloudy_measure::campaign::{run_campaign, run_campaign_into, CampaignConfig};
 use cloudy_measure::plan::{PlanConfig, TaskKindSet};
 use cloudy_measure::{Dataset, FailureStats, MeasureError, RecordSink};
-use cloudy_netsim::build::{build, WorldConfig};
+use cloudy_netsim::build::{build, BuiltWorld, WorldConfig};
 use cloudy_netsim::{FaultProfile, Simulator};
-use cloudy_probes::{atlas, speedchecker};
+use cloudy_probes::{atlas, speedchecker, Population};
 use cloudy_topology::registry::RegistryEntry;
 use cloudy_topology::{Asn, Registry};
 use std::collections::HashMap;
@@ -76,6 +76,26 @@ impl StudyConfig {
         (self.sc_fraction * self.duration_days as f64 / 180.0).min(1.0)
     }
 
+    /// The world this configuration measures, rebuilt bit-identically from
+    /// the seed.
+    pub fn build_world(&self) -> BuiltWorld {
+        build(&WorldConfig {
+            seed: self.seed,
+            isps_per_country: self.isps_per_country,
+            countries: None,
+        })
+    }
+
+    /// The Speedchecker probe population the study measures.
+    pub fn sc_population(&self, world: &BuiltWorld) -> Population {
+        speedchecker::population(world, self.sc_fraction, self.seed ^ 0x5C)
+    }
+
+    /// The RIPE Atlas probe population the study measures.
+    pub(crate) fn atlas_population(&self, world: &BuiltWorld) -> Population {
+        atlas::population(world, self.atlas_fraction, self.seed ^ 0xA7)
+    }
+
     /// The campaign configuration both [`Study::run`] and
     /// [`run_study_into`] execute — one place, so the streaming and
     /// in-memory paths can never drift apart.
@@ -112,13 +132,8 @@ pub fn run_study_into(
     sc_sink: &mut impl RecordSink,
     atlas_sink: &mut impl RecordSink,
 ) -> Result<(FailureStats, FailureStats), MeasureError> {
-    let world = build(&WorldConfig {
-        seed: config.seed,
-        isps_per_country: config.isps_per_country,
-        countries: None,
-    });
-    let sc_pop = speedchecker::population(&world, config.sc_fraction, config.seed ^ 0x5C);
-    let atlas_pop = atlas::population(&world, config.atlas_fraction, config.seed ^ 0xA7);
+    let world = config.build_world();
+    let (sc_pop, atlas_pop) = (config.sc_population(&world), config.atlas_population(&world));
     let sim = Simulator::new(world.net);
 
     let campaign_cfg = config.campaign_config();
@@ -145,11 +160,7 @@ impl Study {
     /// ISP count must match the collecting run or IP→AS resolution will not
     /// line up — callers should take them from the export's `study.meta`.
     pub fn from_datasets(config: StudyConfig, sc: Dataset, atlas: Dataset) -> Study {
-        let world = build(&WorldConfig {
-            seed: config.seed,
-            isps_per_country: config.isps_per_country,
-            countries: None,
-        });
+        let world = config.build_world();
         let isps_by_country = world.isps_by_country.clone();
         let registry = build_registry(&world.net);
         let sim = Simulator::new(world.net);
@@ -158,13 +169,8 @@ impl Study {
 
     /// Build everything and run both campaigns.
     pub fn run(config: StudyConfig) -> Study {
-        let world = build(&WorldConfig {
-            seed: config.seed,
-            isps_per_country: config.isps_per_country,
-            countries: None,
-        });
-        let sc_pop = speedchecker::population(&world, config.sc_fraction, config.seed ^ 0x5C);
-        let atlas_pop = atlas::population(&world, config.atlas_fraction, config.seed ^ 0xA7);
+        let world = config.build_world();
+        let (sc_pop, atlas_pop) = (config.sc_population(&world), config.atlas_population(&world));
 
         let isps_by_country = world.isps_by_country.clone();
         let registry = build_registry(&world.net);

@@ -19,7 +19,8 @@ fn study() -> &'static Study {
 
 #[test]
 fn experiment_registry_is_complete_and_parseable() {
-    for id in ExperimentId::ALL {
+    let every = || ExperimentId::ALL.into_iter().chain(ExperimentId::ABLATIONS);
+    for id in every() {
         assert_eq!(ExperimentId::parse(id.slug()), Some(id), "{:?}", id);
         assert!(!id.label().is_empty());
     }
@@ -27,7 +28,7 @@ fn experiment_registry_is_complete_and_parseable() {
     assert_eq!(ExperimentId::parse("fig99"), None);
     // run_one produces non-empty artifacts for every id.
     let s = study();
-    for id in ExperimentId::ALL {
+    for id in every() {
         let artifact = experiments::run_one(s, id);
         assert!(artifact.len() > 50, "{:?} produced a trivial artifact", id);
     }

@@ -5,6 +5,7 @@
 //! fall — never absolute numbers (our substrate is a simulator, not the
 //! authors' testbed). One study is shared across all tests via `OnceLock`.
 
+use cloudy_analysis::Cdf;
 use cloudy_core::experiments::*;
 use cloudy_core::{Study, StudyConfig};
 use cloudy_geo::Continent;
@@ -415,4 +416,86 @@ fn home_cell_inference_mostly_matches_ground_truth() {
     // 100% — which is the point — but it must stay high.
     assert!(acc > 0.85, "inference accuracy {acc}");
     assert!(acc < 0.999, "suspiciously perfect inference: {acc}");
+}
+
+// ---- DESIGN.md §5 ablations -------------------------------------------
+
+#[test]
+fn ablation_routing_lengthens_paths_but_keeps_fig10_classes() {
+    let r = ablation::routing(study());
+    // Every access ISP of the world, to each of the ten providers.
+    assert_eq!(r.pairs, 5050, "{r:?}");
+    // The naive router is a lower bound on AS hops ...
+    assert_eq!(r.vf_shorter, 0, "valley-free shorter than unrestricted: {r:?}");
+    // ... and policy routing really does take the long way round sometimes.
+    assert!(r.vf_longer > 0, "{r:?}");
+    // Yet no pair changes its Fig. 10 class: every lengthened path is 2+ AS
+    // under either router. Counts measured at the shared study's seed.
+    assert_eq!(r.vf_classes, r.naive_classes, "{r:?}");
+    assert_eq!(r.vf_classes, [1987, 314, 2749], "{r:?}");
+}
+
+#[test]
+fn ablation_wan_consistency_needs_an_engineered_wan() {
+    let w = ablation::wan(study().config.seed);
+    assert_eq!(w.points.len(), 5);
+    for pair in w.points.windows(2) {
+        assert!(
+            pair[1].rtt.iqr() > pair[0].rtt.iqr(),
+            "IQR must rise with queueing: {:.0}% {:.1} ms vs {:.0}% {:.1} ms",
+            pair[0].queue_fraction * 100.0,
+            pair[0].rtt.iqr(),
+            pair[1].queue_fraction * 100.0,
+            pair[1].rtt.iqr()
+        );
+    }
+    let (engineered, public) = (&w.points[0], &w.points[4]);
+    assert!(engineered.consistent, "2% WAN not consistent: {engineered:?}");
+    assert!(!public.consistent, "the public reference cannot beat itself: {public:?}");
+}
+
+#[test]
+fn ablation_bias_separates_placement_from_the_last_mile() {
+    let s = study();
+    let b = ablation::bias(s);
+    // AF: most of the gap was placement; re-scattering shrinks it.
+    let (af, af_cf) = b.get(Continent::Africa).expect("AF in both comparisons");
+    assert!(
+        af_cf.median_gap().abs() < af.median_gap().abs(),
+        "AF gap {:.1} -> {:.1} ms",
+        af.median_gap(),
+        af_cf.median_gap()
+    );
+    // SA: the inversion (Speedchecker faster) is a placement artefact.
+    let (sa, sa_cf) = b.get(Continent::SouthAmerica).expect("SA in both comparisons");
+    assert!(sa.sc_faster > 0.5, "SA inversion missing: {}", sa.sc_faster);
+    assert!(sa_cf.sc_faster < 0.5, "SA inversion survives re-scattering: {}", sa_cf.sc_faster);
+    // EU: placement already matches, so what is left is the wired-vs-
+    // wireless delta that Fig. 16's matched <city, ASN> groups isolate.
+    let (_, eu_cf) = b.get(Continent::Europe).expect("EU in both comparisons");
+    let matched = platform_diff::run_matched(s);
+    let eu_matched = Cdf::new(matched.get(Continent::Europe).expect("EU matched").clone()).median();
+    assert!(eu_cf.median_gap() > 0.0, "wired Atlas lost in EU: {}", eu_cf.median_gap());
+    assert!(
+        (eu_cf.median_gap() - eu_matched).abs() < 3.0,
+        "EU re-scattered gap {:.1} ms vs Fig 16 matched {eu_matched:.1} ms",
+        eu_cf.median_gap()
+    );
+}
+
+#[test]
+fn ablation_lastmile_only_lognormal_families_fit_figs_7_and_8() {
+    let l = ablation::lastmile(study().config.seed);
+    let verdicts: Vec<(&str, bool)> = l.rows.iter().map(|r| (r.family, r.consistent)).collect();
+    assert_eq!(
+        verdicts,
+        vec![
+            ("lognormal+spikes (model)", true),
+            ("pure lognormal", true),
+            ("heavy spikes", false),
+            ("exponential-like tail", false),
+            ("near-deterministic", false),
+        ],
+        "{l:?}"
+    );
 }

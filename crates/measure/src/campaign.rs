@@ -138,12 +138,6 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Toggle the route-plan cache (`false` = the uncached oracle leg).
-    pub fn route_cache(mut self, enabled: bool) -> Self {
-        self.cfg.route_cache = enabled;
-        self
-    }
-
     /// Fault-injection profile (`--faults <profile>` on the CLI).
     pub fn faults(mut self, profile: FaultProfile) -> Self {
         self.cfg.faults = profile;

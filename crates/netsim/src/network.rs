@@ -173,11 +173,6 @@ impl Network {
         self.path_cache.write().insert(key, computed.clone());
         computed
     }
-
-    /// Clear the route cache (used by ablations that mutate the graph).
-    pub fn invalidate_routes(&self) {
-        self.path_cache.write().clear();
-    }
 }
 
 #[cfg(test)]

@@ -23,8 +23,9 @@
 //!
 //! A disabled handle ([`Obs::disabled`], the default everywhere) is a
 //! `None` inside an `Option<Arc<..>>`: every call is a branch on a null
-//! pointer and the instrumented hot paths stay within the benchmarked
-//! overhead budget (see `obs_overhead` in `BENCH_campaign.json`).
+//! pointer. What an enabled handle costs is the benchmark's
+//! `trace.overhead_ratio`: traced runs attach `Obs::enabled` to their
+//! campaigns, and the ratio is their wall time over the untraced runs'.
 
 pub mod hist;
 pub mod registry;

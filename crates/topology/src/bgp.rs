@@ -11,8 +11,7 @@
 //!
 //! For a single destination it is also asymptotically cheaper than querying
 //! [`crate::routing::select_route`] per source, which is why the route-audit
-//! tooling and the `ablation_routing` bench use it for whole-Internet
-//! sweeps.
+//! tooling uses it for whole-Internet sweeps.
 
 use crate::asn::Asn;
 use crate::graph::{AsGraph, Relationship};

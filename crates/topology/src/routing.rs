@@ -178,7 +178,7 @@ fn bfs_class(graph: &AsGraph, src: Asn, dst: Asn, first_rel: Relationship) -> Op
 }
 
 /// Shortest AS path ignoring business relationships — the strawman router
-/// used by the `ablation_routing` bench (DESIGN.md §5.1).
+/// of the `ablation_routing` experiment (DESIGN.md §5.1).
 pub fn shortest_unrestricted(graph: &AsGraph, src: Asn, dst: Asn) -> Option<Vec<Asn>> {
     if !graph.contains(src) || !graph.contains(dst) {
         return None;

@@ -257,17 +257,9 @@ fn check_study(cfg: &StudyConfig) -> Result<(), String> {
     Ok(())
 }
 
-fn build_world(cfg: &StudyConfig) -> cloudy::netsim::build::BuiltWorld {
-    cloudy::netsim::build::build(&cloudy::netsim::build::WorldConfig {
-        seed: cfg.seed,
-        isps_per_country: cfg.isps_per_country,
-        countries: None,
-    })
-}
-
 fn list(args: Args) -> CliResult {
     args.finish()?;
-    for id in ExperimentId::ALL {
+    for id in ExperimentId::ALL.iter().chain(&ExperimentId::ABLATIONS) {
         println!("{:8} {}", id.slug(), id.label());
     }
     Ok(ExitCode::SUCCESS)
@@ -277,7 +269,7 @@ fn world(mut args: Args) -> CliResult {
     let cfg = study_config(&mut args)?;
     let audit = args.switch("--audit");
     args.finish()?;
-    let world = build_world(&cfg);
+    let world = cfg.build_world();
     if audit {
         let report = cloudy::audit::audit(&world);
         print!("{}", report.render());
@@ -433,8 +425,8 @@ fn speedchecker_campaign(
         .faults(cfg.faults)
         .obs(obs.clone());
     let campaign = if pings_only { builder.pings_only() } else { builder }.build()?;
-    let world = build_world(cfg);
-    let pop = cloudy::probes::speedchecker::population(&world, cfg.sc_fraction, cfg.seed ^ 0x5C);
+    let world = cfg.build_world();
+    let pop = cfg.sc_population(&world);
     Ok((campaign, Simulator::new(world.net), pop))
 }
 

@@ -23,6 +23,9 @@ fn detlint_finds_no_errors_in_the_workspace() {
     let report = driver.run_detlint().expect("workspace sources readable");
     let errors: Vec<_> = report.errors().collect();
     assert!(errors.is_empty(), "determinism lint errors:\n{:#?}", errors);
+    // A walk that finds (almost) no files would pass vacuously.
+    let walk = cloudy::audit::detlint::lint_workspace(&workspace_root()).expect("sources readable");
+    assert!(walk.files_scanned > 50, "walk found only {} files", walk.files_scanned);
 }
 
 #[test]

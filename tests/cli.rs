@@ -158,6 +158,14 @@ fn experiment_figures() {
 }
 
 #[test]
+fn experiment_ablations() {
+    let dir = scratch("experiment_ablations");
+    let ablations =
+        ["experiment", "ablation_routing", "ablation_wan", "ablation_bias", "ablation_lastmile"];
+    check("experiment_ablations", &stdout_of(&dir, &small(&ablations)));
+}
+
+#[test]
 fn all_figures_to_markdown_and_csv() {
     let dir = scratch("all_figures_to_markdown_and_csv");
     check("all", &stdout_of(&dir, &small(&["all", "--out", "all.md", "--csv", "csv"])));

@@ -26,8 +26,8 @@ fn world_cfg(seed: u64) -> WorldConfig {
 
 /// Run a small campaign teed into both a `Dataset` (JSONL) and a store
 /// writer, with the given observability handle attached to both the
-/// executor and the writer.
-fn campaign_outputs(threads: usize, faults: FaultProfile, obs: Obs) -> (String, Vec<u8>) {
+/// executor and the writer. Also returns the records the sinks received.
+fn campaign_outputs(threads: usize, faults: FaultProfile, obs: Obs) -> (String, Vec<u8>, u64) {
     let world = build(&world_cfg(7));
     let pop = speedchecker::population(&world, 0.01, 7);
     let sim = Simulator::new(world.net);
@@ -48,17 +48,17 @@ fn campaign_outputs(threads: usize, faults: FaultProfile, obs: Obs) -> (String, 
     run_campaign_into(&cfg, &sim, &pop, &mut tee).expect("Vec-backed sinks are infallible");
     let (bytes, summary) = writer.finish().expect("finish succeeds");
     assert!(summary.ping_rows > 0, "campaign produced no pings");
-    (ds.to_jsonl(), bytes)
+    (ds.to_jsonl(), bytes, ds.len() as u64)
 }
 
 #[test]
 fn metrics_never_change_campaign_or_store_bytes() {
     for faults in [FaultProfile::none(), FaultProfile::default_profile()] {
-        let (ref_jsonl, ref_store) = campaign_outputs(1, faults, Obs::disabled());
+        let (ref_jsonl, ref_store, _) = campaign_outputs(1, faults, Obs::disabled());
         for threads in [1usize, 8] {
             for obs in [Obs::enabled(), Obs::with_trace()] {
                 let tracing = obs.trace_enabled();
-                let (jsonl, store) = campaign_outputs(threads, faults, obs.clone());
+                let (jsonl, store, records) = campaign_outputs(threads, faults, obs.clone());
                 assert_eq!(
                     jsonl, ref_jsonl,
                     "JSONL changed at threads={threads} tracing={tracing}"
@@ -76,6 +76,15 @@ fn metrics_never_change_campaign_or_store_bytes() {
                     store.len() as u64,
                     "byte accounting drifted from the file size"
                 );
+                // Without faults only successful tasks produce records, so
+                // the outcome counter reconciles with the sink exactly.
+                if faults.is_none() {
+                    assert_eq!(
+                        snap.counter("campaign.outcome.ok"),
+                        records,
+                        "obs outcome counter disagrees with the sink"
+                    );
+                }
             }
         }
     }

@@ -103,6 +103,13 @@ fn provider_query_prunes_at_least_half_the_chunks() {
         stats.chunks_pruned * 2 >= stats.chunks_total,
         "expected at least half of the chunks pruned by footers: {stats:?}"
     );
+    // Pushdown decodes exactly the provider's chunks and nothing else.
+    let kept: Vec<_> = reader.chunks().iter().filter(|c| c.footer.provider == provider).collect();
+    let total_rows: u64 = reader.chunks().iter().map(|c| c.footer.rows).sum();
+    assert_eq!(stats.chunks_scanned, kept.len(), "{stats:?}");
+    assert_eq!(stats.rows_decoded, kept.iter().map(|c| c.footer.rows).sum::<u64>(), "{stats:?}");
+    assert!(stats.rows_decoded < total_rows, "{stats:?} of {total_rows} rows");
+    assert_eq!(stats.rows_matched, rows.len() as u64, "{stats:?}");
     // Footer pruning must not change results: the same scan without
     // pruning-relevant metadata (a full scan + row filter) agrees.
     let mut full = Vec::new();
