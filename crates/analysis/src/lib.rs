@@ -33,8 +33,8 @@
 //!   the `<city, ASN>`-matched subset (Fig. 16).
 //! * [`quality`] — per-probe loss-rate reporting and the paper's
 //!   minimum-sample pre-filter; failed tasks are counted, never averaged.
-//! * [`report`] — plain-text table/CDF rendering shared by examples and
-//!   benches.
+//! * [`report`] — plain-text table/CDF rendering shared by the figures,
+//!   the CLI and the examples.
 //!
 //! The pipeline has two data paths with identical results: the in-memory
 //! path over `cloudy_measure::Dataset` slices, and store-backed entry

@@ -1,5 +1,5 @@
-//! Plain-text rendering shared by the benches, examples and EXPERIMENTS.md
-//! generation: aligned tables and compact CDF summaries.
+//! Plain-text rendering shared by the figures, the CLI, the examples and
+//! EXPERIMENTS.md generation: aligned tables and compact CDF summaries.
 
 use crate::stats::Cdf;
 
@@ -73,7 +73,7 @@ pub fn pct(v: f64) -> String {
 }
 
 /// CSV rendering of a table (RFC-4180-style quoting) for external plotting
-/// tools — the per-figure benches can emit their series this way.
+/// tools; `cloudy-repro all --csv` writes each figure's series this way.
 impl Table {
     pub fn to_csv(&self) -> String {
         let quote = |cell: &str| -> String {
@@ -95,7 +95,7 @@ impl Table {
 }
 
 /// A terminal CDF plot: one character row per decile band, series marked by
-/// distinct glyphs. Meant for examples and bench banners, not precision.
+/// distinct glyphs. Meant for figure text and examples, not precision.
 pub fn ascii_cdf(series: &[(&str, &Cdf)], width: usize, x_max: f64) -> String {
     assert!(width >= 20, "plot too narrow");
     assert!(x_max > 0.0);

@@ -15,7 +15,7 @@
 //!   (the `("key".to_string(), …)` literals, in emission order);
 //! * `pub const` byte-string magics and integer tag bytes → their values
 //!
-//! — and compares the result against the committed [`wire.lock`]. Any
+//! — and compares the result against the committed `wire.lock`. Any
 //! drift (renamed field, reordered key, changed magic, new serialized
 //! type) is a `wire-drift` **error** finding, caught at `cargo test` time
 //! instead of by a determinism sha mismatch three layers later.

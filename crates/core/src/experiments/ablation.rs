@@ -52,7 +52,7 @@ pub struct RoutingAblation {
     /// AS hops summed over all pairs, per router.
     pub vf_hops: usize,
     pub naive_hops: usize,
-    /// Pairs per Fig. 10 class ([`CLASSES`] order), per router. A
+    /// Pairs per Fig. 10 class (direct, 1 AS, 2+ AS), per router. A
     /// valley-free path is never shorter, so equal counts mean no pair
     /// changed class.
     pub vf_classes: [usize; 3],
@@ -137,7 +137,8 @@ const WAN_FLOW: u64 = 0xAB1A_0002;
 pub struct WanPoint {
     pub queue_fraction: f64,
     pub rtt: BoxStats,
-    /// IQR below [`WAN_CONSISTENT_IQR_SHARE`] of the public reference's.
+    /// IQR below `WAN_CONSISTENT_IQR_SHARE` (0.6) times the public
+    /// reference's.
     pub consistent: bool,
 }
 

@@ -32,8 +32,9 @@ pub struct StudyConfig {
     pub regions_per_probe: usize,
     /// Measurement artifacts (CGN/VPN).
     pub artifacts: ArtifactConfig,
-    /// Fault-injection profile for both campaigns (`FaultProfile::none()`
-    /// reproduces the legacy zero-fault byte stream exactly).
+    /// Fault-injection profile for both campaigns. Under
+    /// `FaultProfile::none()` each task gets one attempt and a lost ping
+    /// leaves no record.
     pub faults: FaultProfile,
 }
 
@@ -54,7 +55,7 @@ impl StudyConfig {
         }
     }
 
-    /// Bench/example-sized study (~minutes).
+    /// Example-sized study (~minutes).
     pub fn small() -> StudyConfig {
         StudyConfig {
             seed: 42,

@@ -10,9 +10,8 @@
 //! counts.
 
 use crate::error::IntercloudError;
-use crate::plan::{plan, roster, IntercloudConfig};
+use crate::plan::{plan, roster, CloudTask, IntercloudConfig};
 use cloudy_cloud::RegionId;
-use cloudy_measure::plan::{Task, TaskKind};
 use cloudy_measure::{run_blocked, CloudPingRecord, RecordSink, TaskOutcome, BLOCK_TASKS};
 use cloudy_netsim::intercloud::{cloud_path_pair, cloud_ping_at, CloudPath};
 use std::collections::HashMap;
@@ -50,25 +49,15 @@ fn paths_of(
 /// then public; blocks are drained in plan order by the caller.
 fn run_block(
     seed: u64,
-    roster: &[RegionId],
-    tasks: &[Task],
+    tasks: &[CloudTask],
 ) -> Result<(Vec<CloudPingRecord>, CloudRunStats), IntercloudError> {
     let mut cache = HashMap::new();
     let mut out = Vec::with_capacity(tasks.len() * 2);
     let mut stats = CloudRunStats::default();
-    for t in tasks {
-        if t.kind != TaskKind::CloudPing {
-            return Err(IntercloudError::config(
-                "tasks",
-                "the inter-cloud executor only runs CloudPing tasks",
-            ));
-        }
-        let src = *roster.get(t.probe_ix as usize).ok_or_else(|| {
-            IntercloudError::config("tasks", format!("probe_ix {} outside roster", t.probe_ix))
-        })?;
+    for &CloudTask { src, dst, hour, seq } in tasks {
         stats.tasks += 1;
-        for path in paths_of(&mut cache, src, t.region)? {
-            let outcome = match cloud_ping_at(seed, &path, t.seq, t.hour) {
+        for path in paths_of(&mut cache, src, dst)? {
+            let outcome = match cloud_ping_at(seed, &path, seq, hour) {
                 Some(rtt) => {
                     stats.delivered += 1;
                     TaskOutcome::Ok(rtt)
@@ -78,7 +67,7 @@ fn run_block(
                     TaskOutcome::Lost
                 }
             };
-            out.push(CloudPingRecord { src, dst: t.region, route: path.route, outcome, hour: t.hour });
+            out.push(CloudPingRecord { src, dst, route: path.route, outcome, hour });
         }
     }
     Ok((out, stats))
@@ -90,8 +79,7 @@ fn run_block(
 /// thread count.
 pub fn execute_tasks_into(
     cfg: &IntercloudConfig,
-    roster: &[RegionId],
-    tasks: &[Task],
+    tasks: &[CloudTask],
     sink: &mut impl RecordSink,
 ) -> Result<CloudRunStats, IntercloudError> {
     let mut totals = CloudRunStats::default();
@@ -99,7 +87,7 @@ pub fn execute_tasks_into(
         cfg.threads,
         BLOCK_TASKS,
         tasks,
-        |_lane, block| run_block(cfg.seed, roster, block),
+        |_lane, block| run_block(cfg.seed, block),
         |result| {
             let (records, stats) = result?;
             for r in records {
@@ -125,8 +113,7 @@ pub fn run_into(
     if roster.len() < 2 {
         return Err(IntercloudError::config("providers", "roster needs at least two regions"));
     }
-    let tasks = plan(cfg, &roster);
-    execute_tasks_into(cfg, &roster, &tasks, sink)
+    execute_tasks_into(cfg, &plan(cfg, &roster), sink)
 }
 
 #[cfg(test)]
@@ -204,12 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn foreign_task_kinds_are_rejected() {
+    fn regions_outside_the_table_are_rejected() {
         let cfg = small_cfg(1);
-        let r = roster(&cfg);
-        let mut tasks = plan(&cfg, &r);
-        tasks[0].kind = TaskKind::Ping(cloudy_netsim::Protocol::Tcp);
+        let mut tasks = plan(&cfg, &roster(&cfg));
+        tasks[0].dst = RegionId(u16::MAX);
         let mut set = CloudPingSet::default();
-        assert!(execute_tasks_into(&cfg, &r, &tasks, &mut set).is_err());
+        assert!(execute_tasks_into(&cfg, &tasks, &mut set).is_err());
     }
 }

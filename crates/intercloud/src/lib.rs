@@ -5,13 +5,13 @@
 //!
 //! Three layers:
 //!
-//! * [`plan`] / [`executor`] — a deterministic campaign: a seed-rotated
-//!   region roster, every directed pair probed per hour, executed on the
-//!   same bounded-memory block loop as the user campaign
-//!   ([`cloudy_measure::run_blocked`]) and streamed into any
-//!   [`cloudy_measure::RecordSink`]. The record stream is byte-identical
-//!   across thread counts and path-cache settings — enforced by the audit
-//!   race matrix.
+//! * [`plan`](mod@plan) / [`executor`] — a deterministic campaign: a
+//!   seed-rotated region roster and a [`CloudTask`] per directed pair,
+//!   hour and sample, executed on the same bounded-memory block loop as
+//!   the user campaign ([`cloudy_measure::run_blocked`]) and streamed into
+//!   any [`cloudy_measure::RecordSink`]. The record stream is
+//!   byte-identical across thread counts and path-cache settings —
+//!   enforced by the audit race matrix.
 //! * [`matrix`] — the provider latency-gap matrix, folded from
 //!   store-backed grouped queries with exact quantiles.
 //! * [`placement`] — the k-region multi-cloud placement optimizer,
@@ -30,4 +30,4 @@ pub use matrix::{latency_matrix, median_gap_ms, GapRow};
 pub use placement::{
     brute_force, choose, objective, stats_from_store, CountryStat, Placement, PlacementStats,
 };
-pub use plan::{plan, roster, IntercloudConfig};
+pub use plan::{plan, roster, CloudTask, IntercloudConfig};

@@ -9,16 +9,25 @@
 //! task, so the private-vs-public gap is computable for every pair at
 //! every hour.
 //!
-//! Tasks reuse [`cloudy_measure::plan::Task`] with
-//! [`TaskKind::CloudPing`]: `probe_ix` indexes the campaign *roster* (not
-//! a probe population) and `region` is the destination. That keeps the
-//! schedule compatible with the block executor and its stable-identity
-//! determinism contract.
+//! Each [`CloudTask`] names its source and destination region directly,
+//! so a task is a stable identity on its own, and the block executor's
+//! determinism contract needs nothing else.
 
 use crate::error::IntercloudError;
 use cloudy_cloud::{region, Provider, RegionId};
-use cloudy_measure::plan::{Task, TaskKind};
 use cloudy_netsim::rng::mix;
+
+/// One scheduled sample: `src` probes `dst` at campaign `hour`, over both
+/// route planes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CloudTask {
+    pub src: RegionId,
+    pub dst: RegionId,
+    pub hour: u64,
+    /// Sequence number for flow derivation, unique per (pair, hour,
+    /// sample).
+    pub seq: u64,
+}
 
 /// Inter-cloud campaign parameters.
 #[derive(Debug, Clone)]
@@ -95,22 +104,17 @@ pub fn roster(cfg: &IntercloudConfig) -> Vec<RegionId> {
 /// times per hour. `seq` is unique per (pair, campaign) — the flow id is
 /// keyed by (src, dst, seq), so every sample draws fresh shared
 /// randomness while the two route classes of one sample share it.
-pub fn plan(cfg: &IntercloudConfig, roster: &[RegionId]) -> Vec<Task> {
+pub fn plan(cfg: &IntercloudConfig, roster: &[RegionId]) -> Vec<CloudTask> {
     let mut tasks = Vec::new();
     for hour in 0..cfg.hours {
-        for (si, _src) in roster.iter().enumerate() {
-            for dst in roster.iter() {
-                if roster[si] == *dst {
+        for &src in roster {
+            for &dst in roster {
+                if src == dst {
                     continue;
                 }
                 for rep in 0..cfg.samples_per_hour {
-                    tasks.push(Task {
-                        probe_ix: si as u32,
-                        region: *dst,
-                        kind: TaskKind::CloudPing,
-                        hour,
-                        seq: hour * cfg.samples_per_hour + rep,
-                    });
+                    let seq = hour * cfg.samples_per_hour + rep;
+                    tasks.push(CloudTask { src, dst, hour, seq });
                 }
             }
         }
@@ -156,10 +160,11 @@ mod tests {
         let tasks = plan(&cfg, &r);
         let n = r.len() as u64;
         assert_eq!(tasks.len() as u64, cfg.hours * n * (n - 1) * cfg.samples_per_hour);
-        assert!(tasks.iter().all(|t| t.kind == TaskKind::CloudPing));
-        // No self-pairs, and seq is unique per (pair, hour, rep).
+        // Roster pairs only, no self-pairs, and seq is unique per (pair,
+        // hour, rep).
         for t in &tasks {
-            assert_ne!(r[t.probe_ix as usize], t.region);
+            assert!(r.contains(&t.src) && r.contains(&t.dst));
+            assert_ne!(t.src, t.dst);
             assert_eq!(t.seq / cfg.samples_per_hour, t.hour);
         }
     }

@@ -6,20 +6,21 @@
 //! shared RNG state — the record stream is bit-identical for any thread
 //! count.
 //!
-//! Two entry points share one executor:
+//! [`run_campaign_into`] streams records into any [`RecordSink`] with
+//! bounded memory: tasks run in fixed [`BLOCK_TASKS`]-sized blocks, at most
+//! `threads` blocks in flight, and each completed round is drained into the
+//! sink in block order before the next round starts. Block size is a
+//! constant (not a function of thread count), so the sink sees the same
+//! record sequence no matter how many threads ran the round.
+//! [`run_campaign`] collects that stream into an in-memory [`Dataset`].
 //!
-//! * [`run_campaign`] / [`execute`] collect into an in-memory [`Dataset`].
-//! * [`run_campaign_into`] / [`execute_into`] stream records into any
-//!   [`RecordSink`] with bounded memory: tasks run in fixed
-//!   [`BLOCK_TASKS`]-sized blocks, at most `threads` blocks in flight, and
-//!   each completed round is drained into the sink in block order before
-//!   the next round starts. Block size is a constant (not a function of
-//!   thread count), so the sink sees the same record sequence no matter
-//!   how many threads ran the round.
+//! Every task runs through one attempt loop. Without a fault profile it
+//! gets a single attempt and a lost ping leaves no record, as on the real
+//! platform; under a profile every task records its final typed outcome.
 
 use crate::dataset::Dataset;
 use crate::error::MeasureError;
-use crate::plan::{self, MeasurementPlan, PlanConfig, TaskKind, TaskKindSet};
+use crate::plan::{self, PlanConfig, TaskKind};
 use crate::record::{outcome_for_hops, HopRecord, PingRecord, TaskOutcome, TracerouteRecord};
 use crate::sink::RecordSink;
 use cloudy_cloud::RegionId;
@@ -35,23 +36,23 @@ use std::sync::Arc;
 /// peak buffered records are bounded by `threads × BLOCK_TASKS` results.
 pub const BLOCK_TASKS: usize = 2048;
 
-/// Campaign parameters. Construct via [`CampaignConfig::builder`] for
-/// validated configs; `Default` remains a valid baseline.
+/// Campaign parameters. `Default` is a valid baseline; adjust fields
+/// directly and check the result with [`CampaignConfig::validate`].
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     pub plan: PlanConfig,
     pub artifacts: ArtifactConfig,
     pub threads: usize,
     /// Serve routes from the shared [`cloudy_netsim::RouteCache`] and batch
-    /// each block by (probe, region). Off = the legacy per-task path; both
-    /// produce byte-identical output (enforced by the audit race check).
+    /// each block by (probe, region). Off, every task rebuilds its client
+    /// and route; both produce byte-identical output (enforced by the audit
+    /// race check).
     pub route_cache: bool,
-    /// Fault-injection profile. [`FaultProfile::none`] (the default) runs
-    /// the legacy zero-fault path: intrinsically lost pings produce no
-    /// record and output is byte-identical to the pre-fault executor. Any
-    /// faulted profile records *every* planned task with a typed
-    /// [`TaskOutcome`] and retries wire-level failures under the profile's
-    /// bounded backoff policy.
+    /// Fault-injection profile. Under [`FaultProfile::none`] (the default)
+    /// each task gets one attempt and an intrinsically lost ping produces
+    /// no record. Any faulted profile records *every* planned task with a
+    /// typed [`TaskOutcome`] and retries wire-level failures under the
+    /// profile's bounded backoff policy.
     pub faults: FaultProfile,
     /// Observability registry. The default ([`Obs::disabled`]) records
     /// nothing; an enabled registry collects task/outcome/fault counters,
@@ -76,108 +77,38 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Start a validated configuration builder.
-    pub fn builder() -> CampaignConfigBuilder {
-        CampaignConfigBuilder { cfg: CampaignConfig::default() }
-    }
-}
-
-/// Builder for [`CampaignConfig`]; [`CampaignConfigBuilder::build`]
-/// validates the assembled config instead of letting a zero quota or an
-/// empty task-kind set silently plan nothing.
-#[derive(Debug, Clone)]
-pub struct CampaignConfigBuilder {
-    cfg: CampaignConfig,
-}
-
-impl CampaignConfigBuilder {
-    /// Replace the whole plan configuration.
-    pub fn plan(mut self, plan: PlanConfig) -> Self {
-        self.cfg.plan = plan;
-        self
-    }
-
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.plan.seed = seed;
-        self
-    }
-
-    pub fn duration_days(mut self, days: u32) -> Self {
-        self.cfg.plan.duration_days = days;
-        self
-    }
-
-    pub fn quota_per_day(mut self, quota: u32) -> Self {
-        self.cfg.plan.quota_per_day = quota;
-        self
-    }
-
-    pub fn samples_per_measurement(mut self, samples: usize) -> Self {
-        self.cfg.plan.samples_per_measurement = samples;
-        self
-    }
-
-    /// Which task kinds the planner emits (must stay non-empty).
-    pub fn kinds(mut self, kinds: TaskKindSet) -> Self {
-        self.cfg.plan.kinds = kinds;
-        self
-    }
-
-    /// Shorthand for the route-heavy ping-only workload.
-    pub fn pings_only(self) -> Self {
-        self.kinds(TaskKindSet::PINGS_ONLY)
-    }
-
-    pub fn artifacts(mut self, artifacts: ArtifactConfig) -> Self {
-        self.cfg.artifacts = artifacts;
-        self
-    }
-
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    /// Fault-injection profile (`--faults <profile>` on the CLI).
-    pub fn faults(mut self, profile: FaultProfile) -> Self {
-        self.cfg.faults = profile;
-        self
-    }
-
-    /// Attach an observability registry (`--metrics` on the CLI).
-    pub fn obs(mut self, obs: Obs) -> Self {
-        self.cfg.obs = obs;
-        self
-    }
-
-    /// Validate and return the configuration.
-    pub fn build(self) -> Result<CampaignConfig, MeasureError> {
-        let cfg = self.cfg;
-        if cfg.threads < 1 {
+    /// Reject a configuration that would plan nothing or panic the
+    /// planner, naming the offending field.
+    pub fn validate(&self) -> Result<(), MeasureError> {
+        let plan = &self.plan;
+        if self.threads < 1 {
             return Err(MeasureError::config("threads", "must be >= 1"));
         }
-        if cfg.plan.quota_per_day == 0 {
+        if plan.quota_per_day == 0 {
             return Err(MeasureError::config("quota_per_day", "must be non-zero"));
         }
-        if cfg.plan.kinds.is_empty() {
+        if plan.census_reserve > plan.quota_per_day {
+            return Err(MeasureError::config("census_reserve", "must not exceed quota_per_day"));
+        }
+        if plan.kinds.is_empty() {
             return Err(MeasureError::config(
                 "kinds",
                 "task-kind set is empty; enable pings and/or traceroutes",
             ));
         }
-        if cfg.plan.duration_days == 0 {
+        if plan.duration_days == 0 {
             return Err(MeasureError::config("duration_days", "must be >= 1"));
         }
-        if cfg.plan.cycle_days == 0 {
+        if plan.cycle_days == 0 {
             return Err(MeasureError::config("cycle_days", "must be >= 1"));
         }
-        if cfg.plan.samples_per_measurement == 0 {
+        if plan.samples_per_measurement == 0 {
             return Err(MeasureError::config("samples_per_measurement", "must be >= 1"));
         }
-        if cfg.plan.regions_per_probe == 0 {
+        if plan.regions_per_probe == 0 {
             return Err(MeasureError::config("regions_per_probe", "must be >= 1"));
         }
-        let f = &cfg.faults;
+        let f = &self.faults;
         let probs =
             [f.extra_loss, f.timeout_probability, f.rate_limit_probability, f.offline_probability];
         if probs.iter().any(|p| !(0.0..=1.0).contains(p)) {
@@ -199,7 +130,7 @@ impl CampaignConfigBuilder {
                 "offline window must satisfy 1 <= min <= max <= 24 hours",
             ));
         }
-        Ok(cfg)
+        Ok(())
     }
 }
 
@@ -273,17 +204,56 @@ struct FaultCtx {
     avail: Availability,
 }
 
-/// Execute a campaign for one platform population.
-pub fn run_campaign(cfg: &CampaignConfig, sim: &Simulator, pop: &Population) -> Dataset {
-    let schedule = plan::plan(&cfg.plan, pop);
-    execute(cfg, sim, pop, &schedule)
+impl FaultCtx {
+    /// Whether the task's hour falls in its probe's offline window for the
+    /// day. Windows are per (probe, day) and not retryable: the probe is
+    /// gone for hours, not one scheduler tick.
+    fn offline(&self, client: &ClientCtx, t: &plan::Task) -> bool {
+        self.avail
+            .offline_window(client.probe_hash, t.hour / 24, self.model.profile())
+            .is_some_and(|(start, end)| t.hour >= start && t.hour < end)
+    }
+
+    /// The injected fault for one attempt, counted by class.
+    fn draw(
+        &self,
+        client: &ClientCtx,
+        t: &plan::Task,
+        attempt: u32,
+        shard: &mut LocalShard,
+    ) -> FaultDraw {
+        let kind_tag = match t.kind {
+            TaskKind::Ping(_) => 0xD1A1u64,
+            TaskKind::Traceroute(_) => 0x7124CEu64,
+        };
+        let drawn =
+            self.model.draw(client.probe_hash, t.region.0 as u64, kind_tag, t.hour, t.seq, attempt);
+        shard.inc(match drawn {
+            FaultDraw::Deliver => "faults.draw.deliver",
+            FaultDraw::Lost => "faults.draw.lost",
+            FaultDraw::Timeout => "faults.draw.timeout",
+            FaultDraw::RateLimited => "faults.draw.rate_limited",
+        });
+        drawn
+    }
 }
 
-/// Plan and execute a campaign, streaming records into `sink`. Returns the
-/// campaign's failure accounting. Under the zero-fault profile the legacy
-/// semantics hold: intrinsically lost pings are *counted* as `lost` but
-/// produce no record; with a faulted profile every planned task produces a
-/// record and the stats reconcile exactly with the stored outcome tags.
+/// Plan and execute a campaign into an in-memory [`Dataset`].
+pub fn run_campaign(cfg: &CampaignConfig, sim: &Simulator, pop: &Population) -> Dataset {
+    let mut ds = Dataset::new(pop.platform);
+    run_campaign_into(cfg, sim, pop, &mut ds).expect("Dataset sink is infallible"); // audit:allow(expect)
+    ds
+}
+
+/// Plan and execute a campaign, streaming records into `sink` with bounded
+/// memory, and return its failure accounting. Without a fault profile an
+/// intrinsically lost ping is *counted* as `lost` but produces no record;
+/// with one, every planned task produces a record and the stats reconcile
+/// exactly with the stored outcome tags.
+///
+/// With `route_cache` on, the shared route cache is warmed from the whole
+/// plan first (see [`warm_route_cache`]), so worker blocks start from a
+/// fully populated cache instead of discovering pairs round by round.
 pub fn run_campaign_into(
     cfg: &CampaignConfig,
     sim: &Simulator,
@@ -291,74 +261,45 @@ pub fn run_campaign_into(
     sink: &mut impl RecordSink,
 ) -> Result<FailureStats, MeasureError> {
     let schedule = plan::plan(&cfg.plan, pop);
-    execute_into(cfg, sim, pop, &schedule, sink)
+    if cfg.route_cache {
+        warm_route_cache(sim, pop, &cfg.artifacts, &schedule.tasks);
+    }
+    execute_tasks_into(cfg, sim, pop, &schedule.tasks, sink)
 }
 
-/// Execute a pre-built plan into an in-memory [`Dataset`].
-pub fn execute(
-    cfg: &CampaignConfig,
-    sim: &Simulator,
-    pop: &Population,
-    schedule: &MeasurementPlan,
-) -> Dataset {
-    let mut ds = Dataset::new(pop.platform);
-    execute_into(cfg, sim, pop, schedule, &mut ds).expect("Dataset sink is infallible"); // audit:allow(expect)
-    ds
-}
-
-/// Run one task's bounded retry loop and return its final outcome (and, for
-/// traceroutes, the delivered hops). One attempt = one fault draw; a
-/// `Deliver` draw falls through to the simulator, whose sample may still be
-/// intrinsically lost or exceed the timeout budget. Wire-level failures
+/// Run one task's attempts and return its final outcome (and, for
+/// traceroutes, the delivered hops). Without a fault context the task gets
+/// one `Deliver` attempt. With one, each attempt is one fault draw; a
+/// `Deliver` draw falls through to the simulator, whose sample may still
+/// be intrinsically lost or exceed the timeout budget. Wire-level failures
 /// retry up to `max_retries` times with deterministic (virtual) backoff;
 /// every retry re-keys both the fault draw and the latency flow by the
 /// attempt number, so the whole loop is a pure function of task identity.
 fn run_attempts(
     sim: &Simulator,
-    fc: &FaultCtx,
+    faults: Option<&FaultCtx>,
     client: &ClientCtx,
     path: &RoutePath,
     t: &plan::Task,
     stats: &mut FailureStats,
     shard: &mut LocalShard,
 ) -> (TaskOutcome, Vec<HopRecord>) {
-    let profile = fc.model.profile();
+    let profile = faults.map_or(FaultProfile::none(), |fc| *fc.model.profile());
     let budget = profile.timeout_budget_ms;
-    let region_tag = t.region.0 as u64;
-    // Offline windows are per (probe, day) and not retryable: the probe is
-    // gone for hours, not one scheduler tick.
-    let day = t.hour / 24;
-    let offline = fc
-        .avail
-        .offline_window(client.probe_hash, day, profile)
-        .is_some_and(|(start, end)| t.hour >= start && t.hour < end);
-    if offline {
+    if faults.is_some_and(|fc| fc.offline(client, t)) {
         stats.record(&TaskOutcome::ProbeOffline);
         return (TaskOutcome::ProbeOffline, Vec::new());
     }
-    let (kind_tag, proto) = match t.kind {
-        TaskKind::Ping(p) => (0xD1A1u64, p),
-        TaskKind::Traceroute(p) => (0x7124CEu64, p),
-        // Inter-cloud tasks run in cloudy-intercloud's executor and are
-        // filtered out before the probe retry loop (see `run_block`).
-        TaskKind::CloudPing => unreachable!("CloudPing tasks never enter run_attempts"),
-    };
     let mut attempt = 0u32;
     let (outcome, hops) = loop {
-        let drawn = fc.model.draw(client.probe_hash, region_tag, kind_tag, t.hour, t.seq, attempt);
-        match drawn {
-            FaultDraw::Deliver => shard.inc("faults.draw.deliver"),
-            FaultDraw::Lost => shard.inc("faults.draw.lost"),
-            FaultDraw::Timeout => shard.inc("faults.draw.timeout"),
-            FaultDraw::RateLimited => shard.inc("faults.draw.rate_limited"),
-        }
+        let drawn = faults.map_or(FaultDraw::Deliver, |fc| fc.draw(client, t, attempt, shard));
         let result = match drawn {
             FaultDraw::RateLimited => (TaskOutcome::RateLimited, Vec::new()),
             FaultDraw::Lost => (TaskOutcome::Lost, Vec::new()),
             FaultDraw::Timeout => (TaskOutcome::Timeout(budget), Vec::new()),
             FaultDraw::Deliver => match t.kind {
-                TaskKind::Ping(_) => {
-                    match sim.ping_at_attempt(client, path, proto, t.seq, t.hour, attempt) {
+                TaskKind::Ping(proto) => {
+                    match sim.ping_at(client, path, proto, t.seq, t.hour, attempt) {
                         None => (TaskOutcome::Lost, Vec::new()),
                         Some(rtt) if budget > 0.0 && rtt >= budget => {
                             (TaskOutcome::Timeout(budget), Vec::new())
@@ -366,9 +307,9 @@ fn run_attempts(
                         Some(rtt) => (TaskOutcome::Ok(rtt), Vec::new()),
                     }
                 }
-                TaskKind::Traceroute(_) => {
+                TaskKind::Traceroute(proto) => {
                     let hops: Vec<HopRecord> = sim
-                        .traceroute_at_attempt(client, path, proto, t.seq, t.hour, attempt)
+                        .traceroute_at(client, path, proto, t.seq, t.hour, attempt)
                         .into_iter()
                         .map(HopRecord::from)
                         .collect();
@@ -381,7 +322,6 @@ fn run_attempts(
                         (outcome_for_hops(&hops), hops)
                     }
                 }
-                TaskKind::CloudPing => unreachable!("CloudPing tasks never enter run_attempts"),
             },
         };
         if !result.0.is_retryable() || attempt >= profile.max_retries {
@@ -389,7 +329,7 @@ fn run_attempts(
         }
         attempt += 1;
         stats.retries += 1;
-        stats.backoff_ms += fc.model.backoff_ms(attempt);
+        stats.backoff_ms += faults.map_or(0.0, |fc| fc.model.backoff_ms(attempt));
     };
     if outcome.is_ok() && attempt > 0 {
         stats.recovered += 1;
@@ -406,8 +346,8 @@ fn run_attempts(
 /// route once per pair — fetched through the simulator's shared
 /// [`cloudy_netsim::RouteCache`] as `Arc<RoutePath>` — then the tasks run
 /// in their original order, so the record stream is unchanged. Off, every
-/// task rebuilds its client and route from scratch (the legacy path the
-/// audit race check compares against).
+/// task rebuilds its client and route from scratch (the reference leg of
+/// the audit race check).
 #[allow(clippy::too_many_arguments)] // internal work unit; the coordinator is the only caller
 fn run_block(
     sim: &Simulator,
@@ -435,13 +375,6 @@ fn run_block(
     }
     let mut fresh: Option<(ClientCtx, RoutePath)> = None;
     for t in tasks {
-        if t.kind == TaskKind::CloudPing {
-            // Inter-cloud tasks belong to cloudy-intercloud's executor; a
-            // user-campaign plan never contains them. Skip defensively so a
-            // mixed task list cannot index the probe population with a
-            // region-roster index.
-            continue;
-        }
         let probe = &pop.probes[t.probe_ix as usize];
         let (client, path): (&ClientCtx, &RoutePath) = if route_cache {
             (&clients[&t.probe_ix], &routes[&(t.probe_ix, t.region)])
@@ -451,97 +384,42 @@ fn run_block(
             let (c, p) = fresh.insert((client, path));
             (c, p)
         };
-        let ep = sim.net.region(t.region);
-        if let Some(fc) = faults {
-            // Faulted mode: every planned task produces exactly one record
-            // carrying its final typed outcome, so failure counters
-            // reconcile with the stored outcome tags.
-            let (outcome, hops) = run_attempts(sim, fc, client, path, t, &mut stats, &mut shard);
-            match t.kind {
-                TaskKind::Ping(proto) => pings.push(PingRecord {
-                    probe: probe.id,
-                    platform: probe.platform,
-                    country: probe.country,
-                    continent: probe.continent,
-                    city: probe.city.clone(),
-                    isp: probe.isp,
-                    access: probe.access,
-                    region: t.region,
-                    provider: ep.region.provider,
-                    proto,
-                    outcome,
-                    hour: t.hour,
-                }),
-                TaskKind::Traceroute(proto) => traces.push(TracerouteRecord {
-                    probe: probe.id,
-                    platform: probe.platform,
-                    country: probe.country,
-                    continent: probe.continent,
-                    city: probe.city.clone(),
-                    isp: probe.isp,
-                    access: probe.access,
-                    region: t.region,
-                    provider: ep.region.provider,
-                    proto,
-                    src_ip: client.public_ip,
-                    hops,
-                    outcome,
-                    hour: t.hour,
-                }),
-                TaskKind::CloudPing => unreachable!("filtered at loop top"),
-            }
-            continue;
-        }
+        let (outcome, hops) = run_attempts(sim, faults, client, path, t, &mut stats, &mut shard);
+        let provider = sim.net.region(t.region).region.provider;
         match t.kind {
-            TaskKind::Ping(proto) => {
-                // Diurnal load + loss: timed-out pings produce no record,
-                // as on the real platform (legacy zero-fault semantics).
-                let Some(rtt) = sim.ping_at(client, path, proto, t.seq, t.hour) else {
-                    stats.lost += 1;
-                    continue;
-                };
-                stats.ok += 1;
-                pings.push(PingRecord {
-                    probe: probe.id,
-                    platform: probe.platform,
-                    country: probe.country,
-                    continent: probe.continent,
-                    city: probe.city.clone(),
-                    isp: probe.isp,
-                    access: probe.access,
-                    region: t.region,
-                    provider: ep.region.provider,
-                    proto,
-                    outcome: TaskOutcome::Ok(rtt),
-                    hour: t.hour,
-                });
-            }
-            TaskKind::Traceroute(proto) => {
-                let hops: Vec<HopRecord> = sim
-                    .traceroute_at(client, path, proto, t.seq, t.hour)
-                    .into_iter()
-                    .map(HopRecord::from)
-                    .collect();
-                stats.ok += 1;
-                let outcome = outcome_for_hops(&hops);
-                traces.push(TracerouteRecord {
-                    probe: probe.id,
-                    platform: probe.platform,
-                    country: probe.country,
-                    continent: probe.continent,
-                    city: probe.city.clone(),
-                    isp: probe.isp,
-                    access: probe.access,
-                    region: t.region,
-                    provider: ep.region.provider,
-                    proto,
-                    src_ip: client.public_ip,
-                    hops,
-                    outcome,
-                    hour: t.hour,
-                });
-            }
-            TaskKind::CloudPing => unreachable!("filtered at loop top"),
+            // Without a fault profile a lost ping leaves no record, as on
+            // the real platform; it is still counted in `stats.lost`.
+            TaskKind::Ping(_) if faults.is_none() && outcome == TaskOutcome::Lost => {}
+            TaskKind::Ping(proto) => pings.push(PingRecord {
+                probe: probe.id,
+                platform: probe.platform,
+                country: probe.country,
+                continent: probe.continent,
+                city: probe.city.clone(),
+                isp: probe.isp,
+                access: probe.access,
+                region: t.region,
+                provider,
+                proto,
+                outcome,
+                hour: t.hour,
+            }),
+            TaskKind::Traceroute(proto) => traces.push(TracerouteRecord {
+                probe: probe.id,
+                platform: probe.platform,
+                country: probe.country,
+                continent: probe.continent,
+                city: probe.city.clone(),
+                isp: probe.isp,
+                access: probe.access,
+                region: t.region,
+                provider,
+                proto,
+                src_ip: client.public_ip,
+                hops,
+                outcome,
+                hour: t.hour,
+            }),
         }
     }
     if shard.is_enabled() {
@@ -586,34 +464,15 @@ pub fn warm_route_cache(
     pairs.len()
 }
 
-/// Execute a pre-built plan, streaming records into `sink` with bounded
-/// memory.
+/// Execute a task slice through the block executor — the batching,
+/// route-cache, fault, and retry machinery of [`run_campaign_into`],
+/// minus planning and cache warming (warm once per plan, not per slice).
 ///
 /// Tasks are cut into fixed [`BLOCK_TASKS`]-sized blocks. Each round runs
 /// up to `threads` blocks on crossbeam scoped threads, then drains the
 /// round's results into the sink in block order — so at most
 /// `threads × BLOCK_TASKS` task results are ever buffered, and the sink
 /// sees records in plan order regardless of the thread count.
-///
-/// With `route_cache` on, the shared route cache is warmed from the whole
-/// plan first (see [`warm_route_cache`]), so worker blocks start from a
-/// fully populated cache instead of discovering pairs round by round.
-pub fn execute_into(
-    cfg: &CampaignConfig,
-    sim: &Simulator,
-    pop: &Population,
-    schedule: &MeasurementPlan,
-    sink: &mut impl RecordSink,
-) -> Result<FailureStats, MeasureError> {
-    if cfg.route_cache {
-        warm_route_cache(sim, pop, &cfg.artifacts, &schedule.tasks);
-    }
-    execute_tasks_into(cfg, sim, pop, &schedule.tasks, sink)
-}
-
-/// Execute an arbitrary task slice through the block executor — the same
-/// batching, route-cache, fault, and retry machinery as [`execute_into`],
-/// minus plan-level cache warming (warm once per plan, not per slice).
 ///
 /// This is the entry point service schedulers build on: a long campaign
 /// can be cut into bounded slices that interleave with other tenants'
@@ -906,6 +765,22 @@ mod tests {
         assert!(snap.gauge("route_cache.hits").is_some(), "cache totals folded in");
         let trace = obs.trace_json().unwrap_or_default();
         assert!(trace.contains("campaign.block"), "{trace}");
+
+        // Without a fault profile nothing is drawn, and the outcome
+        // counters are the returned stats: lost pings are counted, not
+        // recorded.
+        let obs = Obs::enabled();
+        let mut clean = Dataset::new(pop.platform);
+        let cfg = CampaignConfig { obs: obs.clone(), ..small_cfg(3) };
+        let stats = run_campaign_into(&cfg, &sim, &pop, &mut clean).unwrap();
+        assert_eq!(clean, run_campaign(&small_cfg(3), &sim, &pop));
+        let snap = obs.snapshot().unwrap_or_default();
+        assert!(snap.counters.keys().all(|k| !k.starts_with("faults.draw.")), "{snap:?}");
+        assert_eq!(snap.counter("campaign.outcome.ok"), stats.ok);
+        assert_eq!(snap.counter("campaign.outcome.lost"), stats.lost);
+        assert!(stats.lost > 0, "{stats:?}");
+        assert_eq!(stats.ok as usize, clean.pings.len() + clean.traces.len());
+        assert_eq!(stats.total(), snap.counter("campaign.tasks.executed"));
     }
 
     #[test]
@@ -983,75 +858,58 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_and_defaults_agree() {
-        let built = CampaignConfig::builder()
-            .seed(9)
-            .duration_days(3)
-            .threads(2)
-            .build()
-            .unwrap();
-        assert_eq!(built.plan.seed, 9);
-        assert_eq!(built.plan.duration_days, 3);
-        assert_eq!(built.threads, 2);
-        assert!(built.route_cache, "cache defaults on");
-        assert!(built.faults.is_none(), "faults default off");
+    fn validate_accepts_the_defaults_and_names_each_bad_field() {
+        let defaults = CampaignConfig::default();
+        assert!(defaults.route_cache, "cache defaults on");
+        assert!(defaults.faults.is_none(), "faults default off");
+        assert!(defaults.validate().is_ok());
+        assert!(faulted_cfg(2).validate().is_ok());
 
-        let err = CampaignConfig::builder()
-            .faults(FaultProfile { extra_loss: 1.5, ..FaultProfile::none() })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, MeasureError::Config { field: "faults", .. }), "{err}");
-        let err = CampaignConfig::builder()
-            .faults(FaultProfile {
-                timeout_probability: 0.1,
-                timeout_budget_ms: 0.0,
-                ..FaultProfile::none()
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, MeasureError::Config { field: "faults", .. }), "{err}");
-        let err = CampaignConfig::builder()
-            .faults(FaultProfile {
-                offline_probability: 0.1,
-                offline_min_hours: 6,
-                offline_max_hours: 2,
-                ..FaultProfile::none()
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, MeasureError::Config { field: "faults", .. }), "{err}");
-        assert!(CampaignConfig::builder()
-            .faults(FaultProfile::default_profile())
-            .build()
-            .is_ok());
-
-        let err = CampaignConfig::builder().threads(0).build().unwrap_err();
-        assert!(matches!(err, MeasureError::Config { field: "threads", .. }), "{err}");
-        let err = CampaignConfig::builder().quota_per_day(0).build().unwrap_err();
-        assert!(matches!(err, MeasureError::Config { field: "quota_per_day", .. }), "{err}");
-        let err = CampaignConfig::builder()
-            .kinds(crate::plan::TaskKindSet { pings: false, traceroutes: false, cloud_pings: false })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, MeasureError::Config { field: "kinds", .. }), "{err}");
-        let err = CampaignConfig::builder().duration_days(0).build().unwrap_err();
-        assert!(matches!(err, MeasureError::Config { field: "duration_days", .. }), "{err}");
-        let err = CampaignConfig::builder().samples_per_measurement(0).build().unwrap_err();
-        assert!(
-            matches!(err, MeasureError::Config { field: "samples_per_measurement", .. }),
-            "{err}"
+        let field_of = |cfg: CampaignConfig| match cfg.validate() {
+            Err(MeasureError::Config { field, .. }) => field,
+            other => panic!("expected a config error, got {other:?}"),
+        };
+        let plan_field = |plan| field_of(CampaignConfig { plan, ..small_cfg(2) });
+        let fault_field = |faults| field_of(CampaignConfig { faults, ..small_cfg(2) });
+        let none = FaultProfile::none();
+        assert_eq!(fault_field(FaultProfile { extra_loss: 1.5, ..none }), "faults");
+        let no_budget = FaultProfile { timeout_probability: 0.1, timeout_budget_ms: 0.0, ..none };
+        assert_eq!(fault_field(no_budget), "faults");
+        let inverted_window = FaultProfile {
+            offline_probability: 0.1,
+            offline_min_hours: 6,
+            offline_max_hours: 2,
+            ..none
+        };
+        assert_eq!(fault_field(inverted_window), "faults");
+        assert_eq!(field_of(small_cfg(0)), "threads");
+        let quota = |quota_per_day| PlanConfig { quota_per_day, ..Default::default() };
+        assert_eq!(plan_field(quota(0)), "quota_per_day");
+        // The default census reserve (6) exceeds this quota; the planner's
+        // `DailyQuota` would panic on it.
+        assert_eq!(plan_field(quota(3)), "census_reserve");
+        let no_kinds = plan::TaskKindSet { pings: false, traceroutes: false };
+        assert_eq!(plan_field(PlanConfig { kinds: no_kinds, ..Default::default() }), "kinds");
+        let no_days = PlanConfig { duration_days: 0, ..Default::default() };
+        assert_eq!(plan_field(no_days), "duration_days");
+        assert_eq!(plan_field(PlanConfig { cycle_days: 0, ..Default::default() }), "cycle_days");
+        assert_eq!(
+            plan_field(PlanConfig { samples_per_measurement: 0, ..Default::default() }),
+            "samples_per_measurement"
+        );
+        assert_eq!(
+            plan_field(PlanConfig { regions_per_probe: 0, ..Default::default() }),
+            "regions_per_probe"
         );
     }
 
     #[test]
-    fn pings_only_builder_runs_a_route_heavy_campaign() {
+    fn pings_only_config_runs_a_route_heavy_campaign() {
         let (sim, pop) = setup();
-        let cfg = CampaignConfig::builder()
-            .duration_days(2)
-            .threads(2)
-            .pings_only()
-            .build()
-            .unwrap();
+        let mut cfg = small_cfg(2);
+        cfg.plan.duration_days = 2;
+        cfg.plan.kinds = plan::TaskKindSet::PINGS_ONLY;
+        cfg.validate().unwrap();
         let ds = run_campaign(&cfg, &sim, &pop);
         assert!(!ds.pings.is_empty());
         assert!(ds.traces.is_empty());

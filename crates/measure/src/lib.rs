@@ -11,14 +11,17 @@
 //! * [`plan`] — the measurement schedule: four-hourly probe census, daily
 //!   API quota with census reserve, two-week country cycling, per-continent
 //!   region targeting with the §4.3 inter-continental additions (Africa →
-//!   EU+NA, South America → NA).
+//!   EU+NA, South America → NA). Every task is a probe's ping or
+//!   traceroute to one region.
 //! * [`campaign`] — deterministic parallel execution of a plan over the
 //!   simulator (crossbeam-sharded; results are identical regardless of
-//!   thread count), including the failure-aware path: under a
-//!   `netsim::FaultProfile` every task resolves to a typed
-//!   [`TaskOutcome`], retryable failures get bounded seeded retries with
-//!   exponential backoff, and [`FailureStats`] tallies the outcome of
-//!   every planned task thread-invariantly.
+//!   thread count). Every task runs through one attempt loop: without a
+//!   `netsim::FaultProfile` it gets a single attempt; under one it
+//!   resolves to a typed [`TaskOutcome`], and retryable failures get
+//!   bounded seeded retries with exponential backoff. [`FailureStats`]
+//!   tallies the outcome of every planned task thread-invariantly, and
+//!   [`CampaignConfig::validate`] rejects a configuration that would plan
+//!   nothing or panic the planner.
 //! * [`sink`] — the [`RecordSink`] trait: campaigns can stream records
 //!   into any sink (in-memory [`Dataset`], the `cloudy-store` columnar
 //!   writer, tees, counters) with bounded memory via
@@ -32,8 +35,8 @@ pub mod record;
 pub mod sink;
 
 pub use campaign::{
-    execute_into, execute_tasks_into, run_blocked, run_campaign, run_campaign_into,
-    warm_route_cache, CampaignConfig, CampaignConfigBuilder, FailureStats, BLOCK_TASKS,
+    execute_tasks_into, run_blocked, run_campaign, run_campaign_into, warm_route_cache,
+    CampaignConfig, FailureStats, BLOCK_TASKS,
 };
 pub use dataset::Dataset;
 pub use error::MeasureError;

@@ -26,17 +26,11 @@ use cloudy_probes::quota::QuotaResult;
 use cloudy_probes::{Availability, DailyQuota, Platform, Population};
 use serde::{Deserialize, Serialize};
 
-/// What a single task executes.
+/// What a single probe task executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TaskKind {
     Ping(Protocol),
     Traceroute(Protocol),
-    /// One region↔region measurement over *both* route planes (the
-    /// inter-cloud executor emits a private and a public record per task).
-    /// For these tasks `probe_ix` indexes the campaign's source-region
-    /// roster, not a probe population; the user-campaign planner never
-    /// emits them.
-    CloudPing,
 }
 
 /// Which task kinds the planner emits per granted measurement. The paper's
@@ -46,24 +40,17 @@ pub enum TaskKind {
 pub struct TaskKindSet {
     pub pings: bool,
     pub traceroutes: bool,
-    /// Inter-cloud region↔region pings. Off in every user-campaign preset;
-    /// only the inter-cloud plane turns it on.
-    pub cloud_pings: bool,
 }
 
 impl TaskKindSet {
-    pub const BOTH: TaskKindSet =
-        TaskKindSet { pings: true, traceroutes: true, cloud_pings: false };
-    pub const PINGS_ONLY: TaskKindSet =
-        TaskKindSet { pings: true, traceroutes: false, cloud_pings: false };
-    pub const TRACEROUTES_ONLY: TaskKindSet =
-        TaskKindSet { pings: false, traceroutes: true, cloud_pings: false };
-    pub const CLOUD_PINGS_ONLY: TaskKindSet =
-        TaskKindSet { pings: false, traceroutes: false, cloud_pings: true };
+    pub const BOTH: TaskKindSet = TaskKindSet { pings: true, traceroutes: true };
+    pub const PINGS_ONLY: TaskKindSet = TaskKindSet { pings: true, traceroutes: false };
+    pub const TRACEROUTES_ONLY: TaskKindSet = TaskKindSet { pings: false, traceroutes: true };
 
-    /// An empty set schedules nothing; builder validation rejects it.
+    /// An empty set schedules nothing; [`crate::CampaignConfig::validate`]
+    /// rejects it.
     pub fn is_empty(&self) -> bool {
-        !self.pings && !self.traceroutes && !self.cloud_pings
+        !self.pings && !self.traceroutes
     }
 }
 
@@ -402,7 +389,6 @@ mod tests {
             match t.kind {
                 TaskKind::Ping(proto) => assert_eq!(proto, Protocol::Tcp),
                 TaskKind::Traceroute(proto) => assert_eq!(proto, Protocol::Icmp),
-                TaskKind::CloudPing => panic!("user planner never emits CloudPing"),
             }
         }
     }
@@ -523,8 +509,7 @@ mod tests {
         let traces_only =
             plan(&PlanConfig { kinds: TaskKindSet::TRACEROUTES_ONLY, ..Default::default() }, &p);
         assert!(traces_only.tasks.iter().all(|t| matches!(t.kind, TaskKind::Traceroute(_))));
-        assert!(TaskKindSet { pings: false, traceroutes: false, cloud_pings: false }.is_empty());
-        assert!(!TaskKindSet::CLOUD_PINGS_ONLY.is_empty());
+        assert!(TaskKindSet { pings: false, traceroutes: false }.is_empty());
         assert_eq!(TaskKindSet::default(), TaskKindSet::BOTH);
     }
 

@@ -101,7 +101,7 @@ impl<A: RecordSink, B: RecordSink> RecordSink for TeeSink<'_, A, B> {
 pub struct CountingSink {
     pub pings: u64,
     pub traces: u64,
-    pub cloud_pings: u64,
+    pub clouds: u64,
 }
 
 impl RecordSink for CountingSink {
@@ -116,7 +116,7 @@ impl RecordSink for CountingSink {
     }
 
     fn sink_cloud(&mut self, _r: CloudPingRecord) -> Result<(), MeasureError> {
-        self.cloud_pings += 1;
+        self.clouds += 1;
         Ok(())
     }
 }

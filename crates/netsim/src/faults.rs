@@ -30,7 +30,8 @@ use rand::Rng;
 const FAULT_SALT: u64 = 0xFA17;
 
 /// Calibration knobs for one fault profile. All-zero (`none`) disables the
-/// layer entirely and the executor takes the legacy zero-fault path.
+/// layer entirely: the executor builds no fault model and gives each task a
+/// single attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Extra per-attempt loss probability on top of the intrinsic path loss.
@@ -56,8 +57,9 @@ pub struct FaultProfile {
 }
 
 impl FaultProfile {
-    /// The zero-fault profile: no injected failures, no retries. Campaigns
-    /// run the exact legacy path and produce byte-identical output.
+    /// The zero-fault profile: no injected failures, no retries and no
+    /// fault draws. Each campaign task gets one attempt, and a lost ping
+    /// leaves no record.
     pub fn none() -> Self {
         FaultProfile {
             extra_loss: 0.0,
@@ -105,7 +107,8 @@ impl FaultProfile {
         }
     }
 
-    /// True when every fault channel is disabled (the legacy path).
+    /// True when every fault channel is disabled, so the executor draws
+    /// no faults.
     pub fn is_none(&self) -> bool {
         self.extra_loss == 0.0
             && self.timeout_probability == 0.0

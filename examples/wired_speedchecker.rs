@@ -17,7 +17,7 @@ use cloudy::analysis::report::{ms, Table};
 use cloudy::analysis::{nearest, stats};
 use cloudy::cloud::region;
 use cloudy::geo::Continent;
-use cloudy::lastmile::{AccessType, ArtifactConfig};
+use cloudy::lastmile::AccessType;
 use cloudy::measure::campaign::{run_campaign, CampaignConfig};
 use cloudy::measure::plan::PlanConfig;
 use cloudy::netsim::build::{build, WorldConfig};
@@ -38,12 +38,9 @@ fn main() {
     );
     let at = atlas::population(&world, 0.25, seed ^ 0xA7);
     let sim = Simulator::new(world.net);
-    let cfg = CampaignConfig::builder()
-        .plan(PlanConfig { seed, duration_days: 8, min_probes_per_country: 2, ..Default::default() })
-        .artifacts(ArtifactConfig::realistic())
-        .threads(8)
-        .build()
-        .expect("a valid campaign config");
+    let plan = PlanConfig { seed, duration_days: 8, min_probes_per_country: 2, ..Default::default() };
+    // Default artifacts: realistic CGN/VPN shares.
+    let cfg = CampaignConfig { plan, threads: 8, ..Default::default() };
     println!("running mixed-access Speedchecker + Atlas campaigns...\n");
     let sc_ds = run_campaign(&cfg, &sim, &sc);
     let at_ds = run_campaign(&cfg, &sim, &at);

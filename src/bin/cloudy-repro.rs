@@ -15,7 +15,7 @@
 
 use cloudy::core::experiments::{self, ExperimentId};
 use cloudy::core::{run_study_into, Study, StudyConfig};
-use cloudy::measure::{CampaignConfig, Dataset};
+use cloudy::measure::{CampaignConfig, Dataset, TaskKindSet};
 use cloudy::netsim::{FaultProfile, Simulator};
 use cloudy::obs::Obs;
 use cloudy::probes::{Platform, Population};
@@ -418,13 +418,12 @@ fn speedchecker_campaign(
     obs: &Obs,
     pings_only: bool,
 ) -> CliResult<(CampaignConfig, Simulator, Population)> {
-    let builder = CampaignConfig::builder()
-        .plan(cfg.campaign_config().plan)
-        .artifacts(cfg.artifacts)
-        .threads(cfg.threads)
-        .faults(cfg.faults)
-        .obs(obs.clone());
-    let campaign = if pings_only { builder.pings_only() } else { builder }.build()?;
+    let mut campaign = cfg.campaign_config();
+    campaign.obs = obs.clone();
+    if pings_only {
+        campaign.plan.kinds = TaskKindSet::PINGS_ONLY;
+    }
+    campaign.validate()?;
     let world = cfg.build_world();
     let pop = cfg.sc_population(&world);
     Ok((campaign, Simulator::new(world.net), pop))
