@@ -484,10 +484,10 @@ fn render_groups(table: &cloudy_store::GroupTable) -> String {
 /// The query-engine legs of the matrix, run against the campaign's store
 /// bytes: (1) `Query::rows` at 1 and N threads must equal a reference
 /// built by decoding *full records* and projecting by hand — the
-/// decode-then-filter path the pushdown engine replaced; (2) a
-/// `Query::grouped` country×provider aggregation must be bit-identical at
-/// 1 and N threads (P² is order-sensitive, so this proves the parallel
-/// merge preserves the serial observation sequence).
+/// decode-then-filter path the pushdown engine replaced; (2) `Query::grouped`
+/// country×provider and country×region aggregations must be bit-identical
+/// at 1 and N threads (P² is order-sensitive, so this proves the parallel
+/// fold preserves each group's serial observation sequence).
 fn query_legs(report: &mut AuditReport, store_bytes: &[u8], threads: usize) {
     use cloudy_store::{Agg, ChunkRows, GroupKey, Query, Reader, RecordKind, RttRow};
 
@@ -574,40 +574,47 @@ fn query_legs(report: &mut AuditReport, store_bytes: &[u8], threads: usize) {
             }
         }
     }
-    // Grouped leg: in-scan aggregation must be thread-count-invariant.
-    let grouped_at = |t: usize| {
-        Query::rtts()
-            .group_by(GroupKey::CountryProvider)
-            .aggregate(Agg::Moments | Agg::P2Quantiles)
-            .threads(t)
-            .grouped(&reader)
-    };
-    report.checks_run += 1;
-    match (grouped_at(1), grouped_at(threads)) {
-        (Ok((serial, _)), Ok((parallel, _))) => {
-            let (rs, rp) = (render_groups(&serial), render_groups(&parallel));
-            if rs.is_empty() {
-                report.push(
-                    Severity::Error,
-                    "race",
-                    "grouped query leg aggregated no groups — nothing race-checked".into(),
-                );
+    // Grouped legs: in-scan aggregation must be thread-count-invariant,
+    // for country×provider and for Fig. 3's country×region.
+    for key in [GroupKey::CountryProvider, GroupKey::CountryRegion] {
+        let grouped_at = |t: usize| {
+            Query::rtts()
+                .group_by(key)
+                .aggregate(Agg::Moments | Agg::P2Quantiles)
+                .threads(t)
+                .grouped(&reader)
+        };
+        report.checks_run += 1;
+        match (grouped_at(1), grouped_at(threads)) {
+            (Ok((serial, _)), Ok((parallel, _))) => {
+                let (rs, rp) = (render_groups(&serial), render_groups(&parallel));
+                if rs.is_empty() {
+                    report.push(
+                        Severity::Error,
+                        "race",
+                        format!(
+                            "{key:?} grouped query leg aggregated no groups — nothing \
+                             race-checked"
+                        ),
+                    );
+                }
+                if rs != rp {
+                    report.push(
+                        Severity::Error,
+                        "race",
+                        format!(
+                            "{key:?} grouped pushdown query diverges across thread counts (fnv1a \
+                             {:016x} vs {:016x}) — the parallel fold reordered observations",
+                            fnv1a(rs.as_bytes()),
+                            fnv1a(rp.as_bytes()),
+                        ),
+                    );
+                }
             }
-            if rs != rp {
-                report.push(
-                    Severity::Error,
-                    "race",
-                    format!(
-                        "grouped pushdown query diverges across thread counts (fnv1a {:016x} \
-                         vs {:016x}) — the parallel merge reordered observations",
-                        fnv1a(rs.as_bytes()),
-                        fnv1a(rp.as_bytes()),
-                    ),
-                );
+            (Err(e), _) | (_, Err(e)) => {
+                let msg = format!("{key:?} grouped query leg failed: {e}");
+                report.push(Severity::Error, "race", msg);
             }
-        }
-        (Err(e), _) | (_, Err(e)) => {
-            report.push(Severity::Error, "race", format!("grouped query leg failed: {e}"));
         }
     }
 }

@@ -21,15 +21,25 @@
 //!   output *or* its predicates) are decoded; everything else is skipped
 //!   as length-prefixed blocks.
 //! * **Aggregation pushdown** — grouped terminals fold rows into
-//!   per-group Welford/P²/exact accumulators inside the scan; no row
-//!   vector is ever materialized on the serial grouped path.
+//!   per-group Welford/P²/exact accumulators inside the scan. A scan
+//!   worker maps each row's group to a dense slot (first-seen order,
+//!   through a per-worker hash map) and buffers one 16-byte `(slot,
+//!   value)` pair per matched row. One worker folds its buffer after every
+//!   chunk, so a serial group-by holds O(groups) plus one chunk; `n`
+//!   workers buffer their whole shards, at most 16 B per matched row.
 //!
-//! Determinism contract: every terminal's result is bit-identical for any
-//! `threads` value. Parallel workers produce per-shard buffers in
-//! directory order; the merge folds them back in directory order, so each
-//! accumulator sees the exact observation sequence the serial scan feeds
-//! it. The `Query` plan is a runtime-only shape — it never serializes, so
-//! the file format and `wire.lock` are untouched.
+//! Parallel scans cut the survivor chunks into contiguous shards of about
+//! equal body bytes, one per worker. Determinism contract: every
+//! terminal's result is bit-identical for any `threads` value. Row
+//! terminals append the shards' buffers in directory order. Grouped
+//! terminals fold on the same worker threads once every shard is
+//! scanned: the sorted union of the shards' groups is cut into contiguous
+//! ranges of about equal row counts, and each worker walks every shard's
+//! buffer in directory order, folding only the groups in its range. P² is
+//! order-sensitive only *within* a group, so each accumulator still sees
+//! the exact observation sequence the serial scan feeds it. The `Query`
+//! plan is a runtime-only shape — it never serializes, so the file format
+//! and `wire.lock` are untouched.
 
 use crate::agg::{Moments, P2Quantile};
 use crate::chunk::{self, ChunkMeta, ChunkScan, ProjRow, ProjSpec, RowPred, RttRow};
@@ -40,8 +50,10 @@ use cloudy_cloud::{Provider, RegionId, RouteClass};
 use cloudy_geo::CountryCode;
 use cloudy_obs::LocalShard;
 use cloudy_topology::Asn;
-use std::collections::BTreeMap;
-use std::ops::BitOr;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::ops::{BitOr, Range};
+use std::sync::{Barrier, OnceLock};
 
 /// What a grouped query groups rows by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +71,9 @@ pub enum GroupKey {
 }
 
 /// One group's identity in a grouped result. Ordered (and `BTreeMap`-keyed)
-/// so grouped results iterate deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// so grouped results iterate deterministically; hashed only by a scan's
+/// private group-slot maps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GroupId {
     Provider(Provider),
     Country(CountryCode),
@@ -378,9 +391,9 @@ impl Query {
         }
     }
 
-    /// Footer-level plan: the survivor chunks, initial stats, and the
-    /// effective worker count.
-    fn plan<'a>(&self, reader: &'a Reader) -> (Vec<&'a ChunkMeta>, ScanStats, usize) {
+    /// Plan a scan: the footer survivors, the stats so far, the clamped
+    /// worker count, and the kernel's predicate and projection.
+    fn plan<'a>(&self, reader: &'a Reader, proj: ProjSpec) -> Scan<'a> {
         let filter = self.scan_filter();
         let mut stats = ScanStats { chunks_total: reader.chunks().len(), ..Default::default() };
         let survivors: Vec<&ChunkMeta> = reader
@@ -390,7 +403,7 @@ impl Query {
             .collect();
         stats.chunks_pruned = stats.chunks_total - survivors.len();
         let workers = effective_workers(self.threads, survivors.len());
-        (survivors, stats, workers)
+        Scan { reader, survivors, stats, workers, pred: self.row_pred(), proj }
     }
 
     /// Stream the projected rows matching this query through `f`,
@@ -402,9 +415,7 @@ impl Query {
         reader: &Reader,
         mut f: impl FnMut(ProjRow),
     ) -> Result<ScanStats, StoreError> {
-        let (survivors, mut stats, _) = self.plan(reader);
-        let pred = self.row_pred();
-        let proj = ProjSpec::rtt_row();
+        let Scan { survivors, mut stats, pred, proj, .. } = self.plan(reader, ProjSpec::rtt_row());
         let span = reader.obs_handle().now();
         for m in &survivors {
             let scan = scan_chunk(reader, m, &pred, proj, &mut f)?;
@@ -418,24 +429,7 @@ impl Query {
     /// Materialize the matching rows of the [`RttRow`] projection, in
     /// directory order, identical for any thread count.
     pub fn rows(&self, reader: &Reader) -> Result<(Vec<RttRow>, ScanStats), StoreError> {
-        let (survivors, stats, workers) = self.plan(reader);
-        let pred = self.row_pred();
-        let proj = ProjSpec::rtt_row();
-        let (shards, stats) = run_scan(
-            reader,
-            &survivors,
-            stats,
-            workers,
-            &pred,
-            proj,
-            Vec::with_capacity,
-            |out: &mut Vec<RttRow>, row| out.push(row.to_rtt_row()),
-        )?;
-        let mut out = Vec::with_capacity(shards.iter().map(Vec::len).sum());
-        for mut shard in shards {
-            out.append(&mut shard);
-        }
-        Ok((out, stats))
+        self.collect(reader, ProjSpec::rtt_row(), |out, row| out.push(row.to_rtt_row()))
     }
 
     /// Materialize just the matching RTT values (no other column decoded
@@ -443,34 +437,39 @@ impl Query {
     /// quantile code: the multiset and order equal a full decode followed
     /// by a hand-written projection, bit for bit.
     pub fn values(&self, reader: &Reader) -> Result<(Vec<f64>, ScanStats), StoreError> {
-        let (survivors, stats, workers) = self.plan(reader);
-        let pred = self.row_pred();
-        let proj = ProjSpec::default();
-        let (shards, stats) = run_scan(
-            reader,
-            &survivors,
-            stats,
-            workers,
-            &pred,
-            proj,
-            Vec::with_capacity,
-            |out: &mut Vec<f64>, row| out.push(row.rtt_ms),
-        )?;
-        let mut out = Vec::with_capacity(shards.iter().map(Vec::len).sum());
+        self.collect(reader, ProjSpec::default(), |out, row| out.push(row.rtt_ms))
+    }
+
+    /// [`Query::rows`] and [`Query::values`]: per-shard vectors, appended
+    /// in directory order.
+    fn collect<T: Send + Sync>(
+        &self,
+        reader: &Reader,
+        proj: ProjSpec,
+        emit: impl Fn(&mut Vec<T>, ProjRow) + Sync,
+    ) -> Result<(Vec<T>, ScanStats), StoreError> {
+        let (shards, _, stats): (_, Vec<()>, _) =
+            self.plan(reader, proj).run(Vec::with_capacity, emit, None)?;
+        let mut shards = shards.into_iter();
+        let mut out = shards.next().unwrap_or_default();
         for mut shard in shards {
             out.append(&mut shard);
         }
         Ok((out, stats))
     }
 
-    /// Execute the group-by with aggregation pushed into the scan. The
-    /// serial path streams every row straight into its group's
-    /// accumulator — no row vector exists at any point (unless
-    /// [`Agg::ExactQuantiles`] asks for per-group values). Parallel
-    /// workers emit `(group, value)` pairs per shard; the merge folds the
-    /// shards back in directory order, so every accumulator sees the
-    /// serial observation sequence and the result is bit-identical for
-    /// any thread count.
+    /// Execute the group-by with aggregation pushed into the scan. Each
+    /// scan worker gives every group it meets a dense slot, numbered in
+    /// first-seen order, and buffers one `(slot, value)` pair per matched
+    /// row; no ordered map is touched per row. One worker folds its buffer
+    /// into the groups' accumulators after every chunk, so memory stays
+    /// O(groups) plus one chunk (unless [`Agg::ExactQuantiles`] asks for
+    /// per-group values). `n` workers buffer their whole shards (at most
+    /// 16 B per matched row), then each folds a contiguous range of the
+    /// sorted groups holding about 1/n of the rows, walking every shard's
+    /// buffer in directory order. Either way every accumulator sees the
+    /// serial observation sequence, so the result is bit-identical for any
+    /// thread count.
     ///
     /// Errors unless [`Query::group_by`] was set.
     pub fn grouped(&self, reader: &Reader) -> Result<(GroupTable, ScanStats), StoreError> {
@@ -483,88 +482,18 @@ impl Query {
                  .kind(RecordKind::CloudPing) or .route(..)",
             ));
         }
-        let agg = self.agg;
-        let (survivors, stats, workers) = self.plan(reader);
-        let pred = self.row_pred();
-        let proj = group_proj(key);
-        let mut groups: BTreeMap<GroupId, GroupAccum> = BTreeMap::new();
-        let stats = if workers <= 1 {
-            let span = reader.obs_handle().now();
-            let mut stats = stats;
-            for m in &survivors {
-                let scan = scan_chunk(reader, m, &pred, proj, &mut |row: ProjRow| {
-                    groups
-                        .entry(group_id(key, &row))
-                        .or_insert_with(GroupAccum::new)
-                        .observe(agg, row.rtt_ms);
-                })?;
-                apply_scan(&mut stats, m, scan);
-            }
-            reader.obs_handle().record_span("store.scan", span, 0);
-            reader.export_scan_stats(&stats);
-            stats
-        } else {
-            let (shards, stats) = run_scan(
-                reader,
-                &survivors,
-                stats,
-                workers,
-                &pred,
-                proj,
-                Vec::with_capacity,
-                |out: &mut Vec<(GroupId, f64)>, row| out.push((group_id(key, &row), row.rtt_ms)),
-            )?;
-            for shard in shards {
-                for (id, x) in shard {
-                    groups.entry(id).or_insert_with(GroupAccum::new).observe(agg, x);
-                }
-            }
-            stats
-        };
-        let table: GroupTable = groups.into_iter().map(|(k, a)| (k, a.finish(agg))).collect();
-        Ok((table, stats))
+        let (groups, stats) =
+            self.plan(reader, group_proj(key)).fold_groups(self.agg, |row| group_id(key, row))?;
+        Ok((groups.into_iter().collect(), stats))
     }
 
-    /// One ungrouped [`GroupRow`] over every matching row — the whole
-    /// query folded into a single accumulator, observation order equal to
-    /// the serial scan for any thread count.
+    /// One ungrouped [`GroupRow`] over every matching row: the one-group
+    /// case of [`Query::grouped`]'s scan and fold, so its observation
+    /// order equals the serial scan for any thread count.
     pub fn summary(&self, reader: &Reader) -> Result<(GroupRow, ScanStats), StoreError> {
-        let agg = self.agg;
-        let (survivors, stats, workers) = self.plan(reader);
-        let pred = self.row_pred();
-        let proj = ProjSpec::default();
-        let mut acc = GroupAccum::new();
-        let stats = if workers <= 1 {
-            let span = reader.obs_handle().now();
-            let mut stats = stats;
-            for m in &survivors {
-                let scan = scan_chunk(reader, m, &pred, proj, &mut |row: ProjRow| {
-                    acc.observe(agg, row.rtt_ms);
-                })?;
-                apply_scan(&mut stats, m, scan);
-            }
-            reader.obs_handle().record_span("store.scan", span, 0);
-            reader.export_scan_stats(&stats);
-            stats
-        } else {
-            let (shards, stats) = run_scan(
-                reader,
-                &survivors,
-                stats,
-                workers,
-                &pred,
-                proj,
-                Vec::with_capacity,
-                |out: &mut Vec<f64>, row| out.push(row.rtt_ms),
-            )?;
-            for shard in shards {
-                for x in shard {
-                    acc.observe(agg, x);
-                }
-            }
-            stats
-        };
-        Ok((acc.finish(agg), stats))
+        let (groups, stats) = self.plan(reader, ProjSpec::default()).fold_groups(self.agg, |_| ())?;
+        let row = groups.into_iter().next().map(|((), row)| row);
+        Ok((row.unwrap_or_else(|| GroupAccum::new().finish(self.agg)), stats))
     }
 }
 
@@ -633,101 +562,417 @@ fn apply_scan(stats: &mut ScanStats, m: &ChunkMeta, scan: ChunkScan) {
     }
 }
 
-/// One parallel worker's output: per-chunk scan outcomes aligned with its
-/// shard, the shard accumulator, and the worker's metric shard.
-type WorkerOut<A> = (Result<(Vec<ChunkScan>, A), StoreError>, LocalShard);
-
-/// Shared scan driver: run the pushdown kernel over the survivors into
-/// per-shard accumulators. One effective worker runs inline on the
-/// caller's thread (span tid 0, like [`Reader::for_each`]); otherwise shards
-/// are scanned on crossbeam scoped threads and merged in worker order, so
-/// the returned shard list concatenates to directory order and obs
-/// snapshots stay deterministic.
-#[allow(clippy::too_many_arguments)]
-fn run_scan<A, Mk, Em>(
-    reader: &Reader,
-    survivors: &[&ChunkMeta],
-    mut stats: ScanStats,
+/// A planned scan (see [`Query::plan`]): what [`Scan::run`] executes.
+struct Scan<'a> {
+    reader: &'a Reader,
+    survivors: Vec<&'a ChunkMeta>,
+    stats: ScanStats,
     workers: usize,
-    pred: &RowPred,
+    pred: RowPred,
     proj: ProjSpec,
-    make: Mk,
-    emit: Em,
-) -> Result<(Vec<A>, ScanStats), StoreError>
-where
-    A: Send,
-    Mk: Fn(usize) -> A + Sync,
-    Em: Fn(&mut A, ProjRow) + Sync,
-{
-    // At most the file size: `Reader::from_bytes` rejects chunks that
-    // overlap or hold more rows than bytes.
-    let row_cap =
-        |chunks: &[&ChunkMeta]| chunks.iter().map(|m| m.footer.rows as usize).sum::<usize>();
+}
 
-    if workers <= 1 {
-        let span = reader.obs_handle().now();
-        let mut acc = make(row_cap(survivors));
-        for m in survivors {
-            let scan = scan_chunk(reader, m, pred, proj, &mut |row| emit(&mut acc, row))?;
-            apply_scan(&mut stats, m, scan);
+/// What one call of a scan's fold sees.
+enum FoldIn<'s, A> {
+    /// One worker: its shard, right after each chunk's scan.
+    Chunk(&'s mut A),
+    /// Worker `w` of `shards.len()`, once every shard is scanned: all the
+    /// shards, in directory order.
+    Shards { w: usize, shards: &'s [&'s A] },
+}
+
+/// A scan's fold: feeds shards into a per-worker part.
+type Fold<'f, A, B> = &'f (dyn Fn(&mut B, FoldIn<'_, A>) + Sync);
+
+/// One parallel worker's output: per-chunk scan outcomes aligned with its
+/// shard, its fold part (when every shard scanned cleanly), and its metric
+/// shard. The shard itself is left in the worker's cell for the folds.
+type WorkerOut<B> = (Result<Vec<ChunkScan>, StoreError>, Option<B>, LocalShard);
+
+/// Waits at the barrier when dropped, so a worker that panics mid-scan
+/// still releases the others; its panic then surfaces at `join`.
+struct Arrive<'a>(&'a Barrier);
+
+impl Drop for Arrive<'_> {
+    fn drop(&mut self) {
+        self.0.wait();
+    }
+}
+
+impl Scan<'_> {
+    /// The one scan driver: run the pushdown kernel over the survivors
+    /// into per-shard accumulators made by `make` (given a row capacity)
+    /// and filled by `emit`, then `fold` them into per-worker parts.
+    ///
+    /// One effective worker runs inline on the caller's thread (span tid
+    /// 0, like [`Reader::for_each`]) and folds after every chunk. Otherwise
+    /// the survivors are cut into contiguous shards of about equal body
+    /// bytes and scanned on crossbeam scoped threads; once every shard is
+    /// scanned, each of the same threads folds once. Shards, parts and
+    /// metric shards come back in worker order, so they concatenate to
+    /// directory order and obs snapshots stay deterministic. Each fold
+    /// call is a `store.fold` span on its worker's tid.
+    fn run<A, B>(
+        self,
+        make: impl Fn(usize) -> A + Sync,
+        emit: impl Fn(&mut A, ProjRow) + Sync,
+        fold: Option<Fold<'_, A, B>>,
+    ) -> Result<(Vec<A>, Vec<B>, ScanStats), StoreError>
+    where
+        A: Send + Sync,
+        B: Default + Send,
+    {
+        let Scan { reader, survivors, mut stats, workers, pred, proj } = self;
+        let obs = reader.obs_handle();
+        // At most the file size: `Reader::from_bytes` rejects chunks that
+        // overlap or hold more rows than bytes.
+        let row_cap =
+            |chunks: &[&ChunkMeta]| chunks.iter().map(|m| m.footer.rows as usize).sum::<usize>();
+
+        if workers <= 1 {
+            let span = obs.now();
+            // A folded shard is drained after every chunk.
+            let cap = match fold {
+                Some(_) => survivors.iter().map(|m| m.footer.rows as usize).max().unwrap_or(0),
+                None => row_cap(&survivors),
+            };
+            let mut acc = make(cap);
+            let mut part = B::default();
+            for m in &survivors {
+                let scan = scan_chunk(reader, m, &pred, proj, &mut |row| emit(&mut acc, row))?;
+                apply_scan(&mut stats, m, scan);
+                if let Some(fold) = fold {
+                    let span = obs.now();
+                    fold(&mut part, FoldIn::Chunk(&mut acc));
+                    obs.record_span("store.fold", span, 0);
+                }
+            }
+            obs.record_span("store.scan", span, 0);
+            reader.export_scan_stats(&stats);
+            return Ok((vec![acc], vec![part], stats));
         }
-        reader.obs_handle().record_span("store.scan", span, 0);
+
+        let bytes: Vec<u64> = survivors.iter().map(|m| m.len).collect();
+        let shards: Vec<&[&ChunkMeta]> = weighted_cuts(&bytes, workers)
+            .into_iter()
+            .filter(|r| !r.is_empty())
+            .map(|r| &survivors[r])
+            .collect();
+        let cells: Vec<OnceLock<A>> = shards.iter().map(|_| OnceLock::new()).collect();
+        let barrier = Barrier::new(shards.len());
+        let results: Vec<WorkerOut<B>> = crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = shards
+                .iter()
+                .enumerate()
+                .map(|(w, shard)| {
+                    let (make, emit, pred) = (&make, &emit, &pred);
+                    let (cells, barrier) = (&cells, &barrier);
+                    let mut obs_shard = obs.local();
+                    s.spawn(move |_| {
+                        // Trace lanes: 0 is the caller, workers count from 1.
+                        let tid = u32::try_from(w + 1).unwrap_or(u32::MAX);
+                        let scans = {
+                            let _arrive = fold.map(|_| Arrive(barrier));
+                            let span = obs_shard.now();
+                            let mut acc = make(row_cap(shard));
+                            let mut emit = |row| emit(&mut acc, row);
+                            let scans = shard
+                                .iter()
+                                .map(|m| scan_chunk(reader, m, pred, proj, &mut emit))
+                                .collect::<Result<Vec<_>, _>>();
+                            obs_shard.record_span("store.scan", span, tid);
+                            if scans.is_ok() {
+                                cells[w].get_or_init(|| acc);
+                            }
+                            scans
+                        };
+                        // A shard that failed to scan leaves its cell empty:
+                        // then no worker folds, and the error is returned.
+                        let part = fold.and_then(|fold| {
+                            let all: Vec<&A> =
+                                cells.iter().map(OnceLock::get).collect::<Option<_>>()?;
+                            let span = obs_shard.now();
+                            let mut part = B::default();
+                            fold(&mut part, FoldIn::Shards { w, shards: &all });
+                            obs_shard.record_span("store.fold", span, tid);
+                            Some(part)
+                        });
+                        (scans, part, obs_shard)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect() // audit:allow(expect)
+        })
+        .expect("crossbeam scope"); // audit:allow(expect)
+
+        let (mut accs, mut parts) = (Vec::with_capacity(shards.len()), Vec::new());
+        let mut first_err = None;
+        for ((shard, cell), (scans, part, obs_shard)) in shards.iter().zip(cells).zip(results) {
+            obs.merge(obs_shard);
+            match scans {
+                Ok(scans) => {
+                    for (m, scan) in shard.iter().zip(scans) {
+                        apply_scan(&mut stats, m, scan);
+                    }
+                }
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
+            accs.extend(cell.into_inner());
+            parts.extend(part);
+        }
+        if let Some(e) = first_err {
+            return Err(e);
+        }
         reader.export_scan_stats(&stats);
-        return Ok((vec![acc], stats));
+        Ok((accs, parts, stats))
     }
 
-    let per = survivors.len().div_ceil(workers).max(1);
-    let shards: Vec<&[&ChunkMeta]> = survivors.chunks(per).collect();
-    let shard_results: Vec<WorkerOut<A>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = shards
+    /// [`Query::grouped`] and [`Query::summary`]'s driver: scan into dense
+    /// per-worker group slots keyed by `key`, fold every slot's values into
+    /// its group's accumulator, and return each group's finished row (in no
+    /// particular order). See [`Query::grouped`] for the fold's shape.
+    fn fold_groups<K>(
+        self,
+        agg: AggSet,
+        key: impl Fn(&ProjRow) -> K + Sync,
+    ) -> Result<(Vec<(K, GroupRow)>, ScanStats), StoreError>
+    where
+        K: Copy + Ord + Hash + Send + Sync,
+    {
+        let plan = OnceLock::new();
+        let fold = |part: &mut Vec<(K, GroupAccum)>, input: FoldIn<'_, Slots<K>>| match input {
+            FoldIn::Chunk(slots) => {
+                // One worker: slots are the accumulators' indices.
+                part.extend(slots.keys[part.len()..].iter().map(|&k| (k, GroupAccum::new())));
+                fold_pairs(agg, &slots.pairs, |slot| slot, 0, part);
+                slots.pairs.clear();
+            }
+            FoldIn::Shards { w, shards } => {
+                let plan = plan.get_or_init(|| FoldPlan::new(shards));
+                let mine = plan.cuts[w].clone();
+                if mine.is_empty() {
+                    return;
+                }
+                part.extend(plan.keys[mine.clone()].iter().map(|&k| (k, GroupAccum::new())));
+                for (shard, ranks) in shards.iter().zip(&plan.ranks) {
+                    fold_pairs(agg, &shard.pairs, |slot| ranks[slot], mine.start, part);
+                }
+            }
+        };
+        let (_, parts, stats) = self.run(
+            Slots::with_capacity,
+            |slots: &mut Slots<K>, row| slots.push(key(&row), row.rtt_ms),
+            Some(&fold),
+        )?;
+        let groups = parts.into_iter().flatten().map(|(k, acc)| (k, acc.finish(agg))).collect();
+        Ok((groups, stats))
+    }
+}
+
+/// One scan worker's dense group slots: each new key gets the next slot,
+/// and every matched row buffers one `(slot, value)` pair in scan order.
+/// The index keeps std's seeded hasher: keys come from the file.
+struct Slots<K> {
+    index: HashMap<K, usize>,
+    keys: Vec<K>,
+    /// Matched rows per slot: the fold's load-balancing weights.
+    rows: Vec<u64>,
+    pairs: Vec<(usize, f64)>,
+}
+
+impl<K: Copy + Eq + Hash> Slots<K> {
+    fn with_capacity(rows: usize) -> Slots<K> {
+        Slots {
+            index: HashMap::default(),
+            keys: Vec::new(),
+            rows: Vec::new(),
+            pairs: Vec::with_capacity(rows),
+        }
+    }
+
+    fn push(&mut self, key: K, x: f64) {
+        let next = self.keys.len();
+        let slot = *self.index.entry(key).or_insert(next);
+        if slot == next {
+            self.keys.push(key);
+            self.rows.push(0);
+        }
+        self.rows[slot] += 1;
+        self.pairs.push((slot, x));
+    }
+}
+
+/// The parallel fold's plan, built once after every shard is scanned.
+struct FoldPlan<K> {
+    /// The union of the shards' keys, sorted: the result order.
+    keys: Vec<K>,
+    /// Per shard, each slot's rank in `keys`.
+    ranks: Vec<Vec<usize>>,
+    /// Per worker, the ranks it folds: about equal matched rows each.
+    cuts: Vec<Range<usize>>,
+}
+
+impl<K: Copy + Ord> FoldPlan<K> {
+    fn new(shards: &[&Slots<K>]) -> FoldPlan<K> {
+        let mut keys: Vec<K> = shards.iter().flat_map(|s| s.keys.iter().copied()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut rows = vec![0u64; keys.len()];
+        let ranks = shards
             .iter()
-            .enumerate()
-            .map(|(w, shard)| {
-                let make = &make;
-                let emit = &emit;
-                let mut obs_shard = reader.obs_handle().local();
-                s.spawn(move |_| {
-                    let span = obs_shard.now();
-                    let mut acc = make(row_cap(shard));
-                    let mut scans = Vec::with_capacity(shard.len());
-                    let mut res = Ok(());
-                    for m in *shard {
-                        match scan_chunk(reader, m, pred, proj, &mut |row| emit(&mut acc, row)) {
-                            Ok(scan) => scans.push(scan),
-                            Err(e) => {
-                                res = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    // The worker index is bounded by the thread count; the tid is a
-                    // trace label, not a wire field.
-                    obs_shard.record_span("store.scan", span, w as u32 + 1); // audit:allow(as-truncate)
-                    (res.map(|()| (scans, acc)), obs_shard)
-                })
+            .map(|s| {
+                s.keys
+                    .iter()
+                    .zip(&s.rows)
+                    .map(|(k, &n)| {
+                        // Every shard key is in the union: the search is `Ok`.
+                        let rank = keys.binary_search(k).unwrap_or_else(|at| at);
+                        rows[rank] += n;
+                        rank
+                    })
+                    .collect()
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect() // audit:allow(expect)
-    })
-    .expect("crossbeam scope"); // audit:allow(expect)
+        FoldPlan { keys, ranks, cuts: weighted_cuts(&rows, shards.len()) }
+    }
+}
 
-    let mut accs = Vec::with_capacity(shards.len());
-    let mut first_err = None;
-    for (shard, (res, obs_shard)) in shards.iter().zip(shard_results) {
-        reader.obs_handle().merge(obs_shard);
-        match res {
-            Ok((scans, acc)) => {
-                for (m, scan) in shard.iter().zip(scans) {
-                    apply_scan(&mut stats, m, scan);
-                }
-                accs.push(acc);
-            }
-            Err(e) => first_err = first_err.or(Some(e)),
+/// The one fold: feed each `(slot, value)` pair to its group's
+/// accumulator, `part[rank(slot) - lo]`. Pairs whose rank falls outside
+/// `part` belong to another worker's range.
+fn fold_pairs<K>(
+    agg: AggSet,
+    pairs: &[(usize, f64)],
+    rank: impl Fn(usize) -> usize,
+    lo: usize,
+    part: &mut [(K, GroupAccum)],
+) {
+    for &(slot, x) in pairs {
+        if let Some((_, acc)) = rank(slot).checked_sub(lo).and_then(|i| part.get_mut(i)) {
+            acc.observe(agg, x);
         }
     }
-    if let Some(e) = first_err {
-        return Err(e);
+}
+
+/// Cut `0..weights.len()` into `parts` contiguous ranges, in order, of
+/// about equal total weight: each item goes to the part its weight's
+/// midpoint falls in. A part can be empty when one item outweighs it.
+fn weighted_cuts(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.max(1);
+    let total = weights.iter().map(|&w| u128::from(w)).sum::<u128>().max(1);
+    let mut sizes = vec![0usize; parts];
+    let mut before = 0u128;
+    for &w in weights {
+        let w = u128::from(w);
+        // Twice the midpoint is `2 * before + w`; scale it to `0..parts`.
+        let part = (2 * before + w) * parts as u128 / (2 * total);
+        sizes[usize::try_from(part).map_or(parts - 1, |p| p.min(parts - 1))] += 1;
+        before += w;
     }
-    reader.export_scan_stats(&stats);
-    Ok((accs, stats))
+    let mut start = 0;
+    sizes
+        .into_iter()
+        .map(|n| {
+            start += n;
+            start - n..start
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{sample_ping, sample_trace};
+    use crate::writer::{Writer, WriterOptions};
+    use cloudy_measure::HopRecord;
+    use cloudy_probes::Platform;
+    use std::net::Ipv4Addr;
+
+    /// A store of uneven chunks: three ping partitions of different sizes,
+    /// so each ends on a partly filled chunk, and a traceroute partition
+    /// whose rows are several times larger than a ping's.
+    fn uneven_store() -> Reader {
+        let opts = WriterOptions { chunk_rows: 48 };
+        let mut w = Writer::new(Vec::new(), Platform::Speedchecker, opts).unwrap();
+        for i in 0..700u64 {
+            let mut p = sample_ping(i, 3.0 + (i * 37 % 200) as f64 / 7.0);
+            p.provider = Provider::ALL[[0, 0, 0, 1, 1, 2][(i % 6) as usize]];
+            p.country = CountryCode::new(["DE", "JP", "BR", "KE", "US"][(i % 5) as usize]);
+            w.push_ping(p).unwrap();
+            if i % 5 == 0 {
+                let hops = (1..=(i % 9 + 2) as u8)
+                    .map(|ttl| HopRecord {
+                        ttl,
+                        ip: Some(Ipv4Addr::new(10, 0, ttl, 1)),
+                        rtt_ms: Some(f64::from(ttl) * 1.5 + (i % 13) as f64),
+                    })
+                    .collect();
+                w.push_trace(sample_trace(i, hops)).unwrap();
+            }
+        }
+        Reader::from_bytes(w.finish().unwrap().0).unwrap()
+    }
+
+    #[test]
+    fn scan_and_fold_agree_at_any_worker_count() {
+        let reader = uneven_store();
+        let lens: Vec<u64> = reader.chunks().iter().map(|m| m.len).collect();
+        assert!(lens.len() >= 12, "{} chunks", lens.len());
+        assert!(lens.iter().max() > lens.iter().min().map(|l| l * 2).as_ref());
+        let agg = Agg::Moments | Agg::P2Quantiles | Agg::ExactQuantiles;
+        let keys = [
+            GroupKey::Provider,
+            GroupKey::Country,
+            GroupKey::Region,
+            GroupKey::Isp,
+            GroupKey::CountryProvider,
+            GroupKey::CountryRegion,
+        ];
+        // `workers` is set after the plan's clamp to the host's cores.
+        let on = |query: Query, proj: ProjSpec, workers: usize| {
+            let mut scan = query.plan(&reader, proj);
+            scan.workers = workers;
+            scan
+        };
+        for key in keys {
+            let query = Query::rtts().aggregate(agg);
+            let table = |workers| {
+                let scan = on(query.clone(), group_proj(key), workers);
+                let (groups, stats) = scan.fold_groups(agg, |row| group_id(key, row)).unwrap();
+                (groups.into_iter().collect::<GroupTable>(), stats)
+            };
+            let (serial, serial_stats) = table(1);
+            assert!(serial.len() > 1, "{key:?}");
+            assert_eq!(serial, query.clone().group_by(key).grouped(&reader).unwrap().0);
+            for workers in [2, 3, 5] {
+                assert_eq!(table(workers), (serial.clone(), serial_stats), "{key:?} x{workers}");
+            }
+        }
+        for query in [Query::rtts(), Query::rtts().country(CountryCode::new("JP"))] {
+            let query = query.aggregate(agg);
+            let summary = |workers| {
+                let scan = on(query.clone(), ProjSpec::default(), workers);
+                scan.fold_groups(agg, |_| ()).unwrap()
+            };
+            let (serial, serial_stats) = summary(1);
+            assert_eq!(serial.len(), 1);
+            assert_eq!(serial[0].1, query.summary(&reader).unwrap().0);
+            for workers in [2, 3, 5] {
+                assert_eq!(summary(workers), (serial.clone(), serial_stats), "x{workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_cuts_cover_in_order_and_balance() {
+        let ranges = |w: &[u64], parts| weighted_cuts(w, parts);
+        assert_eq!(ranges(&[1; 6], 3), vec![0..2, 2..4, 4..6]);
+        // A heavy item takes its part alone; the light ones share the rest.
+        assert_eq!(ranges(&[9, 1, 1, 1, 1, 1], 2), vec![0..1, 1..6]);
+        assert_eq!(ranges(&[1, 1, 1, 1, 1, 1, 9], 2), vec![0..6, 6..7]);
+        // More parts than items, and no weight at all: empty parts, full cover.
+        assert_eq!(ranges(&[100, 1], 4), vec![0..0, 0..1, 1..1, 1..2]);
+        assert_eq!(ranges(&[0, 0, 0], 2), vec![0..3, 3..3]);
+        assert_eq!(ranges(&[], 3), vec![0..0, 0..0, 0..0]);
+    }
 }

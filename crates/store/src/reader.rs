@@ -181,8 +181,11 @@ impl Reader {
     /// Attach an observability registry: every scan then exports
     /// `store.scan.chunks_pruned` / `store.scan.chunks_decoded` /
     /// `store.scan.rows_matched` counters and a `span.store.scan` latency
-    /// histogram (one span per scan or per parallel worker). Metrics never
-    /// change what a scan returns.
+    /// histogram (one span per scan or per parallel worker). Grouped and
+    /// summary queries also time their fold as `span.store.fold`: once per
+    /// chunk inside the scan span when one worker runs, or once per
+    /// parallel worker after its scan. Metrics never change what a scan
+    /// returns.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -269,7 +272,7 @@ mod tests {
     use super::*;
     use crate::chunk::put_chunk_meta;
     use crate::codec::put_varint;
-    use crate::query::Query;
+    use crate::query::{GroupKey, Query};
     use crate::testutil::sample_ping;
     use crate::writer::{write_dataset, Writer, WriterOptions};
     use cloudy_measure::Dataset;
@@ -380,7 +383,10 @@ mod tests {
         assert_eq!(snap.counter("store.scan.chunks_decoded"), stats.chunks_scanned as u64);
         assert_eq!(snap.counter("store.scan.rows_matched"), stats.rows_matched);
         // One span per parallel worker (or one inline span).
-        assert!(snap.hist("span.store.scan").map(|h| h.count).unwrap_or(0) >= 1);
+        let before_scans = snap.hist("span.store.scan").map(|h| h.count).unwrap_or(0);
+        assert!(before_scans >= 1);
+        // Row terminals fold nothing.
+        assert_eq!(snap.hist("span.store.fold"), None);
         // A second, full-record scan accumulates on top.
         let filter = ScanFilter { provider: Some(Provider::Google), ..Default::default() };
         let seq_stats = r.for_each(&filter, |_| {}).unwrap();
@@ -389,6 +395,20 @@ mod tests {
             snap.counter("store.scan.rows_matched"),
             stats.rows_matched + seq_stats.rows_matched
         );
+        // A grouped query times its fold apart from the scan, and the
+        // metrics leave its table as it is.
+        let grouped = Query::rtts().group_by(GroupKey::CountryRegion).threads(4);
+        let (want_table, want_stats) = grouped.grouped(&plain).unwrap();
+        let (table, stats) = grouped.grouped(&r).unwrap();
+        assert_eq!(table, want_table, "metrics must not change a grouped table");
+        assert_eq!(stats, want_stats);
+        let snap = obs.snapshot().unwrap_or_default();
+        let spans = |name| snap.hist(name).map(|h| h.count).unwrap_or(0);
+        assert!(spans("span.store.fold") >= 1);
+        // One fold per chunk inline, or one per parallel scan worker.
+        let scans = spans("span.store.scan") - before_scans - 1;
+        let folds = if scans == 1 { stats.chunks_scanned as u64 } else { scans };
+        assert_eq!(spans("span.store.fold"), folds);
     }
 
     #[test]

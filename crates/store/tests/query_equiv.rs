@@ -1,9 +1,10 @@
 //! Property tests for the pushdown query engine: for arbitrary record
 //! batches and arbitrary predicates, a pruned pushdown `Query` must return
 //! exactly what a full decode of every record plus a hand-written row
-//! filter returns, and pushed-down group-by aggregation must be
-//! bit-identical across thread counts (the P² sketch is order-sensitive,
-//! so this proves the parallel merge preserves the serial observation
+//! filter returns, and pushed-down group-by aggregation must equal, bit
+//! for bit and at every thread count, the public accumulators fed the
+//! same rows in scan order (the P² sketch is order-sensitive, so this
+//! proves the parallel fold preserves each group's serial observation
 //! order).
 
 use cloudy_cloud::{Provider, RegionId};
@@ -13,8 +14,8 @@ use cloudy_measure::{outcome_for_hops, HopRecord, PingRecord, TaskOutcome, Trace
 use cloudy_netsim::Protocol;
 use cloudy_probes::{Platform, ProbeId};
 use cloudy_store::{
-    Agg, ChunkRows, GroupId, GroupKey, Query, Reader, RecordKind, RttRow, ScanFilter, Writer,
-    WriterOptions,
+    Agg, ChunkRows, GroupId, GroupKey, GroupRow, Moments, P2Quantile, Query, Reader, RecordKind,
+    RttRow, ScanFilter, Writer, WriterOptions,
 };
 use cloudy_topology::Asn;
 use proptest::prelude::*;
@@ -278,72 +279,142 @@ proptest! {
         }
     }
 
-    /// Pushed-down group-by aggregation: counts match a hand grouping,
-    /// exact medians match a sort of the hand-grouped values, and every
-    /// aggregate (including the order-sensitive P² sketch) is
-    /// bit-identical at one thread and eight.
+    /// Pushed-down group-by aggregation, for every user-plane key, at 1, 2
+    /// and 8 threads: each group's count, mean, variance, P² p50 and p95
+    /// equal, bit for bit, the public accumulators fed the full-decode
+    /// truth rows in scan order, and its exact-quantile values are those
+    /// rows' values in the same order. A `summary()` leg with a country or
+    /// ISP filter is held to the same oracle.
     #[test]
     fn grouped_aggregates_are_thread_invariant_and_correct(
         pings in prop::collection::vec(arb_ping(), 1..120),
         traces in prop::collection::vec(arb_trace(), 0..40),
         chunk_rows in 1usize..12,
-        key_sel in 0u8..3,
+        key in prop::sample::select(vec![
+            GroupKey::Country,
+            GroupKey::Provider,
+            GroupKey::Region,
+            GroupKey::Isp,
+            GroupKey::CountryProvider,
+            GroupKey::CountryRegion,
+        ]),
+        place in 0usize..PLACES.len(),
+        isp in prop::option::of(0usize..ASNS.len()),
     ) {
         let reader = store_of(&pings, &traces, chunk_rows);
-        let key = match key_sel {
-            0 => GroupKey::Country,
-            1 => GroupKey::Provider,
-            _ => GroupKey::CountryProvider,
-        };
-        let query = Query::rtts()
-            .group_by(key)
-            .aggregate(Agg::Moments | Agg::P2Quantiles | Agg::ExactQuantiles);
+        let agg = Agg::Moments | Agg::P2Quantiles | Agg::ExactQuantiles;
+        let truth = truth_rows(&reader);
 
-        // Hand grouping over the full-decode truth rows, in scan order.
-        let mut truth: BTreeMap<GroupId, Vec<f64>> = BTreeMap::new();
-        for (r, _) in truth_rows(&reader) {
+        // The oracle: the public accumulators, fed in scan order.
+        let mut groups: BTreeMap<GroupId, Oracle> = BTreeMap::new();
+        for (r, row_isp) in &truth {
             let id = match key {
                 GroupKey::Country => GroupId::Country(r.country),
                 GroupKey::Provider => GroupId::Provider(r.provider),
-                _ => GroupId::CountryProvider(r.country, r.provider),
+                GroupKey::Region => GroupId::Region(r.region),
+                GroupKey::Isp => GroupId::Isp(*row_isp),
+                GroupKey::CountryProvider => GroupId::CountryProvider(r.country, r.provider),
+                _ => GroupId::CountryRegion(r.country, r.region),
             };
-            truth.entry(id).or_default().push(r.rtt_ms);
+            groups.entry(id).or_default().observe(r.rtt_ms);
+        }
+        let want: Vec<(GroupId, String)> =
+            groups.into_iter().map(|(id, acc)| (id, acc.render())).collect();
+
+        // The summary leg: one ISP when drawn, else one country.
+        let country = CountryCode::new(PLACES[place].0);
+        let summary_query = match isp {
+            Some(i) => Query::rtts().isp(Asn(ASNS[i])),
+            None => Query::rtts().country(country),
+        }
+        .aggregate(agg);
+        let mut summary = Oracle::default();
+        for (r, row_isp) in &truth {
+            if isp.map_or(r.country == country, |i| row_isp.0 == ASNS[i]) {
+                summary.observe(r.rtt_ms);
+            }
         }
 
-        let (serial, _) = query.clone().threads(1).grouped(&reader).unwrap();
-        let (parallel, _) = query.clone().threads(8).grouped(&reader).unwrap();
+        for threads in [1usize, 2, 8] {
+            let query = Query::rtts().group_by(key).aggregate(agg).threads(threads);
+            let (table, stats) = query.grouped(&reader).unwrap();
+            let got: Vec<(GroupId, String)> =
+                table.iter().map(|(id, row)| (*id, render_row(row))).collect();
+            prop_assert_eq!(&got, &want, "{:?} at {} threads", key, threads);
+            prop_assert_eq!(stats.rows_matched as usize, truth.len());
 
-        let keys: Vec<_> = serial.keys().cloned().collect();
-        prop_assert_eq!(&keys, &truth.keys().cloned().collect::<Vec<_>>());
-        prop_assert_eq!(&keys, &parallel.keys().cloned().collect::<Vec<_>>());
-        for (id, vals) in &truth {
-            let s = &serial[id];
-            let p = &parallel[id];
-            prop_assert_eq!(s.count as usize, vals.len());
-            // Exact quantiles: nearest-rank median over the same multiset
-            // the hand grouping collected, bit for bit.
-            let mut sorted = vals.clone();
-            sorted.sort_by(f64::total_cmp);
-            let median = sorted[(sorted.len() - 1) / 2];
-            let s_vals = s.values.as_ref().unwrap();
-            let mut s_sorted = s_vals.clone();
-            s_sorted.sort_by(f64::total_cmp);
-            prop_assert_eq!(s_sorted[(s_sorted.len() - 1) / 2].to_bits(), median.to_bits());
-            // Thread invariance, bit for bit, for every aggregate.
-            prop_assert_eq!(s.count, p.count);
-            prop_assert_eq!(
-                s.moments.unwrap().mean().to_bits(),
-                p.moments.unwrap().mean().to_bits()
-            );
-            prop_assert_eq!(
-                s.p50.map(f64::to_bits), p.p50.map(f64::to_bits)
-            );
-            prop_assert_eq!(
-                s.p95.map(f64::to_bits), p.p95.map(f64::to_bits)
-            );
-            prop_assert_eq!(
-                s.values.as_ref().unwrap(), p.values.as_ref().unwrap()
-            );
+            let (row, _) = summary_query.clone().threads(threads).summary(&reader).unwrap();
+            prop_assert_eq!(render_row(&row), summary.render(), "summary at {} threads", threads);
         }
     }
+}
+
+/// The scan-order oracle for one group: the public accumulators the query
+/// engine uses, fed in the order the truth rows arrive.
+struct Oracle {
+    moments: Moments,
+    p50: P2Quantile,
+    p95: P2Quantile,
+    values: Vec<f64>,
+}
+
+impl Default for Oracle {
+    fn default() -> Oracle {
+        Oracle {
+            moments: Moments::default(),
+            p50: P2Quantile::new(0.50),
+            p95: P2Quantile::new(0.95),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl Oracle {
+    fn observe(&mut self, x: f64) {
+        self.moments.observe(x);
+        self.p50.observe(x);
+        self.p95.observe(x);
+        self.values.push(x);
+    }
+
+    fn render(&self) -> String {
+        render_parts(
+            self.values.len() as u64,
+            &self.moments,
+            self.p50.estimate(),
+            self.p95.estimate(),
+            &self.values,
+        )
+    }
+}
+
+fn render_row(row: &GroupRow) -> String {
+    render_parts(
+        row.count,
+        &row.moments.unwrap(),
+        row.p50,
+        row.p95,
+        row.values.as_deref().unwrap(),
+    )
+}
+
+/// Every aggregate of a group, f64s as raw bits, so equality is bit
+/// equality.
+fn render_parts(
+    count: u64,
+    m: &Moments,
+    p50: Option<f64>,
+    p95: Option<f64>,
+    values: &[f64],
+) -> String {
+    let bits = |x: Option<f64>| x.map(f64::to_bits);
+    let values: Vec<u64> = values.iter().map(|x| x.to_bits()).collect();
+    format!(
+        "n={count}/{} mean={:016x} var={:016x} p50={:?} p95={:?} values={values:x?}",
+        m.count(),
+        m.mean().to_bits(),
+        m.variance().to_bits(),
+        bits(p50),
+        bits(p95),
+    )
 }
