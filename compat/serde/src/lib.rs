@@ -4,10 +4,10 @@
 //! minimal serialization framework under the `serde`/`serde_json` names:
 //! a JSON [`Value`] model, [`Serialize`]/[`Deserialize`] traits over it, and
 //! derive macros (re-exported from the vendored `serde_derive`). The visible
-//! API — `#[derive(Serialize, Deserialize)]`, `serde_json::to_string`,
-//! `from_str`, `to_vec`, `from_slice` — matches what the workspace uses;
-//! the wire format is standard JSON with struct fields in declaration
-//! order, so exports stay byte-deterministic.
+//! API — `#[derive(Serialize, Deserialize)]`, `serde_json::to_string` and
+//! `from_str` — matches what the workspace uses; the wire format is
+//! standard JSON with struct fields in declaration order, so exports stay
+//! byte-deterministic.
 
 pub use serde_derive::{Deserialize, Serialize};
 

@@ -40,21 +40,10 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Serialize a value to compact JSON bytes.
-pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
-}
-
 /// Deserialize a value from a JSON string.
 pub fn from_str<T: for<'de> Deserialize<'de>>(s: &str) -> Result<T, Error> {
     let value = parse(s)?;
     Ok(T::from_value(&value)?)
-}
-
-/// Deserialize a value from JSON bytes.
-pub fn from_slice<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, Error> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error::new(format!("invalid UTF-8: {e}")))?;
-    from_str(s)
 }
 
 // ---------------------------------------------------------------------------

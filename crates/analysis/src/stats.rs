@@ -169,17 +169,6 @@ pub fn country_region_medians_from_store(
     Ok(out)
 }
 
-/// One-pass mean and coefficient of variation over a store query, without
-/// keeping samples (Welford accumulator pushed into the scan).
-pub fn moments_from_store(
-    reader: &cloudy_store::Reader,
-    query: &cloudy_store::Query,
-) -> Result<cloudy_store::Moments, crate::error::AnalysisError> {
-    let q = query.clone().aggregate(cloudy_store::Agg::Moments);
-    let (row, _) = q.summary(reader)?;
-    Ok(row.moments.unwrap_or_default())
-}
-
 /// Sample median (convenience over [`Cdf`]).
 pub fn median(values: &[f64]) -> Option<f64> {
     if values.is_empty() {

@@ -259,7 +259,6 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, AuditError> {
                 entry.path_prefix,
                 if entry.rules.is_empty() { "all rules".to_string() } else { entry.rules.join(", ") },
             ),
-            baselined: false,
         });
     }
     report.sort();

@@ -13,7 +13,7 @@ pub enum AuditError {
     /// Filesystem access failed (path and the underlying error).
     Io { path: String, message: String },
     /// A config or lock artifact failed to parse (`audit.toml`,
-    /// `audit-baseline.json`, `wire.lock`).
+    /// `wire.lock`).
     Config(String),
 }
 

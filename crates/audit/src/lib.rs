@@ -24,18 +24,16 @@
 //!
 //! detlint is built on a hand-written, lossless Rust lexer ([`lexer`]) and
 //! a rule registry of token-level passes ([`lints`]), with suppression via
-//! inline pragmas, `audit.toml`, and a ratcheting [`baseline`]
-//! (`audit-baseline.json`). Reports render as text, JSON, or SARIF 2.1.0
-//! ([`output`]).
+//! inline pragmas and `audit.toml`. Reports render as text, JSON, or SARIF
+//! 2.1.0 ([`output`]).
 //!
 //! [`AuditDriver`] orchestrates all passes; the `cloudy-repro audit`
 //! subcommand and the CI gate are thin wrappers around it. All passes
 //! report through the shared [`Finding`]/[`AuditReport`] model (which
 //! migrated here from `cloudy-netsim::audit` when the audit outgrew world
 //! checking); "clean" means zero error-severity findings, and the lint
-//! gate is stricter still: zero non-baselined findings of any severity.
+//! gate is stricter still: zero findings of any severity.
 
-pub mod baseline;
 pub mod detlint;
 pub mod driver;
 pub mod error;

@@ -1,19 +1,19 @@
 //! The lint registry and the token-level passes.
 //!
 //! Every rule is declared once in [`RULES`] (name, severity, summary,
-//! remediation help) — the text/JSON/SARIF renderers, the baseline, the
-//! pragma parser, and `audit.toml` validation all key off this table, so
-//! adding a lint is one registry entry plus one pass.
+//! remediation help) — the text/JSON/SARIF renderers, the pragma parser,
+//! and `audit.toml` validation all key off this table, so adding a lint is
+//! one registry entry plus one pass.
 //!
 //! Passes run over the spanned token stream from [`crate::lexer`], which
 //! is what lets them see through multi-line strings, raw strings, and
 //! nested block comments — the blind spots the old line-regex scanner
 //! apologised for in `audit.toml`. Suppression is explicit and auditable:
 //! a pragma comment naming the rule on the finding's line or the line
-//! above, a path-scoped `audit.toml` entry, or a committed baseline
-//! entry. Pragmas and allowlist entries that no longer suppress anything
-//! are themselves findings (`stale-pragma`, `stale-allow`), so the
-//! suppression surface ratchets down with the findings.
+//! above, or a path-scoped `audit.toml` entry. Pragmas and allowlist
+//! entries that no longer suppress anything are themselves findings
+//! (`stale-pragma`, `stale-allow`), so the suppression surface ratchets
+//! down with the findings.
 
 use crate::detlint::{Allowlist, FileContext};
 use crate::finding::Severity;
@@ -116,12 +116,6 @@ pub const RULES: &[LintRule] = &[
         summary: "audit.toml entry that matched no finding",
         help: "delete the entry; the allowlist must shrink as findings are fixed",
     },
-    LintRule {
-        name: "stale-baseline",
-        severity: Severity::Warning,
-        summary: "baseline entry that matched no finding",
-        help: "re-run `cloudy-repro audit lint --update-baseline` to ratchet the baseline down",
-    },
 ];
 
 /// Look a rule up by name.
@@ -141,9 +135,6 @@ pub struct LintFinding {
     /// 1-based byte column; 0 when unknown.
     pub col: u32,
     pub message: String,
-    /// Set when a committed baseline entry covers this finding — it is
-    /// reported but does not fail the gate.
-    pub baselined: bool,
 }
 
 impl LintFinding {
@@ -167,19 +158,6 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// Findings not covered by the baseline — the ones that gate.
-    pub fn fresh(&self) -> impl Iterator<Item = &LintFinding> {
-        self.findings.iter().filter(|f| !f.baselined)
-    }
-
-    pub fn fresh_count(&self) -> usize {
-        self.fresh().count()
-    }
-
-    pub fn baselined_count(&self) -> usize {
-        self.findings.iter().filter(|f| f.baselined).count()
-    }
-
     /// Deterministic ordering: path, then line/col, then rule.
     pub fn sort(&mut self) {
         self.findings.sort_by(|a, b| {
@@ -193,12 +171,11 @@ impl LintReport {
     }
 
     /// Fold into the legacy [`crate::finding::AuditReport`] model the
-    /// driver and `cloudy-repro audit` aggregate across passes. Baselined
-    /// findings are excluded — they do not gate.
+    /// driver and `cloudy-repro audit` aggregate across passes.
     pub fn to_audit_report(&self, check: &'static str) -> crate::finding::AuditReport {
         let mut report =
             crate::finding::AuditReport { checks_run: 1, ..Default::default() };
-        for f in self.fresh() {
+        for f in &self.findings {
             report.push(f.severity, check, f.render());
         }
         report
@@ -637,7 +614,6 @@ pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan 
             line,
             col,
             message,
-            baselined: false,
         });
     }
 
@@ -663,7 +639,6 @@ pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan 
                 line: p.line,
                 col: 1,
                 message,
-                baselined: false,
             });
         }
     }
@@ -1083,7 +1058,6 @@ mod tests {
             line: 2,
             col: 1,
             message: "m".into(),
-            baselined: true,
         });
         r.findings.push(LintFinding {
             rule: "panic",
@@ -1092,13 +1066,10 @@ mod tests {
             line: 9,
             col: 1,
             message: "m".into(),
-            baselined: false,
         });
         r.sort();
         assert_eq!(r.findings[0].path, "a.rs");
-        assert_eq!(r.fresh_count(), 1);
-        assert_eq!(r.baselined_count(), 1);
         let audit = r.to_audit_report("detlint");
-        assert_eq!(audit.findings.len(), 1, "baselined findings do not gate");
+        assert_eq!(audit.findings.len(), 2, "every finding gates");
     }
 }

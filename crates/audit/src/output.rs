@@ -4,9 +4,8 @@
 //! All three are pure functions of the (sorted) report, so the same run
 //! can be rendered every way without re-scanning. The SARIF document
 //! carries the full rule registry in `tool.driver.rules` (id, summary,
-//! help, default level) and marks baselined findings with an `external`
-//! suppression, which is how SARIF viewers distinguish "known debt" from
-//! "new regression".
+//! help, default level). Suppressed findings never reach the report, so
+//! every finding rendered is a fresh one and gates.
 
 use crate::finding::Severity;
 use crate::lints::{LintReport, RULES};
@@ -19,33 +18,35 @@ fn level(sev: Severity) -> &'static str {
     }
 }
 
+/// (errors, warnings) among the report's findings.
+fn severity_counts(report: &LintReport) -> (usize, usize) {
+    let count = |sev| report.findings.iter().filter(|f| f.severity == sev).count();
+    (count(Severity::Error), count(Severity::Warning))
+}
+
 /// Human-readable text: a summary line, then one line per finding.
 pub fn render_text(report: &LintReport) -> String {
-    let errors = report.fresh().filter(|f| f.severity == Severity::Error).count();
-    let warnings = report.fresh().filter(|f| f.severity == Severity::Warning).count();
+    let (errors, warnings) = severity_counts(report);
     let mut out = format!(
-        "lint: {} files, {} fresh findings ({} errors, {} warnings), {} baselined\n",
+        "lint: {} files, {} fresh findings ({} errors, {} warnings)\n",
         report.files_scanned,
-        report.fresh_count(),
+        report.findings.len(),
         errors,
         warnings,
-        report.baselined_count(),
     );
     for f in &report.findings {
         let sev = match f.severity {
             Severity::Error => "ERROR",
             Severity::Warning => "warn ",
         };
-        let tail = if f.baselined { " (baselined)" } else { "" };
-        out.push_str(&format!("  [{sev}] {}{tail}\n", f.render()));
+        out.push_str(&format!("  [{sev}] {}\n", f.render()));
     }
     out
 }
 
 /// Machine-readable JSON (one object; stable key order).
 pub fn render_json(report: &LintReport) -> String {
-    let errors = report.fresh().filter(|f| f.severity == Severity::Error).count();
-    let warnings = report.fresh().filter(|f| f.severity == Severity::Warning).count();
+    let (errors, warnings) = severity_counts(report);
     let findings: Vec<Value> = report
         .findings
         .iter()
@@ -57,16 +58,14 @@ pub fn render_json(report: &LintReport) -> String {
                 ("line".into(), Value::UInt(u64::from(f.line))),
                 ("col".into(), Value::UInt(u64::from(f.col))),
                 ("message".into(), Value::Str(f.message.clone())),
-                ("baselined".into(), Value::Bool(f.baselined)),
             ])
         })
         .collect();
     let doc = Value::Object(vec![
         ("files_scanned".into(), Value::UInt(report.files_scanned as u64)),
-        ("fresh".into(), Value::UInt(report.fresh_count() as u64)),
+        ("fresh".into(), Value::UInt(report.findings.len() as u64)),
         ("errors".into(), Value::UInt(errors as u64)),
         ("warnings".into(), Value::UInt(warnings as u64)),
-        ("baselined".into(), Value::UInt(report.baselined_count() as u64)),
         ("findings".into(), Value::Array(findings)),
     ]);
     serde_json::to_string(&doc).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
@@ -115,23 +114,13 @@ pub fn render_sarif(report: &LintReport) -> String {
                     ("region", region),
                 ]),
             )]);
-            let mut fields = vec![
+            obj(vec![
                 ("ruleId", Value::Str(f.rule.into())),
                 ("ruleIndex", Value::UInt(rule_index as u64)),
                 ("level", Value::Str(level(f.severity).into())),
                 ("message", text(&f.message)),
                 ("locations", Value::Array(vec![location])),
-            ];
-            if f.baselined {
-                fields.push((
-                    "suppressions",
-                    Value::Array(vec![obj(vec![
-                        ("kind", Value::Str("external".into())),
-                        ("justification", Value::Str("audit-baseline.json".into())),
-                    ])]),
-                ));
-            }
-            obj(fields)
+            ])
         })
         .collect();
 
@@ -177,7 +166,6 @@ mod tests {
                     line: 4,
                     col: 9,
                     message: "wall-clock read in deterministic code".into(),
-                    baselined: false,
                 },
                 LintFinding {
                     rule: "unwrap",
@@ -186,7 +174,6 @@ mod tests {
                     line: 12,
                     col: 1,
                     message: "unwrap in library code".into(),
-                    baselined: true,
                 },
             ],
             files_scanned: 2,
@@ -194,27 +181,27 @@ mod tests {
     }
 
     #[test]
-    fn text_counts_fresh_and_baselined() {
+    fn text_counts_findings_by_severity() {
         let s = render_text(&sample());
         assert!(s.contains("2 files"), "{s}");
-        assert!(s.contains("1 fresh findings (1 errors, 0 warnings), 1 baselined"), "{s}");
-        assert!(s.contains("crates/x/src/lib.rs:4"), "{s}");
-        assert!(s.contains("(baselined)"), "{s}");
+        assert!(s.contains("2 fresh findings (1 errors, 1 warnings)\n"), "{s}");
+        assert!(s.contains("[ERROR] crates/x/src/lib.rs:4"), "{s}");
+        assert!(s.contains("[warn ] crates/y/src/lib.rs:12"), "{s}");
     }
 
     #[test]
     fn json_is_parseable_with_expected_counts() {
         let j = render_json(&sample());
         let doc = serde_json::parse(&j).expect("valid JSON");
-        assert_eq!(doc.get("fresh"), Some(&Value::UInt(1)), "{j}");
+        assert_eq!(doc.get("fresh"), Some(&Value::UInt(2)), "{j}");
         assert_eq!(doc.get("errors"), Some(&Value::UInt(1)), "{j}");
-        assert_eq!(doc.get("baselined"), Some(&Value::UInt(1)), "{j}");
+        assert_eq!(doc.get("warnings"), Some(&Value::UInt(1)), "{j}");
         let Some(Value::Array(fs)) = doc.get("findings") else { panic!("{j}") };
         assert_eq!(fs.len(), 2);
     }
 
     #[test]
-    fn sarif_has_schema_rules_and_suppressions() {
+    fn sarif_has_schema_rules_and_results() {
         let s = render_sarif(&sample());
         let doc = serde_json::parse(&s).expect("valid JSON");
         assert_eq!(doc.get("version"), Some(&Value::Str("2.1.0".into())), "{s}");
@@ -226,9 +213,8 @@ mod tests {
         assert_eq!(rules.len(), RULES.len(), "every registered rule is described");
         let Some(Value::Array(results)) = run.get("results") else { panic!("{s}") };
         assert_eq!(results.len(), 2);
-        // The baselined finding (second) carries a suppression; fresh does not.
-        assert!(results[0].get("suppressions").is_none(), "{s}");
-        assert!(results[1].get("suppressions").is_some(), "{s}");
+        // Nothing in the report is suppressed, so no result says it is.
+        assert!(results.iter().all(|r| r.get("suppressions").is_none()), "{s}");
         // Region lines are 1-based and present.
         assert!(s.contains("\"startLine\":4"), "{s}");
     }

@@ -570,7 +570,6 @@ pub fn compare(current: &[WireEntry], locked: &[WireEntry]) -> Vec<LintFinding> 
         line,
         col: 1,
         message,
-        baselined: false,
     };
     for l in locked {
         match current.iter().find(|c| c.key() == l.key()) {
@@ -648,7 +647,6 @@ pub fn check_workspace(root: &Path) -> Result<LintReport, AuditError> {
                 message: "wire.lock missing; freeze the wire formats with \
                           `cloudy-repro audit lint --update-lock`"
                     .into(),
-                baselined: false,
             });
         }
         Err(e) => return Err(AuditError::io(LOCK_FILE, e)),

@@ -147,12 +147,12 @@ fn pragma_lines_carry_no_findings() {
 }
 
 /// Every per-file rule in the registry is exercised by some fixture.
-/// The three workspace-level rules (wire-drift, stale-allow,
-/// stale-baseline) have no per-file fixture; they are pinned by the
-/// wirefreeze/detlint/baseline unit suites instead.
+/// The two workspace-level rules (wire-drift, stale-allow) have no
+/// per-file fixture; they are pinned by the wirefreeze and detlint unit
+/// suites instead.
 #[test]
 fn every_per_file_rule_has_a_fixture() {
-    const WORKSPACE_RULES: &[&str] = &["wire-drift", "stale-allow", "stale-baseline"];
+    const WORKSPACE_RULES: &[&str] = &["wire-drift", "stale-allow"];
     let mut seen: BTreeSet<&'static str> = BTreeSet::new();
     for &(stem, as_path) in CASES {
         let ctx = FileContext::classify(as_path);

@@ -96,10 +96,6 @@ impl PeeringCase {
     pub fn cell(&self, isp: Asn, provider: Provider) -> Option<&MatrixCell> {
         self.matrix.iter().find(|c| c.isp == isp && c.provider == provider)
     }
-
-    pub fn latency_of(&self, provider: Provider) -> Option<&LatencyRow> {
-        self.latency.iter().find(|r| r.provider == provider)
-    }
 }
 
 pub fn run(study: &Study, case: CaseStudy) -> PeeringCase {

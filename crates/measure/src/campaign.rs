@@ -1,10 +1,9 @@
 //! Deterministic parallel campaign execution.
 //!
 //! Tasks are planned up-front ([`crate::plan`]), then executed over the
-//! simulator in fixed-size blocks sharded across crossbeam scoped threads.
-//! Because every latency sample is derived from (seed, flow) — never from
-//! shared RNG state — the record stream is bit-identical for any thread
-//! count.
+//! simulator in fixed-size blocks sharded across scoped threads. Because
+//! every latency sample is derived from (seed, flow) — never from shared
+//! RNG state — the record stream is bit-identical for any thread count.
 //!
 //! [`run_campaign_into`] streams records into any [`RecordSink`] with
 //! bounded memory: tasks run in fixed [`BLOCK_TASKS`]-sized blocks, at most
@@ -469,10 +468,10 @@ pub fn warm_route_cache(
 /// minus planning and cache warming (warm once per plan, not per slice).
 ///
 /// Tasks are cut into fixed [`BLOCK_TASKS`]-sized blocks. Each round runs
-/// up to `threads` blocks on crossbeam scoped threads, then drains the
-/// round's results into the sink in block order — so at most
-/// `threads × BLOCK_TASKS` task results are ever buffered, and the sink
-/// sees records in plan order regardless of the thread count.
+/// up to `threads` blocks on scoped threads, then drains the round's
+/// results into the sink in block order — so at most `threads ×
+/// BLOCK_TASKS` task results are ever buffered, and the sink sees records
+/// in plan order regardless of the thread count.
 ///
 /// This is the entry point service schedulers build on: a long campaign
 /// can be cut into bounded slices that interleave with other tenants'
@@ -526,11 +525,12 @@ pub fn execute_tasks_into(
 /// service scheduler) can reuse it with their own task and result types.
 ///
 /// `tasks` is cut into `block_tasks`-sized blocks; each round runs up to
-/// `threads` blocks on crossbeam scoped threads, calling
-/// `run(lane, block)` on a worker, then drains the round's results into
-/// `drain` **in block order**. The drain sequence is therefore a pure
-/// function of the task sequence — invariant under `threads` — and at
-/// most `threads` results are ever buffered.
+/// `threads` blocks on scoped threads, calling `run(lane, block)` on a
+/// worker, then drains the round's results into `drain` **in block
+/// order**. The drain sequence is therefore a pure function of the task
+/// sequence — invariant under `threads` — and at most `threads` results
+/// are ever buffered. A panic in `run` reaches the caller with its own
+/// payload once the round's other workers have finished.
 ///
 /// `run` must itself be deterministic in `(block)` alone; the `lane`
 /// argument is a within-round worker index for trace/span labeling only
@@ -550,15 +550,14 @@ where
     let blocks: Vec<&[T]> = tasks.chunks(block_tasks.max(1)).collect();
     let run = &run;
     for round in blocks.chunks(threads) {
-        let results: Vec<R> = crossbeam::thread::scope(|s| {
+        let results: Vec<R> = std::thread::scope(|s| {
             let handles: Vec<_> = round
                 .iter()
                 .enumerate()
-                .map(|(lane, block)| s.spawn(move |_| run(lane as u32, block)))
+                .map(|(lane, block)| s.spawn(move || run(lane as u32, block)))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect() // audit:allow(expect)
-        })
-        .expect("crossbeam scope"); // audit:allow(expect)
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
+        });
         for r in results {
             drain(r)?;
         }
@@ -900,6 +899,24 @@ mod tests {
         assert_eq!(
             plan_field(PlanConfig { regions_per_probe: 0, ..Default::default() }),
             "regions_per_probe"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "block 1 failed")]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        let tasks = [0u32, 1, 2];
+        let _ = run_blocked(
+            2,
+            1,
+            &tasks,
+            |_, block| {
+                if block[0] == 1 {
+                    panic!("block {} failed", block[0]);
+                }
+                block[0]
+            },
+            |_| Ok::<(), ()>(()),
         );
     }
 

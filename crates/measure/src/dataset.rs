@@ -1,13 +1,12 @@
-//! The campaign dataset: container, JSON-lines export, binary codec.
+//! The campaign dataset: in-memory container and JSON-lines export.
 //!
 //! The paper publishes its dataset (3.8M pings, 7M+ traceroutes) for
 //! external analysis \[60\]; `to_jsonl`/`from_jsonl` serve the same purpose
-//! here. The binary codec (via `bytes`) is for fast local round-trips of
-//! large campaigns.
+//! here. Large campaigns stream into the columnar store (`cloudy-store`)
+//! instead.
 
 use crate::error::MeasureError;
 use crate::record::{PingRecord, TracerouteRecord};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cloudy_probes::Platform;
 use serde::{Deserialize, Serialize};
 
@@ -111,56 +110,6 @@ impl Dataset {
         Self::read_jsonl(s.lines())
     }
 
-    /// Compact binary encoding.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + self.pings.len() * 64 + self.traces.len() * 192);
-        buf.put_slice(MAGIC);
-        buf.put_u8(match self.platform {
-            Platform::Speedchecker => 0,
-            Platform::RipeAtlas => 1,
-        });
-        buf.put_u64_le(self.pings.len() as u64);
-        buf.put_u64_le(self.traces.len() as u64);
-        for p in &self.pings {
-            let b = serde_json::to_vec(p).expect("ping serializes"); // audit:allow(expect)
-            buf.put_u32_le(b.len() as u32);
-            buf.put_slice(&b);
-        }
-        for t in &self.traces {
-            let b = serde_json::to_vec(t).expect("trace serializes"); // audit:allow(expect)
-            buf.put_u32_le(b.len() as u32);
-            buf.put_slice(&b);
-        }
-        buf.freeze()
-    }
-
-    /// Decode a binary encoding.
-    pub fn from_bytes(mut buf: Bytes) -> Result<Dataset, MeasureError> {
-        if buf.remaining() < MAGIC.len() + 17 {
-            return Err(MeasureError::dataset("truncated header"));
-        }
-        let mut magic = [0u8; 6];
-        buf.copy_to_slice(&mut magic);
-        if magic != *MAGIC {
-            return Err(MeasureError::dataset("bad magic"));
-        }
-        let platform = match buf.get_u8() {
-            0 => Platform::Speedchecker,
-            1 => Platform::RipeAtlas,
-            other => return Err(MeasureError::dataset(format!("unknown platform tag {other}"))),
-        };
-        let n_pings = buf.get_u64_le() as usize;
-        let n_traces = buf.get_u64_le() as usize;
-        let mut ds = Dataset::new(platform);
-        for _ in 0..n_pings {
-            ds.pings.push(read_frame(&mut buf)?);
-        }
-        for _ in 0..n_traces {
-            ds.traces.push(read_frame(&mut buf)?);
-        }
-        Ok(ds)
-    }
-
     /// Total records.
     pub fn len(&self) -> usize {
         self.pings.len() + self.traces.len()
@@ -169,20 +118,6 @@ impl Dataset {
     pub fn is_empty(&self) -> bool {
         self.pings.is_empty() && self.traces.is_empty()
     }
-}
-
-const MAGIC: &[u8; 6] = b"CLDYv1";
-
-fn read_frame<T: for<'de> Deserialize<'de>>(buf: &mut Bytes) -> Result<T, MeasureError> {
-    if buf.remaining() < 4 {
-        return Err(MeasureError::dataset("truncated frame length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(MeasureError::dataset("truncated frame"));
-    }
-    let frame = buf.split_to(len);
-    serde_json::from_slice(&frame).map_err(|e| MeasureError::dataset(format!("bad frame: {e}")))
 }
 
 #[derive(Serialize, Deserialize)]
@@ -298,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_outcomes_survive_both_codecs() {
+    fn failed_outcomes_survive_jsonl() {
         let mut ds = sample();
         for (i, outcome) in [
             TaskOutcome::Lost,
@@ -321,8 +256,6 @@ mod tests {
         }
         let jsonl = Dataset::from_jsonl(&ds.to_jsonl()).unwrap();
         assert_eq!(jsonl, ds);
-        let bin = Dataset::from_bytes(ds.to_bytes()).unwrap();
-        assert_eq!(bin, ds);
         // Failed rows expose no RTT anywhere.
         for p in &jsonl.pings[1..] {
             assert_eq!(p.rtt_ms(), None);
@@ -358,26 +291,6 @@ mod tests {
         let truncated: Vec<&str> = s.trim_end().lines().collect();
         let shorter = truncated[..truncated.len() - 1].join("\n");
         assert!(Dataset::from_jsonl(&shorter).is_err());
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let ds = sample();
-        let b = ds.to_bytes();
-        let back = Dataset::from_bytes(b).unwrap();
-        assert_eq!(ds, back);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic_and_truncation() {
-        let ds = sample();
-        let b = ds.to_bytes();
-        let mut corrupted = b.to_vec();
-        corrupted[0] = b'X';
-        assert!(Dataset::from_bytes(Bytes::from(corrupted)).is_err());
-        let truncated = b.slice(0..b.len() - 4);
-        assert!(Dataset::from_bytes(truncated).is_err());
-        assert!(Dataset::from_bytes(Bytes::from_static(b"xy")).is_err());
     }
 
     #[test]

@@ -6,22 +6,21 @@
 //! * [`record`] — ping and traceroute record types (the rows of the
 //!   published dataset \[60\]).
 //! * [`dataset`] — the collected campaign output, with JSON-lines export
-//!   (for external tooling, like the paper's published dataset) and a
-//!   compact binary codec.
+//!   (for external tooling, like the paper's published dataset).
 //! * [`plan`] — the measurement schedule: four-hourly probe census, daily
 //!   API quota with census reserve, two-week country cycling, per-continent
 //!   region targeting with the §4.3 inter-continental additions (Africa →
 //!   EU+NA, South America → NA). Every task is a probe's ping or
 //!   traceroute to one region.
 //! * [`campaign`] — deterministic parallel execution of a plan over the
-//!   simulator (crossbeam-sharded; results are identical regardless of
-//!   thread count). Every task runs through one attempt loop: without a
-//!   `netsim::FaultProfile` it gets a single attempt; under one it
-//!   resolves to a typed [`TaskOutcome`], and retryable failures get
-//!   bounded seeded retries with exponential backoff. [`FailureStats`]
-//!   tallies the outcome of every planned task thread-invariantly, and
-//!   [`CampaignConfig::validate`] rejects a configuration that would plan
-//!   nothing or panic the planner.
+//!   simulator (sharded over scoped threads; results are identical
+//!   regardless of thread count). Every task runs through one attempt
+//!   loop: without a `netsim::FaultProfile` it gets a single attempt;
+//!   under one it resolves to a typed [`TaskOutcome`], and retryable
+//!   failures get bounded seeded retries with exponential backoff.
+//!   [`FailureStats`] tallies the outcome of every planned task
+//!   thread-invariantly, and [`CampaignConfig::validate`] rejects a
+//!   configuration that would plan nothing or panic the planner.
 //! * [`sink`] — the [`RecordSink`] trait: campaigns can stream records
 //!   into any sink (in-memory [`Dataset`], the `cloudy-store` columnar
 //!   writer, tees, counters) with bounded memory via

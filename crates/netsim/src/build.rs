@@ -17,7 +17,7 @@
 //! routes by the analysis pipeline reproduces Fig. 10 without the analysis
 //! ever touching the policy.
 
-use crate::network::{IxpSpec, Network, RegionEndpoint};
+use crate::network::{IxpSpec, Network};
 use crate::rng::mix;
 use cloudy_cloud::{InterconnectPolicy, PeeringKind, Provider};
 use cloudy_geo::{city, country, City, CityId, Continent, CountryCode};
@@ -305,11 +305,6 @@ pub fn build(cfg: &WorldConfig) -> BuiltWorld {
 
     let net = Network::assemble(cfg.seed, graph, ixp_specs, fabric_choices, policy);
     BuiltWorld { net, isps_by_country }
-}
-
-/// The endpoint list for campaigns: all regions.
-pub fn all_region_ids(net: &Network) -> Vec<cloudy_cloud::RegionId> {
-    net.regions.iter().map(|r: &RegionEndpoint| r.id).collect()
 }
 
 #[cfg(test)]

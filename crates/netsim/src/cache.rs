@@ -4,8 +4,9 @@
 //! the paper's repeated-measurement design (§3.3) makes the workload
 //! cache-shaped — yet route construction re-runs the valley-free path
 //! selection over the whole AS graph per task. [`RouteCache`] memoizes the
-//! finished [`RoutePath`] as an `Arc`, behind N-way `parking_lot::RwLock`
+//! finished [`RoutePath`] as an `Arc`, behind N-way `std::sync::RwLock`
 //! shards so every campaign thread shares one cache with little contention.
+//! Poison is ignored: routes build outside the lock, so writes are whole entries.
 //!
 //! Determinism contract: a cached route must be *bit-identical* to the
 //! route built from scratch. [`RouteKey`] therefore captures **every**
@@ -27,10 +28,9 @@ use cloudy_cloud::RegionId;
 use cloudy_geo::{Continent, CountryCode};
 use cloudy_lastmile::AccessType;
 use cloudy_topology::Asn;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// The exact routing inputs of `Simulator::route`, as a hashable key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,18 +150,18 @@ impl RouteCache {
         build: impl FnOnce() -> RoutePath,
     ) -> Arc<RoutePath> {
         let shard = &self.shards[key.shard(self.shards.len())];
-        if let Some(hit) = shard.read().get(&key) {
+        if let Some(hit) = shard.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(build());
-        shard.write().entry(key).or_insert(built).clone()
+        shard.write().unwrap_or_else(PoisonError::into_inner).entry(key).or_insert(built).clone()
     }
 
     /// Total cached routes across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -171,7 +171,7 @@ impl RouteCache {
     /// Drop every entry (counters keep running).
     pub fn clear(&self) {
         for s in &self.shards {
-            s.write().clear();
+            s.write().unwrap_or_else(PoisonError::into_inner).clear();
         }
     }
 

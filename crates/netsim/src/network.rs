@@ -14,10 +14,9 @@ use cloudy_topology::{
 };
 use cloudy_topology::ixp::IxpDirectory;
 use cloudy_topology::prefix::PrefixAllocator;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A cloud region with its measurement endpoint address.
 #[derive(Debug, Clone)]
@@ -53,6 +52,7 @@ pub struct Network {
     /// Indexed by `RegionId`.
     pub regions: Vec<RegionEndpoint>,
     pub policy: InterconnectPolicy,
+    /// The [`Network::as_path`] memo; writes are whole entries, so poison is ignored.
     path_cache: RwLock<PathCache>,
 }
 
@@ -166,11 +166,12 @@ impl Network {
     /// Cached BGP route from an ISP to a provider's network.
     pub fn as_path(&self, isp: Asn, provider: Provider) -> Option<Arc<AsPath>> {
         let key = (isp, provider.asn());
-        if let Some(hit) = self.path_cache.read().get(&key) {
+        let memo = &self.path_cache;
+        if let Some(hit) = memo.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
             return hit.clone();
         }
         let computed = routing::select_route(&self.graph, isp, provider.asn()).map(Arc::new);
-        self.path_cache.write().insert(key, computed.clone());
+        memo.write().unwrap_or_else(PoisonError::into_inner).insert(key, computed.clone());
         computed
     }
 }

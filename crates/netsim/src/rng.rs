@@ -5,7 +5,7 @@
 //! `(seed, flow_id)` via SplitMix64, so:
 //!
 //! * the same seed reproduces the whole six-month campaign bit-for-bit;
-//! * campaigns shard across threads (crossbeam) with no ordering effects —
+//! * campaigns shard across scoped threads with no ordering effects —
 //!   a flow's draws never depend on which thread sampled it.
 
 use rand::RngCore;

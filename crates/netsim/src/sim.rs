@@ -18,12 +18,11 @@ use cloudy_geo::{city, distance::routed_distance_km, Continent, CountryCode, Geo
 use cloudy_lastmile::stats_math::LogNormal;
 use cloudy_lastmile::AccessType;
 use cloudy_topology::{AsKind, Asn, IxpId};
-use parking_lot::RwLock;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Measurement protocol. The paper runs TCP pings and ICMP traceroutes on
 /// Speedchecker, and compares protocols in Appendix A.2.
@@ -69,6 +68,7 @@ struct WideArea {
 /// The route + RTT engine over an assembled [`Network`].
 pub struct Simulator {
     pub net: Network,
+    /// The wide-area memo; writes are whole entries, so poison is ignored.
     wide_cache: RwLock<WideCache>,
     route_cache: RouteCache,
 }
@@ -380,11 +380,12 @@ impl Simulator {
         let anchor = self.isp_anchor(client);
         let anchor_bits = (anchor.lat().to_bits(), anchor.lon().to_bits());
         let key = (client.isp, anchor_bits, region, client.country);
-        if let Some(hit) = self.wide_cache.read().get(&key) {
+        let memo = &self.wide_cache;
+        if let Some(hit) = memo.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
             return hit.clone();
         }
         let built = Arc::new(self.build_wide_area(client, region, anchor));
-        self.wide_cache.write().insert(key, built.clone());
+        memo.write().unwrap_or_else(PoisonError::into_inner).insert(key, built.clone());
         built
     }
 

@@ -67,11 +67,6 @@ impl LiveAggregates {
         }
     }
 
-    /// Number of live (country, provider) groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Snapshot the table at virtual time `virt_ms`: the top `k` groups by
     /// sample count (ties broken by key, so the selection is total-ordered
     /// and deterministic), or every group if `k` is 0.

@@ -607,7 +607,7 @@ impl Scan<'_> {
     /// One effective worker runs inline on the caller's thread (span tid
     /// 0, like [`Reader::for_each`]) and folds after every chunk. Otherwise
     /// the survivors are cut into contiguous shards of about equal body
-    /// bytes and scanned on crossbeam scoped threads; once every shard is
+    /// bytes and scanned on scoped threads; once every shard is
     /// scanned, each of the same threads folds once. Shards, parts and
     /// metric shards come back in worker order, so they concatenate to
     /// directory order and obs snapshots stay deterministic. Each fold
@@ -660,7 +660,7 @@ impl Scan<'_> {
             .collect();
         let cells: Vec<OnceLock<A>> = shards.iter().map(|_| OnceLock::new()).collect();
         let barrier = Barrier::new(shards.len());
-        let results: Vec<WorkerOut<B>> = crossbeam::thread::scope(|s| {
+        let results: Vec<WorkerOut<B>> = std::thread::scope(|s| {
             let handles: Vec<_> = shards
                 .iter()
                 .enumerate()
@@ -668,7 +668,7 @@ impl Scan<'_> {
                     let (make, emit, pred) = (&make, &emit, &pred);
                     let (cells, barrier) = (&cells, &barrier);
                     let mut obs_shard = obs.local();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         // Trace lanes: 0 is the caller, workers count from 1.
                         let tid = u32::try_from(w + 1).unwrap_or(u32::MAX);
                         let scans = {
@@ -701,9 +701,8 @@ impl Scan<'_> {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect() // audit:allow(expect)
-        })
-        .expect("crossbeam scope"); // audit:allow(expect)
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
+        });
 
         let (mut accs, mut parts) = (Vec::with_capacity(shards.len()), Vec::new());
         let mut first_err = None;

@@ -145,7 +145,6 @@ fn usage() {
          audit lint options:\n\
          \x20 --format FMT        text | json | sarif (default text)\n\
          \x20 --root DIR          workspace root (default: this checkout)\n\
-         \x20 --update-baseline   rewrite audit-baseline.json from current findings\n\
          \x20 --update-lock       regenerate wire.lock from the tree (intentional\n\
          \x20                     wire-format changes only)\n\n\
          audit exit codes:\n\
@@ -333,10 +332,9 @@ fn audit(mut args: Args) -> CliResult {
 }
 
 /// `audit lint` — the strict static gate: token lints plus the wire
-/// freeze, with baseline semantics. Unlike the aggregate `audit` command
-/// (clean = no errors), lint fails on *any* non-baselined finding.
+/// freeze. Unlike the aggregate `audit` command (clean = no errors), lint
+/// fails on *any* finding.
 fn audit_lint(mut args: Args) -> CliResult {
-    use cloudy::audit::baseline::Baseline;
     use cloudy::audit::{detlint, output, wirefreeze};
     let format = args
         .choice("--format", "text|json|sarif", |f| {
@@ -344,7 +342,6 @@ fn audit_lint(mut args: Args) -> CliResult {
         })?
         .unwrap_or("text");
     let root: PathBuf = args.value("--root")?.unwrap_or_else(|| env!("CARGO_MANIFEST_DIR").into());
-    let update_baseline = args.switch("--update-baseline");
     let update_lock = args.switch("--update-lock");
     args.finish()?;
     if update_lock {
@@ -353,12 +350,6 @@ fn audit_lint(mut args: Args) -> CliResult {
     }
     let mut report = detlint::lint_workspace(&root)?;
     report.merge(wirefreeze::check_workspace(&root)?);
-    if update_baseline {
-        let b = Baseline::from_report(&report);
-        b.store(&root)?;
-        eprintln!("audit-baseline.json updated ({} entries)", b.len());
-    }
-    Baseline::load(&root)?.apply(&mut report);
     report.sort();
     match format {
         "json" => println!("{}", output::render_json(&report)),
@@ -366,10 +357,9 @@ fn audit_lint(mut args: Args) -> CliResult {
         _ => print!("{}", output::render_text(&report)),
     }
     // 0 clean; 13 when only the wire freeze drifted; 10 for lint findings.
-    let fresh: Vec<_> = report.fresh().collect();
-    Ok(if fresh.is_empty() {
+    Ok(if report.findings.is_empty() {
         ExitCode::SUCCESS
-    } else if fresh.iter().all(|f| f.rule == "wire-drift") {
+    } else if report.findings.iter().all(|f| f.rule == "wire-drift") {
         ExitCode::from(13)
     } else {
         ExitCode::from(10)

@@ -69,10 +69,6 @@ fn dataset_serialization_round_trips_at_campaign_scale() {
     let jsonl = ds.to_jsonl();
     let back = Dataset::from_jsonl(&jsonl).expect("jsonl parses");
     assert_eq!(ds, back);
-
-    let bytes = ds.to_bytes();
-    let back = Dataset::from_bytes(bytes).expect("binary decodes");
-    assert_eq!(ds, back);
 }
 
 #[test]
