@@ -1,41 +1,36 @@
-//! The audit driver: runs the four passes and folds their findings into
-//! one report.
+//! The audit driver: runs the world and race-check passes and folds their
+//! findings into one report.
 //!
 //! Each pass has a stable name and a dedicated CI exit code (see
 //! [`AuditPass`]) so a red pipeline says *which* gate failed:
 //!
 //! | pass        | exit | what it guards                                  |
 //! |-------------|------|-------------------------------------------------|
-//! | `detlint`   | 10   | source-level determinism/robustness lints        |
-//! | `wire-freeze` | 13 | serialized shapes vs the committed `wire.lock`  |
 //! | `world`     | 11   | structural invariants of the built world         |
 //! | `racecheck` | 12   | byte-identical campaigns across thread counts    |
+//!
+//! The source lints and the wire freeze are not passes here: they run
+//! only under `cloudy-repro audit lint` ([`crate::detlint::lint_workspace`]
+//! and [`crate::wirefreeze::check_workspace`]), which exits 10 or 13.
 
-use crate::error::AuditError;
 use crate::finding::AuditReport;
 use crate::racecheck::{race_check, RaceConfig};
-use crate::{detlint, wirefreeze, world};
+use crate::world;
 use cloudy_netsim::build::{build, BuiltWorld, WorldConfig};
-use std::path::PathBuf;
 
-/// The audit's passes, in the order `run` executes them.
+/// The driver's passes, in the order [`AuditDriver::run_per_pass`] runs them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditPass {
-    Detlint,
-    WireFreeze,
     World,
     RaceCheck,
 }
 
 impl AuditPass {
-    pub const ALL: [AuditPass; 4] =
-        [AuditPass::Detlint, AuditPass::WireFreeze, AuditPass::World, AuditPass::RaceCheck];
+    pub const ALL: [AuditPass; 2] = [AuditPass::World, AuditPass::RaceCheck];
 
     /// The stable CLI/CI name (`--pass <name>`).
     pub fn name(self) -> &'static str {
         match self {
-            AuditPass::Detlint => "detlint",
-            AuditPass::WireFreeze => "wire-freeze",
             AuditPass::World => "world",
             AuditPass::RaceCheck => "racecheck",
         }
@@ -48,10 +43,8 @@ impl AuditPass {
     /// The documented process exit code when this pass fails.
     pub fn exit_code(self) -> i32 {
         match self {
-            AuditPass::Detlint => 10,
             AuditPass::World => 11,
             AuditPass::RaceCheck => 12,
-            AuditPass::WireFreeze => 13,
         }
     }
 }
@@ -59,9 +52,6 @@ impl AuditPass {
 /// What to audit and how.
 #[derive(Debug, Clone)]
 pub struct AuditOptions {
-    /// Workspace root for the source lint and wire-freeze passes (`None`
-    /// skips both — world-only callers like `cloudy-repro world --audit`).
-    pub workspace_root: Option<PathBuf>,
     /// World seed for the invariant + race passes.
     pub seed: u64,
     /// Audit the full 195-country world instead of the 4-country
@@ -69,19 +59,13 @@ pub struct AuditOptions {
     pub global_world: bool,
     /// Thread count for the parallel leg of the race check.
     pub race_threads: usize,
-    /// Skip the campaign race check (static passes only).
+    /// Skip the campaign race check (world invariants only).
     pub skip_race: bool,
 }
 
 impl Default for AuditOptions {
     fn default() -> Self {
-        AuditOptions {
-            workspace_root: None,
-            seed: 1,
-            global_world: false,
-            race_threads: 8,
-            skip_race: false,
-        }
+        AuditOptions { seed: 1, global_world: false, race_threads: 8, skip_race: false }
     }
 }
 
@@ -93,25 +77,6 @@ pub struct AuditDriver {
 impl AuditDriver {
     pub fn new(opts: AuditOptions) -> Self {
         AuditDriver { opts }
-    }
-
-    /// Pass `detlint`: token-level determinism lints over the workspace
-    /// sources.
-    pub fn run_detlint(&self) -> Result<AuditReport, AuditError> {
-        match &self.opts.workspace_root {
-            Some(root) => detlint::scan_workspace(root),
-            None => Ok(AuditReport::default()),
-        }
-    }
-
-    /// Pass `wire-freeze`: serialized record/store shapes vs `wire.lock`.
-    pub fn run_wire_freeze(&self) -> Result<AuditReport, AuditError> {
-        match &self.opts.workspace_root {
-            Some(root) => {
-                Ok(wirefreeze::check_workspace(root)?.to_audit_report("wire-freeze"))
-            }
-            None => Ok(AuditReport::default()),
-        }
     }
 
     /// Pass `world`: structural invariants over a freshly built world.
@@ -128,31 +93,17 @@ impl AuditDriver {
     }
 
     /// Run one pass by identity.
-    pub fn run_pass(&self, pass: AuditPass) -> Result<AuditReport, AuditError> {
+    pub fn run_pass(&self, pass: AuditPass) -> AuditReport {
         match pass {
-            AuditPass::Detlint => self.run_detlint(),
-            AuditPass::WireFreeze => self.run_wire_freeze(),
-            AuditPass::World => Ok(self.run_world()),
-            AuditPass::RaceCheck => Ok(self.run_race()),
+            AuditPass::World => self.run_world(),
+            AuditPass::RaceCheck => self.run_race(),
         }
-    }
-
-    /// Run every configured pass and merge the findings.
-    pub fn run(&self) -> Result<AuditReport, AuditError> {
-        let mut report = AuditReport::default();
-        for pass in AuditPass::ALL {
-            report.merge(self.run_pass(pass)?);
-        }
-        Ok(report)
     }
 
     /// Run all passes, reporting per-pass results so callers (the CLI)
     /// can exit with the first failing pass's dedicated code.
-    pub fn run_per_pass(&self) -> Result<Vec<(AuditPass, AuditReport)>, AuditError> {
-        AuditPass::ALL
-            .into_iter()
-            .map(|p| self.run_pass(p).map(|r| (p, r)))
-            .collect()
+    pub fn run_per_pass(&self) -> Vec<(AuditPass, AuditReport)> {
+        AuditPass::ALL.into_iter().map(|p| (p, self.run_pass(p))).collect()
     }
 
     fn build_world(&self) -> BuiltWorld {
@@ -178,45 +129,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_driver_skips_detlint_without_a_root() {
-        let driver = AuditDriver::new(AuditOptions { skip_race: true, ..Default::default() });
-        let report = driver.run().expect("no detlint root, no IO to fail");
-        assert!(report.is_clean(), "{}", report.render());
-        // World checks ran, detlint and race did not.
-        assert!(report.checks_run >= 10, "only {} checks ran", report.checks_run);
-    }
-
-    #[test]
-    fn driver_flags_a_sourceless_detlint_root() {
-        // A root with no Rust sources must fail the audit loudly rather
-        // than count as a clean scan of zero files.
-        let driver = AuditDriver::new(AuditOptions {
-            workspace_root: Some(PathBuf::from("/nonexistent-root")),
-            skip_race: true,
-            ..Default::default()
-        });
-        let report = driver.run_detlint().expect("missing dirs are findings, not IO errors");
-        assert!(!report.is_clean());
-        assert!(report.errors().any(|f| f.check == "detlint"));
-    }
-
-    #[test]
     fn pass_names_and_exit_codes_are_stable() {
         let names: Vec<_> = AuditPass::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(names, vec!["detlint", "wire-freeze", "world", "racecheck"]);
+        assert_eq!(names, vec!["world", "racecheck"]);
         let codes: Vec<_> = AuditPass::ALL.iter().map(|p| p.exit_code()).collect();
-        assert_eq!(codes, vec![10, 13, 11, 12]);
+        assert_eq!(codes, vec![11, 12]);
         for p in AuditPass::ALL {
             assert_eq!(AuditPass::from_name(p.name()), Some(p));
         }
-        assert_eq!(AuditPass::from_name("nope"), None);
+        for gone in ["detlint", "wire-freeze", "nope"] {
+            assert_eq!(AuditPass::from_name(gone), None, "{gone}");
+        }
     }
 
     #[test]
     fn per_pass_reports_cover_all_passes() {
         let driver = AuditDriver::new(AuditOptions { skip_race: true, ..Default::default() });
-        let reports = driver.run_per_pass().expect("no root, no IO");
-        assert_eq!(reports.len(), AuditPass::ALL.len());
+        let reports = driver.run_per_pass();
+        let passes: Vec<_> = reports.iter().map(|(p, _)| *p).collect();
+        assert_eq!(passes, AuditPass::ALL);
         assert!(reports.iter().all(|(_, r)| r.is_clean()));
+        // World checks ran; `skip_race` (`audit --static`) skipped the race.
+        assert!(reports[0].1.checks_run >= 10, "only {} checks ran", reports[0].1.checks_run);
+        assert_eq!(reports[1].1.checks_run, 0);
     }
 }

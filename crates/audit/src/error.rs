@@ -12,8 +12,7 @@ use std::fmt;
 pub enum AuditError {
     /// Filesystem access failed (path and the underlying error).
     Io { path: String, message: String },
-    /// A config or lock artifact failed to parse (`audit.toml`,
-    /// `wire.lock`).
+    /// The committed `wire.lock` failed to parse.
     Config(String),
 }
 
@@ -44,8 +43,8 @@ mod tests {
 
     #[test]
     fn display_includes_path_and_message() {
-        let e = AuditError::io("audit.toml", "permission denied");
-        assert_eq!(e.to_string(), "audit.toml: permission denied");
+        let e = AuditError::io("wire.lock", "permission denied");
+        assert_eq!(e.to_string(), "wire.lock: permission denied");
         let c = AuditError::config("wire.lock:3: bad header");
         assert_eq!(c.to_string(), "wire.lock:3: bad header");
     }

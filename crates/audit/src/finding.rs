@@ -1,10 +1,12 @@
-//! The shared finding model for all audit passes.
+//! The finding model of the driver's passes.
 //!
-//! Every pass — source lints, world invariants, the campaign race check —
-//! reports through the same [`Finding`]/[`AuditReport`] types so the CLI
-//! and CI gate have one notion of "clean": zero error-severity findings.
-//! (These types started life in `cloudy-netsim::audit` and moved here when
-//! the audit grew beyond world checking.)
+//! Both passes of `cloudy-repro audit` — world invariants and the campaign
+//! race check — report through the same [`Finding`]/[`AuditReport`] types,
+//! so the command has one notion of "clean": zero error-severity findings.
+//! (The source gate, `audit lint`, reports through
+//! [`crate::lints::LintReport`] instead.) These types started life in
+//! `cloudy-netsim::audit` and moved here when the audit grew beyond world
+//! checking.
 
 use serde::Serialize;
 
@@ -154,10 +156,10 @@ mod tests {
     #[test]
     fn json_renders_findings() {
         let mut r = AuditReport { checks_run: 2, ..Default::default() };
-        r.push(Severity::Warning, "detlint", "crates/x/src/lib.rs:3: unwrap".into());
+        r.push(Severity::Warning, "calibration", "KE cellular median drifted".into());
         let j = r.render_json();
         assert!(j.contains("\"checks_run\":2"), "{j}");
         assert!(j.contains("\"severity\":\"warn\""), "{j}");
-        assert!(j.contains("detlint"), "{j}");
+        assert!(j.contains("calibration"), "{j}");
     }
 }

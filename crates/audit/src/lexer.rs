@@ -331,8 +331,8 @@ fn consume_number(b: &[u8], i: &mut usize) {
 /// A "code view" of the source: same byte length and line structure, but
 /// with comment bodies and string/char interiors blanked to spaces. Line
 /// heuristics (map-iter's declaration chasing) run on this view and can no
-/// longer be fooled by multi-line strings — the exact failure mode the old
-/// scanner documented in `audit.toml`.
+/// longer be fooled by multi-line strings — the exact failure mode of the
+/// old line scanner.
 pub fn code_view(src: &str, toks: &[Token]) -> String {
     let mut out = Vec::with_capacity(src.len());
     for t in toks {

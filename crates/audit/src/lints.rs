@@ -1,21 +1,20 @@
 //! The lint registry and the token-level passes.
 //!
 //! Every rule is declared once in [`RULES`] (name, severity, summary,
-//! remediation help) — the text/JSON/SARIF renderers, the pragma parser,
-//! and `audit.toml` validation all key off this table, so adding a lint is
-//! one registry entry plus one pass.
+//! remediation help) — the text/JSON/SARIF renderers and the pragma
+//! parser key off this table, so adding a lint is one registry entry plus
+//! one pass.
 //!
 //! Passes run over the spanned token stream from [`crate::lexer`], which
 //! is what lets them see through multi-line strings, raw strings, and
-//! nested block comments — the blind spots the old line-regex scanner
-//! apologised for in `audit.toml`. Suppression is explicit and auditable:
-//! a pragma comment naming the rule on the finding's line or the line
-//! above, or a path-scoped `audit.toml` entry. Pragmas and allowlist
-//! entries that no longer suppress anything are themselves findings
-//! (`stale-pragma`, `stale-allow`), so the suppression surface ratchets
-//! down with the findings.
+//! nested block comments — the blind spots of the old line-regex scanner.
+//! Suppression is explicit, local and counted: the one way to silence a
+//! finding is a pragma comment naming the rule on the finding's line or
+//! the line above. A pragma that no longer suppresses anything is itself
+//! a finding (`stale-pragma`), so the suppression surface ratchets down
+//! with the findings.
 
-use crate::detlint::{Allowlist, FileContext};
+use crate::detlint::FileContext;
 use crate::finding::Severity;
 use crate::lexer::{self, Token, TokenKind};
 
@@ -110,12 +109,6 @@ pub const RULES: &[LintRule] = &[
         summary: "audit:allow pragma that suppresses nothing",
         help: "delete the pragma (or fix its rule name); dead suppressions hide future findings",
     },
-    LintRule {
-        name: "stale-allow",
-        severity: Severity::Warning,
-        summary: "audit.toml entry that matched no finding",
-        help: "delete the entry; the allowlist must shrink as findings are fixed",
-    },
 ];
 
 /// Look a rule up by name.
@@ -138,8 +131,7 @@ pub struct LintFinding {
 }
 
 impl LintFinding {
-    /// The `path:line: message [rule]` rendering shared by the text
-    /// output and the legacy `AuditReport` detail strings.
+    /// The `path:line: message [rule]` rendering of the text output.
     pub fn render(&self) -> String {
         if self.line == 0 {
             format!("{}: {} [{}]", self.path, self.message, self.rule)
@@ -169,25 +161,6 @@ impl LintReport {
         self.findings.extend(other.findings);
         self.files_scanned += other.files_scanned;
     }
-
-    /// Fold into the legacy [`crate::finding::AuditReport`] model the
-    /// driver and `cloudy-repro audit` aggregate across passes.
-    pub fn to_audit_report(&self, check: &'static str) -> crate::finding::AuditReport {
-        let mut report =
-            crate::finding::AuditReport { checks_run: 1, ..Default::default() };
-        for f in &self.findings {
-            report.push(f.severity, check, f.render());
-        }
-        report
-    }
-}
-
-/// Result of linting one file: the findings plus which `audit.toml`
-/// entries earned their keep (indices into the allowlist).
-#[derive(Debug, Default)]
-pub struct FileScan {
-    pub findings: Vec<LintFinding>,
-    pub used_allow: Vec<usize>,
 }
 
 /// An `// audit:allow(rule, …)` pragma found in a comment token.
@@ -279,7 +252,7 @@ impl<'a> Code<'a> {
 
 /// Line ranges covered by `#[cfg(test)]` items, tracked by brace depth
 /// over *code* tokens — braces inside strings or comments cannot confuse
-/// the tracker, which is what makes the old allowlist entry unnecessary.
+/// the tracker.
 fn cfg_test_ranges(code: &Code) -> Vec<(u32, u32)> {
     let mut ranges = Vec::new();
     let mut k = 0usize;
@@ -438,9 +411,9 @@ fn obs_in_wire(code: &Code, raw: &mut Vec<(&'static str, u32, u32, String)>) {
     }
 }
 
-/// Lint one file's source. Pure (no I/O) so fixtures and tests feed it
-/// strings directly.
-pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan {
+/// Lint one file's source and return its unsuppressed findings. Pure (no
+/// I/O) so fixtures and tests feed it strings directly.
+pub fn lint_source(ctx: &FileContext, src: &str) -> Vec<LintFinding> {
     let toks = lexer::lex(src);
     let code = Code::new(src, &toks);
     let mut pragmas: Vec<Pragma> = toks
@@ -579,9 +552,9 @@ pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan 
         }
     }
 
-    // Suppression resolution: pragma on the same line or the line above,
-    // then audit.toml. Everything else becomes a finding.
-    let mut scan = FileScan::default();
+    // Suppression resolution: a pragma on the same line or the line
+    // above. Everything else becomes a finding.
+    let mut findings = Vec::new();
     for (rule_name, line, col, message) in raw {
         let mut suppressed = false;
         for p in pragmas.iter_mut() {
@@ -594,12 +567,6 @@ pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan 
                 }
             }
         }
-        if !suppressed {
-            if let Some(entry) = allow.allows(&ctx.rel_path, rule_name) {
-                scan.used_allow.push(entry);
-                suppressed = true;
-            }
-        }
         if suppressed {
             continue;
         }
@@ -607,7 +574,7 @@ pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan 
             Some(r) => r,
             None => continue, // unreachable: passes only emit registered names
         };
-        scan.findings.push(LintFinding {
+        findings.push(LintFinding {
             rule: r.name,
             severity: r.severity,
             path: ctx.rel_path.clone(),
@@ -629,10 +596,7 @@ pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan 
                 ),
                 None => format!("pragma names unknown rule `{r}`"),
             };
-            if allow.allows(&ctx.rel_path, "stale-pragma").is_some() {
-                continue;
-            }
-            scan.findings.push(LintFinding {
+            findings.push(LintFinding {
                 rule: "stale-pragma",
                 severity: Severity::Warning,
                 path: ctx.rel_path.clone(),
@@ -642,7 +606,7 @@ pub fn lint_source(ctx: &FileContext, src: &str, allow: &Allowlist) -> FileScan 
             });
         }
     }
-    scan
+    findings
 }
 
 /// From a `pub` token, decide whether it opens a `pub fn` whose return
@@ -819,7 +783,7 @@ mod tests {
     }
 
     fn scan(src: &str) -> Vec<LintFinding> {
-        lint_source(&lib_ctx(), src, &Allowlist::empty()).findings
+        lint_source(&lib_ctx(), src)
     }
 
     fn rules_of(findings: &[LintFinding]) -> Vec<&'static str> {
@@ -843,8 +807,8 @@ mod tests {
 
     #[test]
     fn multiline_fixture_strings_no_longer_trip_rules() {
-        // The exact blind spot the old scanner allowlisted in audit.toml:
-        // a violation pattern inside a multi-line string literal.
+        // The old line scanner's blind spot: a violation pattern inside a
+        // multi-line string literal.
         let src = "fn f() -> String {\n    let fixture = \"fn g() {\n        let t = \
                    Instant::now();\n        let mut r = thread_rng();\n    }\";\n    \
                    fixture.to_string()\n}\n";
@@ -867,7 +831,7 @@ mod tests {
         assert_eq!(rules_of(&scan(src)), vec!["unwrap", "expect", "panic"]);
         for path in ["crates/demo/tests/it.rs", "src/bin/tool.rs"] {
             let ctx = FileContext::classify(path);
-            let f = lint_source(&ctx, src, &Allowlist::empty()).findings;
+            let f = lint_source(&ctx, src);
             assert_eq!(f, vec![], "{path} should be exempt");
         }
     }
@@ -900,7 +864,7 @@ mod tests {
         let src = "pub fn f() { println!(\"x\"); eprintln!(\"y\"); }\n";
         assert_eq!(rules_of(&scan(src)), vec!["print-stdout", "print-stdout"]);
         let bin = FileContext::classify("src/bin/cloudy-repro.rs");
-        assert_eq!(lint_source(&bin, src, &Allowlist::empty()).findings, vec![]);
+        assert_eq!(lint_source(&bin, src), vec![]);
     }
 
     #[test]
@@ -909,11 +873,11 @@ mod tests {
         assert_eq!(scan(src), vec![], "non-wire files are exempt");
         let wire = FileContext::classify("crates/store/src/codec.rs");
         assert!(wire.is_wire);
-        let f = lint_source(&wire, src, &Allowlist::empty()).findings;
+        let f = lint_source(&wire, src);
         assert_eq!(rules_of(&f), vec!["as-truncate"]);
         // Widening casts never flag.
         let widen = "pub fn up(x: u8) -> u64 { x as u64 }\n";
-        assert_eq!(lint_source(&wire, widen, &Allowlist::empty()).findings, vec![]);
+        assert_eq!(lint_source(&wire, widen), vec![]);
     }
 
     #[test]
@@ -972,7 +936,7 @@ mod tests {
         let src = "pub fn now() -> Instant { Instant::now() }\n";
         assert_eq!(rules_of(&scan(src)), vec!["nondet-time"]);
         let obs = FileContext::classify("crates/obs/src/registry.rs");
-        assert_eq!(lint_source(&obs, src, &Allowlist::empty()).findings, vec![]);
+        assert_eq!(lint_source(&obs, src), vec![]);
     }
 
     #[test]
@@ -1030,25 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_tracks_used_entries() {
-        let allow = Allowlist::parse(
-            "[[allow]]\n\
-             path = \"crates/demo\"\n\
-             rules = [\"unwrap\"]\n\
-             reason = \"legacy\"\n\
-             [[allow]]\n\
-             path = \"crates/other\"\n\
-             rules = [\"panic\"]\n\
-             reason = \"legacy\"\n",
-        )
-        .expect("parses");
-        let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let out = lint_source(&lib_ctx(), src, &allow);
-        assert_eq!(out.findings, vec![]);
-        assert_eq!(out.used_allow, vec![0], "only the matching entry is used");
-    }
-
-    #[test]
     fn report_orders_and_counts() {
         let mut r = LintReport::default();
         r.findings.push(LintFinding {
@@ -1068,8 +1013,7 @@ mod tests {
             message: "m".into(),
         });
         r.sort();
-        assert_eq!(r.findings[0].path, "a.rs");
-        let audit = r.to_audit_report("detlint");
-        assert_eq!(audit.findings.len(), 2, "every finding gates");
+        let order: Vec<_> = r.findings.iter().map(|f| (f.path.as_str(), f.line)).collect();
+        assert_eq!(order, vec![("a.rs", 9), ("b.rs", 2)], "sorted by path, every finding kept");
     }
 }

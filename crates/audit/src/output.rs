@@ -98,8 +98,6 @@ pub fn render_sarif(report: &LintReport) -> String {
         .findings
         .iter()
         .map(|f| {
-            let rule_index =
-                RULES.iter().position(|r| r.name == f.rule).unwrap_or(usize::MAX - 1);
             let region = obj(vec![
                 ("startLine", Value::UInt(u64::from(f.line.max(1)))),
                 ("startColumn", Value::UInt(u64::from(f.col.max(1)))),
@@ -114,13 +112,18 @@ pub fn render_sarif(report: &LintReport) -> String {
                     ("region", region),
                 ]),
             )]);
-            obj(vec![
-                ("ruleId", Value::Str(f.rule.into())),
-                ("ruleIndex", Value::UInt(rule_index as u64)),
+            let mut result = vec![("ruleId", Value::Str(f.rule.into()))];
+            // A walk that found no sources is reported under a rule the
+            // registry does not describe, so it carries no index.
+            if let Some(ix) = RULES.iter().position(|r| r.name == f.rule) {
+                result.push(("ruleIndex", Value::UInt(ix as u64)));
+            }
+            result.extend([
                 ("level", Value::Str(level(f.severity).into())),
                 ("message", text(&f.message)),
                 ("locations", Value::Array(vec![location])),
-            ])
+            ]);
+            obj(result)
         })
         .collect();
 
@@ -221,11 +224,21 @@ mod tests {
 
     #[test]
     fn sarif_rule_index_matches_registry() {
-        let s = render_sarif(&sample());
+        let mut report = sample();
+        report.findings.push(LintFinding {
+            rule: "no-sources",
+            severity: Severity::Error,
+            path: ".".into(),
+            line: 0,
+            col: 0,
+            message: "no Rust sources under /empty".into(),
+        });
+        let s = render_sarif(&report);
         let doc = serde_json::parse(&s).expect("valid JSON");
         let Some(Value::Array(runs)) = doc.get("runs") else { panic!() };
         let Some(Value::Array(results)) = runs[0].get("results") else { panic!() };
         let Some(Value::UInt(ix)) = results[0].get("ruleIndex") else { panic!("{s}") };
         assert_eq!(RULES[*ix as usize].name, "nondet-time");
+        assert!(results[2].get("ruleIndex").is_none(), "an unregistered rule has no index: {s}");
     }
 }

@@ -17,7 +17,7 @@
 //! CLOUDY_BLESS=1 cargo test -p cloudy-audit --test lint_golden
 //! ```
 
-use cloudy_audit::detlint::{Allowlist, FileContext};
+use cloudy_audit::detlint::FileContext;
 use cloudy_audit::lints::{lint_source, RULES};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -52,12 +52,9 @@ fn fixture_source(stem: &str) -> String {
 /// Lint a fixture and render its findings one per line, sorted.
 fn transcript(stem: &str, as_path: &str) -> String {
     let ctx = FileContext::classify(as_path);
-    let mut scan = lint_source(&ctx, &fixture_source(stem), &Allowlist::empty());
-    scan.findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    scan.findings
-        .iter()
-        .map(|f| format!("{}:{} {} {}\n", f.line, f.col, f.rule, f.message))
-        .collect()
+    let mut findings = lint_source(&ctx, &fixture_source(stem));
+    findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
+    findings.iter().map(|f| format!("{}:{} {} {}\n", f.line, f.col, f.rule, f.message)).collect()
 }
 
 #[test]
@@ -87,12 +84,8 @@ fn clean_fixture_has_no_findings_in_any_context() {
         ["crates/demo/src/lib.rs", "crates/store/src/codec.rs", "crates/measure/src/record.rs"]
     {
         let ctx = FileContext::classify(as_path);
-        let scan = lint_source(&ctx, &src, &Allowlist::empty());
-        assert!(
-            scan.findings.is_empty(),
-            "clean fixture as {as_path}: {:?}",
-            scan.findings
-        );
+        let findings = lint_source(&ctx, &src);
+        assert!(findings.is_empty(), "clean fixture as {as_path}: {findings:?}");
     }
 }
 
@@ -108,8 +101,8 @@ fn defusing_pragmas_makes_suppressed_twins_fire() {
         let ctx = FileContext::classify(as_path);
         let src = fixture_source(stem);
         let defused = src.replace("audit:allow", "audit-disabled");
-        let with = lint_source(&ctx, &src, &Allowlist::empty()).findings;
-        let without = lint_source(&ctx, &defused, &Allowlist::empty()).findings;
+        let with = lint_source(&ctx, &src);
+        let without = lint_source(&ctx, &defused);
         assert!(
             without.len() > with.len(),
             "{stem}: defusing pragmas did not add findings ({} -> {})",
@@ -135,7 +128,7 @@ fn pragma_lines_carry_no_findings() {
             .filter(|(_, l)| l.contains("audit:allow"))
             .map(|(i, _)| (i + 1) as u32)
             .collect();
-        for f in lint_source(&ctx, &src, &Allowlist::empty()).findings {
+        for f in lint_source(&ctx, &src) {
             assert!(
                 !pragma_lines.contains(&f.line),
                 "{stem}: finding on suppressed line {}: {}",
@@ -147,16 +140,15 @@ fn pragma_lines_carry_no_findings() {
 }
 
 /// Every per-file rule in the registry is exercised by some fixture.
-/// The two workspace-level rules (wire-drift, stale-allow) have no
-/// per-file fixture; they are pinned by the wirefreeze and detlint unit
-/// suites instead.
+/// The one workspace-level rule (wire-drift) has no per-file fixture; the
+/// wirefreeze unit suite pins it instead.
 #[test]
 fn every_per_file_rule_has_a_fixture() {
-    const WORKSPACE_RULES: &[&str] = &["wire-drift", "stale-allow"];
+    const WORKSPACE_RULES: &[&str] = &["wire-drift"];
     let mut seen: BTreeSet<&'static str> = BTreeSet::new();
     for &(stem, as_path) in CASES {
         let ctx = FileContext::classify(as_path);
-        for f in lint_source(&ctx, &fixture_source(stem), &Allowlist::empty()).findings {
+        for f in lint_source(&ctx, &fixture_source(stem)) {
             seen.insert(f.rule);
         }
     }

@@ -9,21 +9,9 @@
 //! against simulator ground truth.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// A rejected [`ArtifactConfig`] (rate out of range, negative detour).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArtifactConfigError(String);
-
-impl fmt::Display for ArtifactConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ArtifactConfigError {}
-
-/// Probability knobs for classification-breaking artifacts.
+/// Probability knobs for classification-breaking artifacts. Both rates
+/// must lie in `[0, 1]`; `CampaignConfig::validate` checks them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ArtifactConfig {
     /// Probability a WiFi-home probe sits behind carrier-grade NAT, making
@@ -33,36 +21,18 @@ pub struct ArtifactConfig {
     /// Probability a probe tunnels through a VPN: the first hop is a remote
     /// public address and the last-mile RTT is inflated.
     pub vpn_prob: f64,
-    /// Latency added by a VPN detour (ms, one-way).
-    pub vpn_detour_ms: f64,
 }
 
 impl ArtifactConfig {
     /// Rates in line with published CGN deployment studies \[71\]: roughly a
     /// tenth of residential connections behind CGN, a small VPN share.
     pub fn realistic() -> Self {
-        ArtifactConfig { cgn_prob: 0.10, vpn_prob: 0.02, vpn_detour_ms: 15.0 }
+        ArtifactConfig { cgn_prob: 0.10, vpn_prob: 0.02 }
     }
 
     /// No artifacts — the clean mode used to isolate their effect.
     pub fn clean() -> Self {
-        ArtifactConfig { cgn_prob: 0.0, vpn_prob: 0.0, vpn_detour_ms: 0.0 }
-    }
-
-    /// Validate rates.
-    pub fn validate(&self) -> Result<(), ArtifactConfigError> {
-        for (name, v) in [("cgn_prob", self.cgn_prob), ("vpn_prob", self.vpn_prob)] {
-            if !(0.0..=1.0).contains(&v) {
-                return Err(ArtifactConfigError(format!("{name} must be in [0,1], got {v}")));
-            }
-        }
-        if self.vpn_detour_ms < 0.0 {
-            return Err(ArtifactConfigError(format!(
-                "vpn_detour_ms must be >= 0, got {}",
-                self.vpn_detour_ms
-            )));
-        }
-        Ok(())
+        ArtifactConfig { cgn_prob: 0.0, vpn_prob: 0.0 }
     }
 
     /// Deterministic artifact assignment for a probe, from a per-probe hash.
@@ -90,22 +60,6 @@ impl ProbeArtifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn realistic_validates() {
-        assert!(ArtifactConfig::realistic().validate().is_ok());
-        assert!(ArtifactConfig::clean().validate().is_ok());
-    }
-
-    #[test]
-    fn bad_configs_rejected() {
-        let mut c = ArtifactConfig::clean();
-        c.cgn_prob = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = ArtifactConfig::clean();
-        c.vpn_detour_ms = -1.0;
-        assert!(c.validate().is_err());
-    }
 
     #[test]
     fn clean_assigns_nothing() {

@@ -107,10 +107,15 @@ impl CampaignConfig {
         if plan.regions_per_probe == 0 {
             return Err(MeasureError::config("regions_per_probe", "must be >= 1"));
         }
+        let in_unit = |probs: &[f64]| probs.iter().all(|p| (0.0..=1.0).contains(p));
+        let a = &self.artifacts;
+        if !in_unit(&[a.cgn_prob, a.vpn_prob]) {
+            return Err(MeasureError::config("artifacts", "probabilities must be in [0, 1]"));
+        }
         let f = &self.faults;
         let probs =
             [f.extra_loss, f.timeout_probability, f.rate_limit_probability, f.offline_probability];
-        if probs.iter().any(|p| !(0.0..=1.0).contains(p)) {
+        if !in_unit(&probs) {
             return Err(MeasureError::config("faults", "probabilities must be in [0, 1]"));
         }
         if f.timeout_probability > 0.0 && f.timeout_budget_ms <= 0.0 {
@@ -253,17 +258,38 @@ pub fn run_campaign(cfg: &CampaignConfig, sim: &Simulator, pop: &Population) -> 
 /// With `route_cache` on, the shared route cache is warmed from the whole
 /// plan first (see [`warm_route_cache`]), so worker blocks start from a
 /// fully populated cache instead of discovering pairs round by round.
+///
+/// With `cfg.obs` enabled, the planner and the warm pass are timed as the
+/// `campaign.plan` and `campaign.route` spans on lane 0, and the routes
+/// the warm pass builds count towards `netsim.routes.built`.
 pub fn run_campaign_into(
     cfg: &CampaignConfig,
     sim: &Simulator,
     pop: &Population,
     sink: &mut impl RecordSink,
 ) -> Result<FailureStats, MeasureError> {
+    let obs = &cfg.obs;
+    let span = obs.now();
     let schedule = plan::plan(&cfg.plan, pop);
+    obs.record_span("campaign.plan", span, 0);
     if cfg.route_cache {
+        let span = obs.now();
+        let misses = routes_built(sim, obs);
         warm_route_cache(sim, pop, &cfg.artifacts, &schedule.tasks);
+        obs.add("netsim.routes.built", routes_built(sim, obs) - misses);
+        obs.record_span("campaign.route", span, 0);
     }
     execute_tasks_into(cfg, sim, pop, &schedule.tasks, sink)
+}
+
+/// The shared route cache's lifetime miss count — one per route it
+/// assembled — read only when `obs` is enabled (0 otherwise).
+fn routes_built(sim: &Simulator, obs: &Obs) -> u64 {
+    if obs.is_enabled() {
+        sim.route_cache().stats().misses
+    } else {
+        0
+    }
 }
 
 /// Run one task's attempts and return its final outcome (and, for
@@ -478,6 +504,11 @@ pub fn warm_route_cache(
 /// work, and because blocks are a fixed size and drained in order, the
 /// concatenated record stream over any slicing of the same task sequence
 /// is identical to executing it in one call.
+///
+/// With `cfg.obs` enabled, each round's drain is one `campaign.drain`
+/// span on lane 0, and `netsim.routes.built` counts the routes the blocks
+/// assembled: route-cache misses with the cache on, one per task with it
+/// off.
 pub fn execute_tasks_into(
     cfg: &CampaignConfig,
     sim: &Simulator,
@@ -495,6 +526,13 @@ pub fn execute_tasks_into(
     let artifacts = cfg.artifacts;
     let route_cache = cfg.route_cache;
     let obs = &cfg.obs;
+    let misses = routes_built(sim, obs);
+    // A round is `threads` blocks, as in `run_blocked`; the last may be
+    // short. Its drain span opens at its first block and closes at its last.
+    let threads = cfg.threads.max(1);
+    let blocks = tasks.len().div_ceil(BLOCK_TASKS);
+    let mut drained = 0;
+    let mut round_span = None;
     run_blocked(
         cfg.threads,
         BLOCK_TASKS,
@@ -503,6 +541,9 @@ pub fn execute_tasks_into(
             run_block(sim, pop, &artifacts, block, route_cache, fault_ctx.as_ref(), lane, obs.local())
         },
         |(pings, traces, stats, shard)| {
+            if drained % threads == 0 {
+                round_span = obs.now();
+            }
             for p in pings {
                 sink.sink_ping(p)?;
             }
@@ -510,12 +551,23 @@ pub fn execute_tasks_into(
                 sink.sink_trace(t)?;
             }
             totals.merge(&stats);
-            cfg.obs.merge(shard);
+            obs.merge(shard);
+            drained += 1;
+            if drained % threads == 0 || drained == blocks {
+                obs.record_span("campaign.drain", round_span, 0);
+            }
             Ok(())
         },
     )?;
-    if cfg.obs.is_enabled() && cfg.route_cache {
-        sim.route_cache().stats().export_into(&cfg.obs);
+    if obs.is_enabled() {
+        let built = if route_cache {
+            let stats = sim.route_cache().stats();
+            stats.export_into(obs);
+            stats.misses - misses
+        } else {
+            tasks.len() as u64
+        };
+        obs.add("netsim.routes.built", built);
     }
     Ok(totals)
 }
@@ -735,12 +787,20 @@ mod tests {
     #[test]
     fn metrics_never_perturb_records_and_reconcile_with_stats() {
         let (sim, pop) = setup();
-        let plain = run_campaign(&faulted_cfg(3), &sim, &pop);
         let obs = Obs::with_trace();
         let observed =
             run_campaign(&CampaignConfig { obs: obs.clone(), ..faulted_cfg(3) }, &sim, &pop);
+        let plain = run_campaign(&faulted_cfg(3), &sim, &pop);
         assert_eq!(plain, observed, "an enabled registry must not change the record stream");
         let snap = obs.snapshot().unwrap_or_default();
+        for span in ["campaign.plan", "campaign.route", "campaign.drain", "campaign.block"] {
+            let count = snap.hist(&format!("span.{span}")).map(|h| h.count).unwrap_or(0);
+            assert!(count > 0, "no {span} spans recorded: {snap:?}");
+        }
+        // On a fresh simulator the warm pass builds each (probe, region)
+        // route once, and the blocks, all hits, build none.
+        let tasks = plan::plan(&faulted_cfg(3).plan, &pop).tasks;
+        assert_eq!(snap.counter("netsim.routes.built"), plan::block_pairs(&tasks).len() as u64);
         assert_eq!(
             snap.counter("campaign.tasks.planned"),
             snap.counter("campaign.tasks.executed"),
@@ -756,10 +816,6 @@ mod tests {
                 + snap.counter("campaign.outcome.timeout")
                 + snap.counter("campaign.outcome.rate_limited")
                 + snap.counter("campaign.outcome.probe_offline")
-        );
-        assert!(
-            snap.hist("span.campaign.block").map(|h| h.count).unwrap_or(0) > 0,
-            "block spans recorded"
         );
         assert!(snap.gauge("route_cache.hits").is_some(), "cache totals folded in");
         let trace = obs.trace_json().unwrap_or_default();
@@ -780,13 +836,24 @@ mod tests {
         assert!(stats.lost > 0, "{stats:?}");
         assert_eq!(stats.ok as usize, clean.pings.len() + clean.traces.len());
         assert_eq!(stats.total(), snap.counter("campaign.tasks.executed"));
+        assert_eq!(snap.counter("netsim.routes.built"), 0, "a warm cache builds no route");
+
+        // With the cache off every task builds its own route.
+        let obs = Obs::enabled();
+        let uncached = CampaignConfig { obs: obs.clone(), route_cache: false, ..small_cfg(3) };
+        run_campaign(&uncached, &sim, &pop);
+        let snap = obs.snapshot().unwrap_or_default();
+        assert_eq!(snap.counter("netsim.routes.built"), tasks.len() as u64);
+        assert_eq!(snap.hist("span.campaign.route").map(|h| h.count), None, "no warm pass");
     }
 
     #[test]
     fn merged_counters_are_thread_count_invariant() {
-        let (sim, pop) = setup();
         let mut by_threads = Vec::new();
         for threads in [1usize, 7] {
+            // A fresh simulator per leg: `netsim.routes.built` counts the
+            // routes a campaign adds to the cache, so a warm one reads 0.
+            let (sim, pop) = setup();
             let obs = Obs::enabled();
             run_campaign(&CampaignConfig { obs: obs.clone(), ..faulted_cfg(threads) }, &sim, &pop);
             by_threads.push(obs.snapshot().unwrap_or_default().counters);
@@ -870,6 +937,11 @@ mod tests {
         };
         let plan_field = |plan| field_of(CampaignConfig { plan, ..small_cfg(2) });
         let fault_field = |faults| field_of(CampaignConfig { faults, ..small_cfg(2) });
+        let artifact_field = |artifacts| field_of(CampaignConfig { artifacts, ..small_cfg(2) });
+        let clean = ArtifactConfig::clean();
+        // A CGN rate of 1.5 would put every probe behind CGN.
+        assert_eq!(artifact_field(ArtifactConfig { cgn_prob: 1.5, ..clean }), "artifacts");
+        assert_eq!(artifact_field(ArtifactConfig { vpn_prob: -0.1, ..clean }), "artifacts");
         let none = FaultProfile::none();
         assert_eq!(fault_field(FaultProfile { extra_loss: 1.5, ..none }), "faults");
         let no_budget = FaultProfile { timeout_probability: 0.1, timeout_budget_ms: 0.0, ..none };

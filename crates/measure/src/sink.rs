@@ -37,15 +37,15 @@ impl RecordSink for Dataset {
     }
 
     fn sink_cloud(&mut self, _r: CloudPingRecord) -> Result<(), MeasureError> {
-        // The jsonl/binary dataset codecs predate the inter-cloud plane and
-        // their shapes are pinned by exported files; inter-cloud campaigns
-        // stream to the columnar store (or a CloudPingSet) instead.
+        // The JSONL dataset codec predates the inter-cloud plane and its
+        // shape is pinned by exported files; inter-cloud campaigns stream
+        // to the columnar store (or a CloudPingSet) instead.
         Err(MeasureError::sink("Dataset does not accept inter-cloud records"))
     }
 }
 
 /// In-memory collection sink for inter-cloud rows (the `Dataset` analog for
-/// the inter-cloud plane, without touching `Dataset`'s pinned codecs).
+/// the inter-cloud plane, without touching `Dataset`'s pinned JSONL codec).
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct CloudPingSet {
     pub pings: Vec<CloudPingRecord>,

@@ -78,8 +78,10 @@ fn usage() {
          \x20 list                         list experiment ids\n\
          \x20 world [opts] [--audit]       print world statistics; --audit also runs\n\
          \x20                              the world invariant checks (exit 1 if broken)\n\
-         \x20 audit [audit opts]           run the audit passes (world, race, lints)\n\
-         \x20 audit lint [lint opts]       strict static gate: token lints + wire freeze\n\
+         \x20 audit [audit opts]           check the world invariants and run the\n\
+         \x20                              1-vs-N-thread campaign race check\n\
+         \x20 audit lint [lint opts]       source gate: token lints + wire freeze;\n\
+         \x20                              fails on any finding\n\
          \x20 run [opts] [--out DIR]       run both campaigns, write datasets\n\
          \x20 analyze --dir DIR [<id>...] [opts]\n\
          \x20                              re-analyse a `run` export (every experiment\n\
@@ -138,8 +140,7 @@ fn usage() {
          \x20 --static            skip the campaign race check\n\
          \x20 --json              machine-readable findings\n\
          \x20 --global            audit the full 195-country world (slow)\n\
-         \x20 --pass NAME         run one pass: detlint | wire-freeze | world | racecheck\n\
-         \x20 --root DIR          workspace root to lint (default: this checkout)\n\
+         \x20 --pass NAME         run one pass: world | racecheck\n\
          \x20 --seed N            world seed (default 1)\n\
          \x20 --threads N         parallel leg of the race check (default 8)\n\n\
          audit lint options:\n\
@@ -148,8 +149,10 @@ fn usage() {
          \x20 --update-lock       regenerate wire.lock from the tree (intentional\n\
          \x20                     wire-format changes only)\n\n\
          audit exit codes:\n\
-         \x20 0 clean · 2 usage/config error · 10 detlint findings ·\n\
-         \x20 11 world invariant broken · 12 race check failed · 13 wire drift"
+         \x20 audit:      0 clean · 2 usage error · 11 world invariant broken ·\n\
+         \x20             12 race check failed\n\
+         \x20 audit lint: 0 clean · 2 usage error or unreadable sources/wire.lock ·\n\
+         \x20             10 lint findings · 13 wire drift and nothing else"
     );
 }
 
@@ -270,7 +273,7 @@ fn world(mut args: Args) -> CliResult {
     args.finish()?;
     let world = cfg.build_world();
     if audit {
-        let report = cloudy::audit::audit(&world);
+        let report = cloudy::audit::world::audit(&world);
         print!("{}", report.render());
         if !report.is_clean() {
             return Ok(ExitCode::from(1));
@@ -288,29 +291,28 @@ fn world(mut args: Args) -> CliResult {
     Ok(ExitCode::SUCCESS)
 }
 
+/// `audit` — the world invariants and the race check. Clean means no
+/// error-severity finding; the source lints run under `audit lint`.
 fn audit(mut args: Args) -> CliResult {
     use cloudy::audit::{AuditDriver, AuditOptions, AuditPass, AuditReport};
     if args.0.first().is_some_and(|a| a == "lint") {
         args.subcommand();
         return audit_lint(args);
     }
-    let mut opts = AuditOptions {
-        workspace_root: Some(env!("CARGO_MANIFEST_DIR").into()),
-        ..AuditOptions::default()
+    let defaults = AuditOptions::default();
+    let opts = AuditOptions {
+        skip_race: args.switch("--static"),
+        global_world: args.switch("--global"),
+        seed: args.value("--seed")?.unwrap_or(defaults.seed),
+        race_threads: args.value("--threads")?.unwrap_or(defaults.race_threads),
     };
-    opts.skip_race = args.switch("--static");
-    opts.global_world = args.switch("--global");
     let json = args.switch("--json");
-    let only_pass =
-        args.choice("--pass", "detlint, wire-freeze, world or racecheck", AuditPass::from_name)?;
-    opts.workspace_root = args.value("--root")?.or(opts.workspace_root);
-    opts.seed = args.value("--seed")?.unwrap_or(opts.seed);
-    opts.race_threads = args.value("--threads")?.unwrap_or(opts.race_threads);
+    let only_pass = args.choice("--pass", "world or racecheck", AuditPass::from_name)?;
     args.finish()?;
     let driver = AuditDriver::new(opts);
-    let per_pass: Vec<(AuditPass, AuditReport)> = match only_pass {
-        Some(p) => vec![(p, driver.run_pass(p)?)],
-        None => driver.run_per_pass()?,
+    let per_pass = match only_pass {
+        Some(p) => vec![(p, driver.run_pass(p))],
+        None => driver.run_per_pass(),
     };
     let mut combined = AuditReport::default();
     for (_, r) in &per_pass {
@@ -322,7 +324,7 @@ fn audit(mut args: Args) -> CliResult {
         print!("{}", combined.render());
     }
     // Exit with the first failing pass's dedicated code so CI can name
-    // the broken gate (10 detlint, 11 world, 12 racecheck, 13 wire-freeze).
+    // the broken gate (11 world, 12 racecheck).
     for (pass, report) in &per_pass {
         if !report.is_clean() {
             return Ok(ExitCode::from(pass.exit_code() as u8));
@@ -331,9 +333,8 @@ fn audit(mut args: Args) -> CliResult {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `audit lint` — the strict static gate: token lints plus the wire
-/// freeze. Unlike the aggregate `audit` command (clean = no errors), lint
-/// fails on *any* finding.
+/// `audit lint` — the source gate, and the only command that runs the
+/// token lints and the wire freeze. It fails on *any* finding.
 fn audit_lint(mut args: Args) -> CliResult {
     use cloudy::audit::{detlint, output, wirefreeze};
     let format = args

@@ -1,10 +1,14 @@
 //! Tier-1 gate: the seed workspace and world must pass their own audit.
 //!
-//! This is the enforcement half of `cloudy-audit` — the pass itself lives
-//! in `crates/audit`; this suite pins that the shipped tree stays clean
-//! (zero error-severity findings) and that the `cloudy-repro audit` CLI
-//! agrees with the library.
+//! This is the enforcement half of `cloudy-audit` — the passes themselves
+//! live in `crates/audit`; this suite pins that the shipped tree stays
+//! clean (no lint or wire-freeze finding of any severity, no world or race
+//! error) and that the `cloudy-repro audit` and `audit lint` commands
+//! agree with the library.
 
+use cloudy::audit::detlint::lint_workspace;
+use cloudy::audit::output::render_text;
+use cloudy::audit::wirefreeze::check_workspace;
 use cloudy::audit::{AuditDriver, AuditOptions};
 use std::path::PathBuf;
 use std::process::Command;
@@ -15,17 +19,11 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn detlint_finds_no_errors_in_the_workspace() {
-    let driver = AuditDriver::new(AuditOptions {
-        workspace_root: Some(workspace_root()),
-        skip_race: true,
-        ..AuditOptions::default()
-    });
-    let report = driver.run_detlint().expect("workspace sources readable");
-    let errors: Vec<_> = report.errors().collect();
-    assert!(errors.is_empty(), "determinism lint errors:\n{:#?}", errors);
+    let report = lint_workspace(&workspace_root()).expect("workspace sources readable");
+    // The lint gate fails on warnings too.
+    assert!(report.findings.is_empty(), "lint findings:\n{}", render_text(&report));
     // A walk that finds (almost) no files would pass vacuously.
-    let walk = cloudy::audit::detlint::lint_workspace(&workspace_root()).expect("sources readable");
-    assert!(walk.files_scanned > 50, "walk found only {} files", walk.files_scanned);
+    assert!(report.files_scanned > 50, "walk found only {} files", report.files_scanned);
 }
 
 #[test]
@@ -46,8 +44,7 @@ fn campaign_is_byte_identical_across_1_and_8_threads() {
 #[test]
 fn cloudy_repro_audit_exits_zero_on_the_seed_workspace() {
     let out = Command::new(env!("CARGO_BIN_EXE_cloudy-repro"))
-        .args(["audit", "--root"])
-        .arg(workspace_root())
+        .arg("audit")
         .output()
         .expect("cloudy-repro runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -63,8 +60,7 @@ fn cloudy_repro_audit_exits_zero_on_the_seed_workspace() {
 #[test]
 fn cloudy_repro_audit_json_is_parseable() {
     let out = Command::new(env!("CARGO_BIN_EXE_cloudy-repro"))
-        .args(["audit", "--static", "--json", "--root"])
-        .arg(workspace_root())
+        .args(["audit", "--static", "--json"])
         .output()
         .expect("cloudy-repro runs");
     assert!(out.status.success());
@@ -84,13 +80,8 @@ fn cloudy_repro_audit_json_is_parseable() {
 /// (or reordering store tags) fails here — and therefore fails tier-1.
 #[test]
 fn wire_freeze_matches_the_committed_lock() {
-    let driver = AuditDriver::new(AuditOptions {
-        workspace_root: Some(workspace_root()),
-        skip_race: true,
-        ..AuditOptions::default()
-    });
-    let report = driver.run_wire_freeze().expect("wire extraction runs");
-    assert!(report.is_clean(), "wire drift against wire.lock:\n{}", report.render());
+    let report = check_workspace(&workspace_root()).expect("wire extraction runs");
+    assert!(report.findings.is_empty(), "wire drift against wire.lock:\n{}", render_text(&report));
 }
 
 /// The strict lint gate: zero findings of any severity.
@@ -135,26 +126,25 @@ fn audit_lint_sarif_is_parseable() {
 }
 
 /// `--pass` selects a single pass; an unknown pass is a usage error
-/// (exit 2). Pass names and exit codes are documented API.
+/// (exit 2). Pass names and exit codes are documented API; the lints and
+/// the wire freeze are not `audit` passes but `audit lint`'s whole job.
 #[test]
 fn audit_pass_selector_and_exit_codes() {
-    for pass in ["detlint", "wire-freeze"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_cloudy-repro"))
-            .args(["audit", "--pass", pass, "--root"])
-            .arg(workspace_root())
-            .output()
-            .expect("cloudy-repro runs");
-        assert!(
-            out.status.success(),
-            "pass {pass} exited {:?}\nstderr:\n{}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stderr),
-        );
-    }
     let out = Command::new(env!("CARGO_BIN_EXE_cloudy-repro"))
-        .args(["audit", "--pass", "no-such-pass", "--root"])
-        .arg(workspace_root())
+        .args(["audit", "--pass", "world"])
         .output()
         .expect("cloudy-repro runs");
-    assert_eq!(out.status.code(), Some(2), "unknown pass is a usage error");
+    assert!(
+        out.status.success(),
+        "pass world exited {:?}\nstderr:\n{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    for pass in ["detlint", "wire-freeze", "no-such-pass"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cloudy-repro"))
+            .args(["audit", "--pass", pass])
+            .output()
+            .expect("cloudy-repro runs");
+        assert_eq!(out.status.code(), Some(2), "--pass {pass} is a usage error");
+    }
 }

@@ -210,9 +210,9 @@ fn intercloud_gap_matrix_and_placement() {
 }
 
 #[test]
-fn audit_detlint_pass() {
-    let dir = scratch("audit_detlint_pass");
-    check("audit_detlint", &stdout_of(&dir, &["audit", "--pass", "detlint"]));
+fn audit_world_pass() {
+    let dir = scratch("audit_world_pass");
+    check("audit_world", &stdout_of(&dir, &["audit", "--pass", "world"]));
 }
 
 /// `obs` prints span timings, so only its exit status and metric names
