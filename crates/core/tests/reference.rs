@@ -5,14 +5,18 @@
 //! population and 25 % of Atlas (`cloudy-repro all --days 12`, or
 //! `cargo run --release --example full_reproduction`). This suite builds
 //! that study once and checks every number the doc prints for Figs. 3, 4,
-//! 5, 7, 10 and 11, at the precision the doc prints it. A change that
-//! moves one of them fails here: update the doc's row and the expected
-//! value below together.
+//! 5, 6, 7, 10, 11, 12b, 13b, 16, 17, 18 and 19, at the precision the doc
+//! prints it. A change that moves one of them fails here: update the
+//! doc's row and the expected value below together.
 
+use cloudy_analysis::peering::Interconnection;
+use cloudy_analysis::{BoxStats, Cdf};
 use cloudy_cloud::Provider;
+use cloudy_core::experiments::peering_case::{CaseStudy, LatencyRow, PeeringCase};
 use cloudy_core::experiments::*;
 use cloudy_core::{Study, StudyConfig};
 use cloudy_geo::Continent;
+use cloudy_topology::known;
 use std::sync::OnceLock;
 
 fn study() -> &'static Study {
@@ -29,6 +33,36 @@ fn study() -> &'static Study {
 /// A fraction as a percentage with `digits` decimals.
 fn pct(x: f64, digits: usize) -> String {
     format!("{:.*}", digits, x * 100.0)
+}
+
+/// The lowest and highest of `values`, at one decimal, as `lo–hi`.
+fn span(values: impl IntoIterator<Item = f64>) -> String {
+    let (lo, hi) = values
+        .into_iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)));
+    format!("{lo:.1}–{hi:.1}")
+}
+
+/// One case study's latency row for `provider`.
+fn latency(case: &PeeringCase, provider: Provider) -> &LatencyRow {
+    case.latency.iter().find(|r| r.provider == provider).expect("provider measured")
+}
+
+/// The direct and the transit medians of a case's latency rows, as spans.
+fn latency_spans(case: &PeeringCase) -> (String, String) {
+    let medians = |side: fn(&LatencyRow) -> Option<BoxStats>| {
+        span(case.latency.iter().filter_map(side).map(|b| b.median))
+    };
+    (medians(|r| r.direct), medians(|r| r.transit))
+}
+
+/// Whether every provider with both direct and transit paths has
+/// overlapping direct and transit IQRs.
+fn iqrs_overlap(case: &PeeringCase) -> String {
+    let both: Vec<(BoxStats, BoxStats)> =
+        case.latency.iter().filter_map(|r| r.direct.zip(r.transit)).collect();
+    assert!(!both.is_empty(), "no provider with both kinds of path");
+    both.iter().all(|(d, t)| d.q1 <= t.q3 && t.q1 <= d.q3).to_string()
 }
 
 /// Compare (what, measured, as EXPERIMENTS.md prints it) rows and report
@@ -144,5 +178,148 @@ fn fig11_pervasiveness() {
         ("LIN", overall(Provider::Linode), "0.33"),
         ("ORCL", overall(Provider::Oracle), "0.29"),
         ("BABA", overall(Provider::Alibaba), "0.29"),
+    ]);
+}
+
+#[test]
+fn fig6_intercontinental_medians() {
+    let inter = intercontinental::run(study());
+    let rows = |rows: &[intercontinental::InterRow]| {
+        let named: Vec<String> =
+            rows.iter().map(|r| format!("{} {}", r.country, r.target.code())).collect();
+        named.join(", ")
+    };
+    let median = |cc, target| {
+        format!("{:.0}", inter.row(cc, target).expect("row measured").stats.median)
+    };
+    check(&[
+        ("6a rows", rows(&inter.africa), "DZ AF, EG AF, MA AF, MA NA"),
+        ("DZ to AF", median("DZ", Continent::Africa), "162"),
+        ("EG to AF", median("EG", Continent::Africa), "167"),
+        ("MA to AF", median("MA", Continent::Africa), "169"),
+        ("MA to NA", median("MA", Continent::NorthAmerica), "164"),
+        ("6b rows", rows(&inter.south_america), "BR SA, BR NA, CO SA, CO NA"),
+        ("BR to SA", median("BR", Continent::SouthAmerica), "29"),
+        ("BR to NA", median("BR", Continent::NorthAmerica), "185"),
+        ("CO to SA", median("CO", Continent::SouthAmerica), "101"),
+        ("CO to NA", median("CO", Continent::NorthAmerica), "80"),
+    ]);
+}
+
+#[test]
+fn fig12b_direct_vs_transit_de_to_uk() {
+    let case = peering_case::run(study(), CaseStudy::GermanyToUk);
+    let (direct, transit) = latency_spans(&case);
+    check(&[
+        ("direct medians [ms]", direct, "32.7–36.5"),
+        ("transit medians [ms]", transit, "36.4–48.4"),
+        ("IQRs overlap", iqrs_overlap(&case), "true"),
+    ]);
+}
+
+#[test]
+fn fig13b_direct_vs_transit_jp_to_in() {
+    let case = peering_case::run(study(), CaseStudy::JapanToIndia);
+    let side = |p, direct: bool| {
+        let r = latency(&case, p);
+        (if direct { r.direct } else { r.transit }).expect("paths measured")
+    };
+    let median = |p, direct| format!("{:.0}", side(p, direct).median);
+    let iqr = |p, direct| format!("{:.0}", side(p, direct).iqr());
+    check(&[
+        ("AMZN direct", median(Provider::AmazonEc2, true), "118"),
+        ("AMZN transit", median(Provider::AmazonEc2, false), "152"),
+        ("LIN transit", median(Provider::Linode, false), "314"),
+        ("ORCL transit", median(Provider::Oracle, false), "342"),
+        ("LIN transit IQR", iqr(Provider::Linode, false), "189"),
+        ("ORCL transit IQR", iqr(Provider::Oracle, false), "212"),
+        ("LIN direct", median(Provider::Linode, true), "129"),
+        ("ORCL direct", median(Provider::Oracle, true), "127"),
+        ("LIN direct IQR", iqr(Provider::Linode, true), "13"),
+        ("ORCL direct IQR", iqr(Provider::Oracle, true), "19"),
+    ]);
+}
+
+#[test]
+fn fig16_matched_groups() {
+    let matched = platform_diff::run_matched(study());
+    let diffs = |c| matched.get(c).expect("continent matched");
+    let groups = |c| diffs(c).len().to_string();
+    let share = |c, faster: fn(f64) -> bool| {
+        let d = diffs(c);
+        pct(d.iter().filter(|x| faster(**x)).count() as f64 / d.len() as f64, 0)
+    };
+    let median = |c| format!("{:.1}", Cdf::new(diffs(c).clone()).median());
+    let excluded: Vec<&str> = matched.excluded.iter().map(|c| c.code()).collect();
+    check(&[
+        ("EU groups", groups(Continent::Europe), "73"),
+        ("EU Atlas faster", share(Continent::Europe, |d| d > 0.0), "89"),
+        ("EU median diff", median(Continent::Europe), "11.6"),
+        ("AS groups", groups(Continent::Asia), "28"),
+        ("AS SC faster", share(Continent::Asia, |d| d < 0.0), "11"),
+        ("AS median diff", median(Continent::Asia), "14.8"),
+        ("SA groups", groups(Continent::SouthAmerica), "3"),
+        ("excluded", excluded.join(", "), "AF, NA, OC"),
+    ]);
+}
+
+#[test]
+fn fig17_ua_to_uk() {
+    let case = peering_case::run(study(), CaseStudy::UkraineToUk);
+    let hypergiants_direct = known::UKRAINIAN_ISPS.iter().all(|(isp, _)| {
+        [Provider::AmazonEc2, Provider::Google, Provider::Microsoft].into_iter().all(|p| {
+            let cell = case.cell(*isp, p).expect("cell");
+            matches!(cell.dominant, Some((Interconnection::Direct, _)))
+        })
+    });
+    let (direct, transit) = latency_spans(&case);
+    check(&[
+        ("hypergiant cells direct", hypergiants_direct.to_string(), "true"),
+        ("direct medians [ms]", direct, "47.4–52.1"),
+        ("transit medians [ms]", transit, "55.4–76.2"),
+        ("IQRs overlap", iqrs_overlap(&case), "true"),
+    ]);
+}
+
+#[test]
+fn fig18_bh_to_in() {
+    let case = peering_case::run(study(), CaseStudy::BahrainToIndia);
+    let direct_cells: Vec<String> = case
+        .matrix
+        .iter()
+        .filter(|c| matches!(c.dominant, Some((Interconnection::Direct, _))))
+        .map(|c| format!("{} {}", c.isp_name, c.provider.abbrev()))
+        .collect();
+    let zain_gcp = case.cell(known::ZAIN_BH, Provider::Google).and_then(|c| c.dominant);
+    let side = |p, direct: bool| {
+        let r = latency(&case, p);
+        let b = if direct { r.direct } else { r.transit };
+        format!("{:.1}", b.expect("paths measured").median)
+    };
+    let others = case
+        .latency
+        .iter()
+        .filter(|r| r.direct.is_none())
+        .filter_map(|r| r.transit.map(|b| b.median));
+    check(&[
+        ("direct cells", direct_cells.join(", "), "Batelco GCP, Batelco MSFT, ZAIN GCP, ZAIN MSFT"),
+        ("ZAIN to GCP direct share", pct(zain_gcp.map_or(0.0, |(_, s)| s), 0), "50"),
+        ("MSFT direct", side(Provider::Microsoft, true), "74.6"),
+        ("MSFT transit", side(Provider::Microsoft, false), "213.1"),
+        ("GCP direct", side(Provider::Google, true), "60.5"),
+        ("GCP transit", side(Provider::Google, false), "175.9"),
+        ("other providers [ms]", span(others), "183.3–395.6"),
+    ]);
+}
+
+#[test]
+fn fig19_last_mile_share_to_the_nearest_dc() {
+    let nearest = lastmile_share::run_nearest(study());
+    let overall = lastmile_share::run(study());
+    let median = |b: Option<BoxStats>| b.expect("samples").median;
+    check(&[
+        ("nearest home share", pct(median(nearest.global().home_share), 0), "68"),
+        ("overall home share", pct(median(overall.global().home_share), 0), "46"),
+        ("nearest Atlas share", pct(median(nearest.global().atlas_share), 0), "46"),
     ]);
 }

@@ -12,8 +12,15 @@
 //! | region            | delta + zigzag + varint                    |
 //! | rtt (ms)          | hybrid: delta+varint µs when lossless, else delta+varint of f64 bits |
 //! | hour              | delta + zigzag + varint                    |
-//! | hop ip / hop rtt  | presence bitmap + packed present values    |
+//! | hop ip / hop rtt  | presence bitmap + packed present values; hop RTTs cover every hop but a row's last |
+//! | end-to-end rtt    | one per traceroute row: presence bitmap + the present values in the rtt encoding |
 //! | outcome           | trailing optional block: one tag per row + f64 budget per `Timeout` row |
+//!
+//! A traceroute row's end-to-end RTT is its last hop's, absent when that
+//! hop is a `*` or the row has no hops. It is stored once, in its own
+//! column after the six hop blocks, and a full decode puts it back on the
+//! last hop. So an RTT-only scan reads one value per row and length-skips
+//! every hop block.
 //!
 //! Inter-cloud chunks are narrower: src/dst region (delta), route class
 //! (raw u8), rtt, hour, and the same optional trailing outcome block —
@@ -21,9 +28,7 @@
 //!
 //! The outcome block is appended at the very end of the chunk body and
 //! *only when at least one row failed*; the rtt column then holds just the
-//! delivered (`Ok`) rows' values. All-`Ok` chunks are byte-identical to the
-//! pre-outcome format, which keeps zero-fault campaigns reproducible against
-//! historical store bytes and legacy files readable.
+//! delivered (`Ok`) rows' values.
 //!
 //! Reading goes through one column reader, `read`, with one arm per kind
 //! stating that kind's column order. `decode_*` asks it for every column and
@@ -53,7 +58,7 @@ use cloudy_probes::{Platform, ProbeId};
 use cloudy_topology::Asn;
 use std::net::Ipv4Addr;
 
-/// Per-chunk statistics kept in the file-level directory; scans prune whole
+/// Per-chunk statistics kept in the chunk's frame; scans prune whole
 /// chunks against these without touching the chunk bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkFooter {
@@ -222,8 +227,7 @@ fn put_meta(out: &mut Vec<u8>, m: &MetaColumns) {
 }
 
 /// Append the outcome column — only when at least one row failed. All-`Ok`
-/// chunks carry no outcome block, so zero-fault store files stay
-/// byte-identical to the pre-outcome format.
+/// chunks carry no outcome block.
 fn put_outcomes<'a>(out: &mut Vec<u8>, outcomes: impl Iterator<Item = &'a TaskOutcome> + Clone) {
     if outcomes.clone().all(|o| o.is_ok()) {
         return;
@@ -246,9 +250,8 @@ pub fn encode_pings(rows: &[PingRecord], provider: Provider) -> (Vec<u8>, ChunkF
     let mut out = Vec::new();
     put_meta(&mut out, &meta);
 
-    let rtt_vals: Vec<f64> = rows.iter().filter_map(|r| r.rtt_ms()).collect();
     let mut rtt = Vec::new();
-    put_rtts(&mut rtt, &rtt_vals);
+    put_rtts(&mut rtt, rows.iter().filter_map(PingRecord::rtt_ms));
     put_block(&mut out, &rtt);
 
     let mut hour = Vec::new();
@@ -289,29 +292,36 @@ pub fn encode_traces(rows: &[TracerouteRecord], provider: Provider) -> (Vec<u8>,
     }
     put_block(&mut out, &hop_lens);
 
-    let hops: Vec<&HopRecord> = rows.iter().flat_map(|r| r.hops.iter()).collect();
+    let hops = rows.iter().flat_map(|r| r.hops.iter());
 
-    let ttl: Vec<u8> = hops.iter().map(|h| h.ttl).collect();
+    let ttl: Vec<u8> = hops.clone().map(|h| h.ttl).collect();
     put_block(&mut out, &ttl);
 
-    let ip_present: Vec<bool> = hops.iter().map(|h| h.ip.is_some()).collect();
     let mut ip_bitmap = Vec::new();
-    put_bitmap(&mut ip_bitmap, &ip_present);
+    put_bitmap(&mut ip_bitmap, hops.clone().map(|h| h.ip.is_some()));
     put_block(&mut out, &ip_bitmap);
 
     let mut ips = Vec::new();
-    put_delta_u64(&mut ips, hops.iter().filter_map(|h| h.ip).map(|ip| u64::from(u32::from(ip))));
+    put_delta_u64(&mut ips, hops.filter_map(|h| h.ip).map(|ip| u64::from(u32::from(ip))));
     put_block(&mut out, &ips);
 
-    let rtt_present: Vec<bool> = hops.iter().map(|h| h.rtt_ms.is_some()).collect();
+    // Every hop but a row's last: the last hop's RTT is the row's
+    // end-to-end value, stored once in the column after these.
+    let inner = rows.iter().flat_map(|r| r.hops.split_last().map_or(&[][..], |(_, rest)| rest));
+
     let mut rtt_bitmap = Vec::new();
-    put_bitmap(&mut rtt_bitmap, &rtt_present);
+    put_bitmap(&mut rtt_bitmap, inner.clone().map(|h| h.rtt_ms.is_some()));
     put_block(&mut out, &rtt_bitmap);
 
-    let present_rtts: Vec<f64> = hops.iter().filter_map(|h| h.rtt_ms).collect();
     let mut rtts = Vec::new();
-    put_rtts(&mut rtts, &present_rtts);
+    put_rtts(&mut rtts, inner.filter_map(|h| h.rtt_ms));
     put_block(&mut out, &rtts);
+
+    let end_to_end = rows.iter().map(TracerouteRecord::end_to_end_ms);
+    let mut e2e = Vec::new();
+    put_bitmap(&mut e2e, end_to_end.clone().map(|v| v.is_some()));
+    put_rtts(&mut e2e, end_to_end.flatten());
+    put_block(&mut out, &e2e);
 
     // Delivered rows' outcomes are *derived* at decode via
     // `outcome_for_hops`, so only failure tags (and timeout budgets) are
@@ -358,9 +368,8 @@ pub fn encode_cloud_pings(rows: &[CloudPingRecord], provider: Provider) -> (Vec<
     let route: Vec<u8> = rows.iter().map(|r| route_tag(r.route)).collect();
     put_block(&mut out, &route);
 
-    let rtt_vals: Vec<f64> = rows.iter().filter_map(|r| r.rtt_ms()).collect();
     let mut rtt = Vec::new();
-    put_rtts(&mut rtt, &rtt_vals);
+    put_rtts(&mut rtt, rows.iter().filter_map(CloudPingRecord::rtt_ms));
     put_block(&mut out, &rtt);
 
     let mut hour = Vec::new();
@@ -429,7 +438,8 @@ pub struct ProjSpec {
     /// Resolve the inter-cloud source provider (cloud chunks only).
     pub src_provider: bool,
     /// Decode the columns only full records carry: probe id, continent,
-    /// city, access type, protocol, traceroute source IP, hop TTLs and IPs.
+    /// city, access type, protocol, traceroute source IP and the six hop
+    /// blocks.
     pub records: bool,
 }
 
@@ -645,6 +655,7 @@ struct Cols {
     /// A traceroute row's hops (full records only).
     hops: Vec<Vec<HopRecord>>,
     /// A traceroute row's end-to-end RTT: its last hop's, if it answered.
+    /// Decoded for every traceroute read.
     end_to_end: Vec<Option<f64>>,
     /// Every row's outcome. `Ok` carries the RTT of a ping or inter-cloud
     /// row; a delivered traceroute's is derived from its hops.
@@ -682,44 +693,50 @@ impl Cols {
         Ok(true)
     }
 
-    /// Walk the six hop blocks: one varint hop count per row, then per hop
-    /// a TTL byte, and the IP and RTT as presence bitmaps over the hops
-    /// with the present values packed after each. TTLs and IPs are decoded
-    /// only for full records (over zero hops otherwise).
+    /// Read the end-to-end column, and for full records walk the six hop
+    /// blocks too. The end-to-end column is a presence bitmap over the
+    /// rows, then the present values. The hop blocks are one varint hop
+    /// count per row, then per hop a TTL byte, and the IP and RTT as
+    /// presence bitmaps with the present values packed after each; the
+    /// RTTs cover every hop but a row's last, which takes the row's
+    /// end-to-end value. Without full records the hop blocks stay a skip.
     fn read_hops(
         &mut self,
         blocks: [Cursor<'_>; 6],
+        mut end_to_end: Cursor<'_>,
         rows: usize,
         records: bool,
     ) -> Result<(), StoreError> {
+        let get_ms = |c: &mut Cursor<'_>, n| get_rtts(c, n, |ms: f64| ms);
+        let mut present = Cursor::new(end_to_end.bytes(rows.div_ceil(8))?);
+        self.end_to_end = get_sparse(&mut present, &mut end_to_end, rows, get_ms)?.collect();
+        if !records {
+            return Ok(());
+        }
         let [mut lens, mut ttl, mut ip_bitmap, mut ips, mut rtt_bitmap, mut rtts] = blocks;
-        let mut total = 0usize;
+        let (mut total, mut inner) = (0usize, 0usize);
         let overflow = || StoreError::corrupt("hop count overflow");
         let lens = get_entries(&mut lens, rows, |c| {
             let len = c.varint()? as usize;
             total = total.checked_add(len).ok_or_else(overflow)?;
+            inner += len.saturating_sub(1);
             Ok(len)
         })?;
-        let record_hops = if records { total } else { 0 };
         let get_ips = |c: &mut Cursor<'_>, n| get_narrow(c, n, Ipv4Addr::from_bits);
-        let get_ms = |c: &mut Cursor<'_>, n| get_rtts(c, n, |ms: f64| ms);
-        let ip = get_sparse(&mut ip_bitmap, &mut ips, record_hops, get_ips)?;
-        let mut ttl_ip = ttl.bytes(record_hops)?.iter().copied().zip(ip);
-        let mut rtt = get_sparse(&mut rtt_bitmap, &mut rtts, total, get_ms)?;
-        let mut walk = |len| {
-            let (mut hops, mut last) = (Vec::new(), None);
-            for _ in 0..len {
-                last = rtt.next().flatten();
-                if let Some((ttl, ip)) = ttl_ip.next() {
-                    hops.push(HopRecord { ttl, ip, rtt_ms: last });
-                }
+        let ip = get_sparse(&mut ip_bitmap, &mut ips, total, get_ips)?;
+        let mut ttl_ip = ttl.bytes(total)?.iter().copied().zip(ip);
+        let mut rtt = get_sparse(&mut rtt_bitmap, &mut rtts, inner, get_ms)?;
+        for (&len, &last) in lens.iter().zip(&self.end_to_end) {
+            if len == 0 && last.is_some() {
+                return Err(StoreError::corrupt("end-to-end RTT on a traceroute without hops"));
             }
-            if records {
-                self.hops.push(hops);
-            }
-            last
-        };
-        self.end_to_end = lens.into_iter().map(&mut walk).collect();
+            let hops = (1..=len).map_while(|hop| {
+                let (ttl, ip) = ttl_ip.next()?;
+                let rtt_ms = if hop == len { last } else { rtt.next().flatten() };
+                Some(HopRecord { ttl, ip, rtt_ms })
+            });
+            self.hops.push(hops.collect());
+        }
         Ok(())
     }
 }
@@ -755,16 +772,17 @@ fn read(
             let meta = blocks(&mut cur)?;
             let [mut src_ip, mut hour] = blocks(&mut cur)?;
             let hops = blocks(&mut cur)?;
+            let [end_to_end] = blocks(&mut cur)?;
             let outcome = outcome_block(cur)?;
             if !c.read_meta(meta, rows, pred, proj)? {
                 return Ok(None);
             }
             c.src_ip = get_narrow(&mut src_ip, n(proj.records), Ipv4Addr::from_bits)?;
             c.hour = get_delta(&mut hour, hour_rows, Ok)?;
-            c.read_hops(hops, rows, proj.records)?;
+            c.read_hops(hops, end_to_end, rows, proj.records)?;
             c.outcome = match outcome {
                 Some(mut blk) => get_outcomes(&mut blk, rows)?,
-                None => vec![TaskOutcome::Ok(0.0); c.end_to_end.len()],
+                None => vec![TaskOutcome::Ok(0.0); rows],
             };
         }
         RecordKind::CloudPing => {
@@ -930,7 +948,8 @@ pub fn scan_chunk(
     Ok(ChunkScan::Scanned { matched })
 }
 
-/// A directory entry: one chunk's footer plus its location in the file.
+/// One chunk as its frame describes it: the footer plus the body's place
+/// in the file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkMeta {
     pub footer: ChunkFooter,
@@ -940,14 +959,13 @@ pub struct ChunkMeta {
     pub len: u64,
 }
 
-/// Serialize one directory entry.
-pub fn put_chunk_meta(out: &mut Vec<u8>, m: &ChunkMeta) {
-    out.push(m.footer.kind.tag());
-    out.push(crate::schema::provider_tag(m.footer.provider));
-    put_varint(out, m.offset);
-    put_varint(out, m.len);
-    put_varint(out, m.footer.rows);
-    match m.footer.rtt_ms {
+/// Serialize the frame written before a chunk body of `len` bytes.
+pub fn put_frame(out: &mut Vec<u8>, footer: &ChunkFooter, len: u64) {
+    out.push(footer.kind.tag());
+    out.push(crate::schema::provider_tag(footer.provider));
+    put_varint(out, len);
+    put_varint(out, footer.rows);
+    match footer.rtt_ms {
         Some((lo, hi)) => {
             out.push(1);
             out.extend_from_slice(&lo.to_bits().to_le_bytes());
@@ -955,20 +973,22 @@ pub fn put_chunk_meta(out: &mut Vec<u8>, m: &ChunkMeta) {
         }
         None => out.push(0),
     }
-    put_varint(out, m.footer.hour_min);
-    put_varint(out, m.footer.hour_max);
-    put_varint(out, m.footer.countries.len() as u64);
-    for c in &m.footer.countries {
+    put_varint(out, footer.hour_min);
+    put_varint(out, footer.hour_max);
+    put_varint(out, footer.countries.len() as u64);
+    for c in &footer.countries {
         let s = c.as_str().as_bytes();
         out.extend_from_slice(&[s[0], s[1]]);
     }
 }
 
-/// Deserialize one directory entry.
-pub fn get_chunk_meta(cur: &mut Cursor<'_>) -> Result<ChunkMeta, StoreError> {
+/// Read one frame and step over the body it frames. `cur` must span the
+/// file from its first byte, so that its position is the body's offset.
+/// A frame with no rows, more rows than body bytes (every kind writes at
+/// least one byte per row) or a body past the end of `cur` is corrupt.
+pub fn get_frame(cur: &mut Cursor<'_>) -> Result<ChunkMeta, StoreError> {
     let kind = RecordKind::from_tag(cur.u8()?)?;
     let provider = crate::schema::provider_from_tag(cur.u8()?)?;
-    let offset = cur.varint()?;
     let len = cur.varint()?;
     let rows = cur.varint()?;
     let rtt_ms = match cur.u8()? {
@@ -984,6 +1004,12 @@ pub fn get_chunk_meta(cur: &mut Cursor<'_>) -> Result<ChunkMeta, StoreError> {
     let hour_max = cur.varint()?;
     let n = cur.varint()? as usize;
     let countries = get_entries(cur, n, country_entry)?;
+    if rows == 0 || rows > len {
+        return Err(StoreError::corrupt(format!("chunk frame claims {rows} rows in {len} bytes")));
+    }
+    let offset = cur.position() as u64;
+    let torn = || StoreError::corrupt(format!("chunk body of {len} bytes at {offset} is torn"));
+    cur.bytes(usize::try_from(len).map_err(|_| torn())?).map_err(|_| torn())?;
     Ok(ChunkMeta {
         footer: ChunkFooter { kind, provider, rows, rtt_ms, hour_min, hour_max, countries },
         offset,
@@ -994,6 +1020,7 @@ pub fn get_chunk_meta(cur: &mut Cursor<'_>) -> Result<ChunkMeta, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::get_bitmap;
     use crate::testutil::{
         sample_cloud_ping, sample_failed_ping, sample_ping as ping, sample_trace as trace,
         trace_with_outcome,
@@ -1079,8 +1106,8 @@ mod tests {
     fn all_ok_chunks_carry_no_outcome_block() {
         let rows: Vec<PingRecord> = (0..20).map(|i| ping(i, 9.0 + i as f64)).collect();
         let (body, _) = encode_pings(&rows, Provider::Google);
-        // Walk the legacy column layout: 8 meta blocks + rtt + hour. An
-        // all-Ok chunk must end exactly there (pre-outcome byte layout).
+        // Walk the ping column layout: 8 meta blocks + rtt + hour. An
+        // all-Ok chunk must end exactly there.
         let mut cur = Cursor::new(&body);
         for _ in 0..10 {
             get_block(&mut cur).unwrap();
@@ -1182,25 +1209,130 @@ mod tests {
     }
 
     #[test]
-    fn chunk_meta_round_trips() {
-        let m = ChunkMeta {
-            footer: ChunkFooter {
-                kind: RecordKind::Trace,
-                provider: Provider::Microsoft,
-                rows: 4096,
-                rtt_ms: Some((0.125, 812.25)),
-                hour_min: 3,
-                hour_max: 71,
-                countries: vec![CountryCode::new("BR"), CountryCode::new("DE")],
-            },
-            offset: 123_456,
-            len: 9_876,
+    fn frame_round_trips() {
+        let footer = ChunkFooter {
+            kind: RecordKind::Trace,
+            provider: Provider::Microsoft,
+            rows: 4096,
+            rtt_ms: Some((0.125, 812.25)),
+            hour_min: 3,
+            hour_max: 71,
+            countries: vec![CountryCode::new("BR"), CountryCode::new("DE")],
         };
-        let mut buf = Vec::new();
-        put_chunk_meta(&mut buf, &m);
-        let mut cur = Cursor::new(&buf);
-        assert_eq!(get_chunk_meta(&mut cur).unwrap(), m);
+        let mut file = vec![0xaa; 9];
+        put_frame(&mut file, &footer, 9_876);
+        let offset = file.len() as u64;
+        file.resize(file.len() + 9_876, 0);
+        let mut cur = Cursor::new(&file);
+        cur.bytes(9).unwrap();
+        let want = ChunkMeta { footer, offset, len: 9_876 };
+        assert_eq!(get_frame(&mut cur).unwrap(), want);
         assert_eq!(cur.remaining(), 0);
+        // One body byte short is a torn chunk.
+        let mut cur = Cursor::new(&file[..file.len() - 1]);
+        cur.bytes(9).unwrap();
+        assert!(matches!(get_frame(&mut cur), Err(StoreError::Corrupt(_))));
+    }
+
+    /// A body's length-prefixed blocks, in file order.
+    fn body_blocks(body: &[u8]) -> Vec<Cursor<'_>> {
+        let mut cur = Cursor::new(body);
+        std::iter::from_fn(|| (cur.remaining() > 0).then(|| get_block(&mut cur).unwrap())).collect()
+    }
+
+    /// A body from blocks, `replace(i, block)` choosing each one's bytes.
+    fn rebuild(body: &[u8], replace: impl Fn(usize, &[u8]) -> Vec<u8>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (i, mut blk) in body_blocks(body).into_iter().enumerate() {
+            let bytes = blk.bytes(blk.remaining()).unwrap();
+            put_block(&mut out, &replace(i, bytes));
+        }
+        out
+    }
+
+    /// Traceroute block indices: 8 metadata blocks, source IP, hour, the
+    /// six hop blocks, then the end-to-end column.
+    const HOP_BLOCKS: std::ops::Range<usize> = 10..16;
+    const END_TO_END: usize = 16;
+
+    /// One `*`-last row, a failed row without hops, a one-hop row, and
+    /// rows whose last hop answered.
+    fn edge_traces() -> Vec<TracerouteRecord> {
+        let hop = |ttl: u8, rtt_ms: Option<f64>| HopRecord {
+            ttl,
+            ip: rtt_ms.map(|_| Ipv4Addr::new(10, 0, ttl, 1)),
+            rtt_ms,
+        };
+        vec![
+            trace(0, vec![hop(1, Some(2.5)), hop(2, Some(7.125)), hop(3, None)]),
+            trace_with_outcome(1, vec![], TaskOutcome::Lost),
+            trace(2, vec![hop(1, Some(31.0))]),
+            trace(3, vec![hop(1, None), hop(2, Some(1.0 / 3.0)), hop(3, Some(44.5))]),
+            trace(4, vec![hop(1, Some(3.0)), hop(2, None), hop(3, Some(58.75))]),
+        ]
+    }
+
+    #[test]
+    fn edge_traces_round_trip_with_the_end_to_end_column() {
+        let rows = edge_traces();
+        let (body, footer) = encode_traces(&rows, Provider::AmazonEc2);
+        let back = decode_traces(&body, rows.len(), Platform::Speedchecker, Provider::AmazonEc2);
+        assert_eq!(back.unwrap(), rows);
+        assert_eq!(footer.rtt_ms, Some((31.0, 58.75)));
+        // The column holds one value per row whose last hop answered; the
+        // hop stream holds the other hops' RTTs only.
+        let blocks = body_blocks(&body);
+        assert_eq!(blocks.len(), END_TO_END + 2, "the failed row adds the outcome block");
+        let mut e2e = blocks[END_TO_END];
+        let present = get_bitmap(&mut e2e, rows.len()).unwrap();
+        assert_eq!(present, [false, false, true, true, true]);
+        assert_eq!(get_rtts(&mut e2e, 3, |v| v).unwrap(), [31.0, 44.5, 58.75]);
+        let mut hop_rtts = blocks[HOP_BLOCKS.end - 1];
+        assert_eq!(get_rtts(&mut hop_rtts, 4, |v| v).unwrap(), [2.5, 7.125, 1.0 / 3.0, 3.0]);
+        assert_eq!(hop_rtts.remaining(), 0);
+    }
+
+    #[test]
+    fn an_end_to_end_value_without_hops_is_corrupt() {
+        let rows = edge_traces();
+        let (body, _) = encode_traces(&rows, Provider::AmazonEc2);
+        // Give the failed, hop-less row 1 an end-to-end value.
+        let forged = rebuild(&body, |i, blk| {
+            if i != END_TO_END {
+                return blk.to_vec();
+            }
+            let mut col = Vec::new();
+            put_bitmap(&mut col, [false, true, true, true, true]);
+            put_rtts(&mut col, [12.5, 31.0, 44.5, 58.75].into_iter());
+            col
+        });
+        let back = decode_traces(&forged, rows.len(), Platform::Speedchecker, Provider::AmazonEc2);
+        assert!(matches!(back, Err(StoreError::Corrupt(_))), "{back:?}");
+    }
+
+    #[test]
+    fn rtt_only_scans_skip_every_hop_block() {
+        let rows: Vec<TracerouteRecord> = edge_traces().into_iter().cycle().take(40).collect();
+        let (body, _) = encode_traces(&rows, Provider::AmazonEc2);
+        let hopless = rebuild(&body, |i, blk| {
+            if HOP_BLOCKS.contains(&i) { Vec::new() } else { blk.to_vec() }
+        });
+        assert!(hopless.len() < body.len());
+        let kind = RecordKind::Trace;
+        let scan = |body: &[u8], proj: ProjSpec, pred: &RowPred| {
+            let mut got = Vec::new();
+            let p = Provider::AmazonEc2;
+            scan_chunk(kind, body, rows.len(), p, pred, proj, &mut |r| got.push(r)).map(|_| got)
+        };
+        let all = ProjSpec { isp: true, ..ProjSpec::rtt_row() };
+        let bounded = RowPred { min_rtt_ms: Some(40.0), min_hour: Some(2), ..RowPred::default() };
+        for (proj, pred) in [(ProjSpec::rtt_row(), RowPred::default()), (all, bounded)] {
+            let intact = scan(&body, proj, &pred).unwrap();
+            assert!(!intact.is_empty());
+            assert_eq!(scan(&hopless, proj, &pred).unwrap(), intact);
+        }
+        let full = decode_traces(&hopless, rows.len(), Platform::Speedchecker, Provider::AmazonEc2);
+        assert!(matches!(full, Err(StoreError::Corrupt(_))));
     }
 
     #[test]

@@ -35,6 +35,11 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
+    /// Bytes read so far: the offset of the next read within the buffer.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     pub fn u8(&mut self) -> Result<u8, StoreError> {
         let b = *self
             .buf
@@ -130,19 +135,21 @@ pub fn get_delta<T>(
     })
 }
 
-/// A presence bitmap over `n` slots, bit i = slot i present.
-pub fn put_bitmap(out: &mut Vec<u8>, present: &[bool]) {
-    let mut byte = 0u8;
-    for (i, p) in present.iter().enumerate() {
-        if *p {
-            byte |= 1 << (i % 8);
+/// A presence bitmap over the slots `present` yields, bit i = slot i
+/// present.
+pub fn put_bitmap(out: &mut Vec<u8>, present: impl IntoIterator<Item = bool>) {
+    let (mut byte, mut n) = (0u8, 0usize);
+    for p in present {
+        if p {
+            byte |= 1 << (n % 8);
         }
-        if i % 8 == 7 {
+        n += 1;
+        if n.is_multiple_of(8) {
             out.push(byte);
             byte = 0;
         }
     }
-    if !present.len().is_multiple_of(8) {
+    if !n.is_multiple_of(8) {
         out.push(byte);
     }
 }
@@ -184,12 +191,18 @@ impl<T: Eq + std::hash::Hash + Clone> Default for DictBuilder<T> {
 }
 
 impl<T: Eq + std::hash::Hash + Clone> DictBuilder<T> {
+    /// Append `value`'s id, assigning the next one on first sight. The
+    /// key is cloned only then: a hit costs a lookup, not an allocation.
     pub fn push(&mut self, value: &T) {
-        let next = self.values.len() as u32; // audit:allow(as-truncate)
-        let id = *self.ids.entry(value.clone()).or_insert_with(|| {
-            self.values.push(value.clone());
-            next
-        });
+        let id = match self.ids.get(value) {
+            Some(id) => *id,
+            None => {
+                let id = self.values.len() as u32; // audit:allow(as-truncate)
+                self.ids.insert(value.clone(), id);
+                self.values.push(value.clone());
+                id
+            }
+        };
         self.indices.push(id);
     }
 
@@ -237,18 +250,15 @@ fn micros_exact(v: f64) -> Option<u64> {
 
 /// Encode an RTT (milliseconds) column: delta+varint integer microseconds
 /// when that is lossless for the whole chunk, else delta+varint of the raw
-/// f64 bit patterns. Either way the decode is bit-exact.
-pub fn put_rtts(out: &mut Vec<u8>, values: &[f64]) {
-    let micros: Option<Vec<u64>> = values.iter().map(|v| micros_exact(*v)).collect();
-    match micros {
-        Some(us) => {
-            out.push(RTT_MICROS);
-            put_delta_u64(out, us.into_iter());
-        }
-        None => {
-            out.push(RTT_F64BITS);
-            put_delta_u64(out, values.iter().map(|v| v.to_bits()));
-        }
+/// f64 bit patterns. Either way the decode is bit-exact. Two passes over
+/// `values` (the check, then the write), so nothing is buffered.
+pub fn put_rtts(out: &mut Vec<u8>, values: impl Iterator<Item = f64> + Clone) {
+    if values.clone().all(|v| micros_exact(v).is_some()) {
+        out.push(RTT_MICROS);
+        put_delta_u64(out, values.filter_map(micros_exact));
+    } else {
+        out.push(RTT_F64BITS);
+        put_delta_u64(out, values.map(f64::to_bits));
     }
 }
 
@@ -322,7 +332,7 @@ mod tests {
         for n in [0usize, 1, 7, 8, 9, 17] {
             let present: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
             let mut buf = Vec::new();
-            put_bitmap(&mut buf, &present);
+            put_bitmap(&mut buf, present.iter().copied());
             let mut cur = Cursor::new(&buf);
             assert_eq!(get_bitmap(&mut cur, n).unwrap(), present);
         }
@@ -339,6 +349,39 @@ mod tests {
     }
 
     #[test]
+    fn dict_clones_a_key_only_on_its_first_sight() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        /// A key that counts its clones; identity is the byte alone.
+        struct Key(u8, Rc<Cell<usize>>);
+        impl Clone for Key {
+            fn clone(&self) -> Key {
+                self.1.set(self.1.get() + 1);
+                Key(self.0, Rc::clone(&self.1))
+            }
+        }
+        impl PartialEq for Key {
+            fn eq(&self, other: &Key) -> bool {
+                self.0 == other.0
+            }
+        }
+        impl Eq for Key {}
+        impl std::hash::Hash for Key {
+            fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+                self.0.hash(h);
+            }
+        }
+        let clones = Rc::new(Cell::new(0));
+        let mut d = DictBuilder::default();
+        for b in [2u8, 1, 2, 3, 1, 2, 2] {
+            d.push(&Key(b, Rc::clone(&clones)));
+        }
+        assert_eq!(d.indices, vec![0, 1, 0, 2, 1, 0, 0]);
+        // Two clones (map key and entry) per distinct key, none per hit.
+        assert_eq!(clones.get(), 2 * 3);
+    }
+
+    #[test]
     fn indices_validate_against_dict_len() {
         let mut buf = Vec::new();
         put_indices(&mut buf, &[0, 2, 1]);
@@ -349,9 +392,9 @@ mod tests {
     #[test]
     fn rtt_hybrid_uses_micros_when_lossless() {
         // Values that are exact multiples of 1 µs take the integer path.
-        let vals = vec![12.5, 0.001, 34.125, 100.0];
+        let vals = [12.5, 0.001, 34.125, 100.0];
         let mut buf = Vec::new();
-        put_rtts(&mut buf, &vals);
+        put_rtts(&mut buf, vals.iter().copied());
         assert_eq!(buf[0], RTT_MICROS);
         let mut cur = Cursor::new(&buf);
         assert_eq!(get_rtts(&mut cur, vals.len(), |v| v).unwrap(), vals);
@@ -359,9 +402,9 @@ mod tests {
 
     #[test]
     fn rtt_hybrid_falls_back_to_bits_losslessly() {
-        let vals = vec![1.0 / 3.0, std::f64::consts::PI, 2.5e-9, 7.0];
+        let vals = [1.0 / 3.0, std::f64::consts::PI, 2.5e-9, 7.0];
         let mut buf = Vec::new();
-        put_rtts(&mut buf, &vals);
+        put_rtts(&mut buf, vals.iter().copied());
         assert_eq!(buf[0], RTT_F64BITS);
         let mut cur = Cursor::new(&buf);
         let back = get_rtts(&mut cur, vals.len(), |v| v).unwrap();

@@ -15,9 +15,9 @@
 //! * **Read path**: two entry points. [`Query`] terminals (`stream`,
 //!   `rows`, `values`, `grouped`, `summary`) serve projected rows and
 //!   aggregates; [`Reader::for_each`] serves full records. Both prune
-//!   chunks from the file-level directory of per-chunk footers (row count,
-//!   RTT/hour bounds, country set) — a provider-filtered query typically
-//!   skips ~9/10 chunks. Both read a chunk through the same per-kind column
+//!   chunks by the footer in each chunk's frame (row count, RTT/hour
+//!   bounds, country set) — a provider-filtered query typically skips
+//!   ~9/10 chunks. Both read a chunk through the same per-kind column
 //!   reader; `Query` asks it only for the columns its predicates and
 //!   projection name, pushes aggregates into the scan, and can scan
 //!   survivors across threads with output identical to a serial scan.
@@ -33,7 +33,9 @@
 //! input. `tests/corruption.rs` is the test: it truncates a mixed store at
 //! every length, overwrites every offset (XOR 0xFF, a maximal varint) and
 //! flips thousands of seeded bits, and reads every result through
-//! `Reader::from_bytes`, `Reader::for_each` and each `Query` terminal.
+//! `Reader::from_bytes`, `Reader::salvage`, `Reader::for_each` and each
+//! `Query` terminal. `Reader::salvage` reads a torn file: every chunk a
+//! writer flushed before it died.
 
 pub mod agg;
 mod chunk;

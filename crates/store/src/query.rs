@@ -8,7 +8,7 @@
 //! records are not a query concern: [`Reader::for_each`] decodes them.
 //! The engine applies four pushdowns:
 //!
-//! * **Footer pushdown** — chunks whose directory footers cannot match
+//! * **Footer pushdown** — chunks whose frame footers cannot match
 //!   (kind, provider, country set, RTT/hour bounds) are pruned without
 //!   reading a byte of the chunk.
 //! * **Dictionary pushdown** — country/ISP filters are resolved against

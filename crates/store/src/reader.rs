@@ -1,19 +1,24 @@
 //! Store reader: footer-pruned scans over a columnar store file.
 //!
-//! The reader keeps the whole file as bytes plus the decoded directory; a
-//! scan walks the directory, prunes chunks whose footers cannot match the
-//! filter (kind, provider, country set, RTT bounds, hour window), and only
-//! decodes the survivors. Because the writer partitions chunks by
+//! The reader keeps the whole file as bytes plus the chunk list its frames
+//! give; a scan walks the list, prunes chunks whose footers cannot match
+//! the filter (kind, provider, country set, RTT bounds, hour window), and
+//! only decodes the survivors. Because the writer partitions chunks by
 //! (kind, provider), a provider-filtered scan typically skips ~9/10 chunks
 //! without reading a byte of them.
 //!
-//! Scan order is directory order — the writer's flush order — so records
-//! come back grouped by partition, not in insert order. Order *within* a
+//! Scan order is file order — the writer's flush order — so records come
+//! back grouped by partition, not in insert order. Order *within* a
 //! partition is preserved.
+//!
+//! Two ways in: [`Reader::from_bytes`] reads a complete file and rejects
+//! any damage, and [`Reader::salvage`] keeps what a torn or damaged file
+//! still holds. Only format v2 (`CLDYSTO2`) is read; a v1 file is
+//! corrupt, with a message that says so.
 
 use crate::error::StoreError;
-use crate::chunk::{decode_cloud_pings, decode_pings, decode_traces, get_chunk_meta, ChunkMeta};
-use crate::codec::{get_entries, Cursor};
+use crate::chunk::{decode_cloud_pings, decode_pings, decode_traces, get_frame, ChunkMeta};
+use crate::codec::Cursor;
 use crate::schema::{platform_from_tag, RecordKind};
 use crate::writer::{END_MAGIC, MAGIC};
 use cloudy_cloud::Provider;
@@ -21,6 +26,14 @@ use cloudy_geo::CountryCode;
 use cloudy_measure::{CloudPingRecord, PingRecord, TracerouteRecord};
 use cloudy_obs::Obs;
 use cloudy_probes::Platform;
+
+/// The leading magic of format v1, which had an end directory instead of
+/// chunk frames.
+const V1_MAGIC: &[u8; 8] = b"CLDYSTO1";
+/// The magic and the platform byte.
+const HEADER_LEN: usize = MAGIC.len() + 1;
+/// The chunk count (u64le) and the end magic.
+const TRAILER_LEN: usize = 8 + END_MAGIC.len();
 
 /// Which chunks a scan should visit. `None` fields match everything;
 /// pruning is conservative (a chunk survives if its footer *could* contain
@@ -39,7 +52,7 @@ pub struct ScanFilter {
 
 impl ScanFilter {
     /// Can any row of a chunk with this footer match? Used to skip whole
-    /// chunks from the directory alone.
+    /// chunks from their frames alone.
     pub fn matches_chunk(&self, m: &ChunkMeta) -> bool {
         let f = &m.footer;
         if self.kind.is_some_and(|k| k != f.kind) {
@@ -111,7 +124,7 @@ impl ChunkRows {
     }
 }
 
-/// A store file held in memory with its decoded directory.
+/// A store file held in memory with its chunk list.
 pub struct Reader {
     data: Vec<u8>,
     platform: Platform,
@@ -119,63 +132,64 @@ pub struct Reader {
     obs: Obs,
 }
 
+/// The platform a store header names. A v1 file is corrupt.
+fn header(data: &[u8]) -> Result<Platform, StoreError> {
+    if data.starts_with(V1_MAGIC) {
+        return Err(StoreError::corrupt(
+            "store format v1 (CLDYSTO1) is not read; write the store again with this version",
+        ));
+    }
+    if !data.starts_with(MAGIC) {
+        return Err(StoreError::corrupt("bad store magic"));
+    }
+    let tag = data.get(MAGIC.len()).ok_or_else(|| StoreError::corrupt("store header truncated"))?;
+    platform_from_tag(*tag)
+}
+
+/// The chunk frames in `data[HEADER_LEN..end]`, in file order. Items
+/// after the first error mean nothing.
+fn frames(data: &[u8], end: usize) -> impl Iterator<Item = Result<ChunkMeta, StoreError>> + '_ {
+    let mut cur = Cursor::new(&data[..end]);
+    let at_frames = cur.bytes(HEADER_LEN).is_ok();
+    std::iter::from_fn(move || (at_frames && cur.remaining() > 0).then(|| get_frame(&mut cur)))
+}
+
 impl Reader {
-    /// Parse a store file. Validates magic, trailer, directory, and every
-    /// chunk's byte range and row count before any scan touches the data.
+    /// Parse a complete store file: the header, every chunk frame, and
+    /// the trailer, whose chunk count must equal the frames walked. Each
+    /// frame's body range and row count are checked before any scan
+    /// touches the data.
     pub fn from_bytes(data: Vec<u8>) -> Result<Reader, StoreError> {
-        let header_len = MAGIC.len() + 1;
-        let trailer_len = 16 + END_MAGIC.len();
-        if data.len() < header_len + trailer_len {
-            return Err(StoreError::corrupt(format!("store file too short: {} bytes", data.len())));
-        }
-        if &data[..MAGIC.len()] != MAGIC {
-            return Err(StoreError::corrupt("bad store magic"));
-        }
-        if &data[data.len() - END_MAGIC.len()..] != END_MAGIC {
-            return Err(StoreError::corrupt("bad store end magic (truncated file?)"));
-        }
-        let platform = platform_from_tag(data[MAGIC.len()])?;
-        let mut tcur = Cursor::new(&data[data.len() - trailer_len..]);
-        let dir_offset = tcur.u64_le()? as usize;
-        let dir_len = tcur.u64_le()? as usize;
-        if dir_offset < header_len
-            || dir_offset
-                .checked_add(dir_len)
-                .is_none_or(|end| end != data.len() - trailer_len)
-        {
-            return Err(StoreError::corrupt(format!("directory range {dir_offset}+{dir_len} out of bounds")));
-        }
-        let mut dcur = Cursor::new(&data[dir_offset..dir_offset + dir_len]);
-        let n = dcur.varint()? as usize;
-        // Chunks follow the header in directory order without overlap, and
-        // every chunk kind writes at least one byte per row: so the row
-        // counts that size scan buffers sum to at most the file size.
-        let mut prev_end = header_len as u64;
-        let dir = get_entries(&mut dcur, n, |c| {
-            let m = get_chunk_meta(c)?;
-            let end = m
-                .offset
-                .checked_add(m.len)
-                .ok_or_else(|| StoreError::corrupt("chunk range overflow"))?;
-            if m.offset < prev_end || end > dir_offset as u64 {
-                return Err(StoreError::corrupt(format!(
-                    "chunk range {}+{} overlaps the header, another chunk or the directory",
-                    m.offset, m.len
-                )));
-            }
-            if m.footer.rows > m.len {
-                return Err(StoreError::corrupt(format!(
-                    "chunk claims {} rows in {} bytes",
-                    m.footer.rows, m.len
-                )));
-            }
-            prev_end = end;
-            Ok(m)
-        })?;
-        if dcur.remaining() != 0 {
-            return Err(StoreError::corrupt("trailing bytes in directory"));
+        let platform = header(&data)?;
+        let end = data
+            .len()
+            .checked_sub(TRAILER_LEN)
+            .filter(|end| *end >= HEADER_LEN && data.ends_with(END_MAGIC))
+            .ok_or_else(|| StoreError::corrupt("no store trailer (truncated file?)"))?;
+        let count = Cursor::new(&data[end..]).u64_le()?;
+        let dir = frames(&data, end).collect::<Result<Vec<_>, _>>()?;
+        if dir.len() as u64 != count {
+            let n = dir.len();
+            return Err(StoreError::corrupt(format!("trailer counts {count} chunks, {n} framed")));
         }
         Ok(Reader { data, platform, dir, obs: Obs::disabled() })
+    }
+
+    /// Read what a torn or damaged store file still holds: every chunk
+    /// before the first whose frame is torn or does not parse, or whose
+    /// body does not decode in full. The trailer is neither needed nor
+    /// checked, so a file cut before [`Writer::finish`](crate::Writer::finish)
+    /// gives back every chunk flushed before the cut. Only a damaged
+    /// header is an error.
+    pub fn salvage(data: Vec<u8>) -> Result<Reader, StoreError> {
+        let platform = header(&data)?;
+        let complete = data.len() >= HEADER_LEN + TRAILER_LEN && data.ends_with(END_MAGIC);
+        let end = if complete { data.len() - TRAILER_LEN } else { data.len() };
+        let dir = frames(&data, end).map_while(Result::ok).collect();
+        let mut r = Reader { data, platform, dir, obs: Obs::disabled() };
+        let whole = r.dir.iter().take_while(|m| r.decode_chunk(m).is_ok()).count();
+        r.dir.truncate(whole);
+        Ok(r)
     }
 
     /// Attach an observability registry: every scan then exports
@@ -203,7 +217,7 @@ impl Reader {
         self.platform
     }
 
-    /// The directory: one entry per chunk, in flush order.
+    /// One entry per chunk, in file (flush) order.
     pub fn chunks(&self) -> &[ChunkMeta] {
         &self.dir
     }
@@ -270,8 +284,7 @@ pub(crate) fn effective_workers(threads: usize, chunks: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::put_chunk_meta;
-    use crate::codec::put_varint;
+    use crate::chunk::put_frame;
     use crate::query::{GroupKey, Query};
     use crate::testutil::sample_ping;
     use crate::writer::{write_dataset, Writer, WriterOptions};
@@ -292,24 +305,21 @@ mod tests {
         w.finish().unwrap().0
     }
 
-    /// `bytes` with its directory decoded, edited by `edit`, and rewritten.
-    fn with_directory(bytes: Vec<u8>, edit: impl FnOnce(&mut Vec<ChunkMeta>)) -> Vec<u8> {
-        let mut trailer = Cursor::new(&bytes[bytes.len() - 16 - END_MAGIC.len()..]);
-        let dir_offset = trailer.u64_le().unwrap() as usize;
-        let dir_len = trailer.u64_le().unwrap() as usize;
-        let mut cur = Cursor::new(&bytes[dir_offset..dir_offset + dir_len]);
-        let n = cur.varint().unwrap();
-        let mut dir: Vec<ChunkMeta> = (0..n).map(|_| get_chunk_meta(&mut cur).unwrap()).collect();
-        edit(&mut dir);
-        let mut out = bytes[..dir_offset].to_vec();
-        put_varint(&mut out, dir.len() as u64);
-        for m in &dir {
-            put_chunk_meta(&mut out, m);
+    /// `bytes` with chunk `i`'s frame edited by `edit` and written again,
+    /// before the same body.
+    fn with_frame(bytes: &[u8], i: usize, edit: impl FnOnce(&mut ChunkMeta)) -> Vec<u8> {
+        let r = Reader::from_bytes(bytes.to_vec()).unwrap();
+        let mut out = bytes[..HEADER_LEN].to_vec();
+        let mut edit = Some(edit);
+        for (k, m) in r.chunks().iter().enumerate() {
+            let mut frame = m.clone();
+            if let Some(edit) = edit.take_if(|_| k == i) {
+                edit(&mut frame);
+            }
+            put_frame(&mut out, &frame.footer, frame.len);
+            out.extend_from_slice(r.body_of(m));
         }
-        let new_len = (out.len() - dir_offset) as u64;
-        out.extend_from_slice(&(dir_offset as u64).to_le_bytes());
-        out.extend_from_slice(&new_len.to_le_bytes());
-        out.extend_from_slice(END_MAGIC);
+        out.extend_from_slice(&bytes[bytes.len() - TRAILER_LEN..]);
         out
     }
 
@@ -326,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn reader_round_trips_and_reports_directory() {
+    fn reader_round_trips_and_reports_chunks() {
         let bytes = store_bytes(1000, 128);
         let r = Reader::from_bytes(bytes).unwrap();
         assert_eq!(r.platform(), Platform::Speedchecker);
@@ -416,41 +426,76 @@ mod tests {
         let bytes = store_bytes(100, 32);
         let corrupt =
             |data: Vec<u8>| matches!(Reader::from_bytes(data), Err(StoreError::Corrupt(_)));
-        // Truncation anywhere: inside the header, mid-chunk, mid-directory,
-        // mid-trailer, and one byte short of complete.
-        let trailer = 16 + END_MAGIC.len();
-        let mid_dir = bytes.len() - trailer - 8;
-        for cut in [0, 3, MAGIC.len(), MAGIC.len() + 1, bytes.len() / 2, mid_dir]
+        let first = Reader::from_bytes(bytes.clone()).unwrap().chunks()[0].clone();
+        let first_end = (first.offset + first.len) as usize;
+        // Truncation anywhere: inside the header, mid-chunk, at a chunk's
+        // end, mid-trailer, and one byte short of complete.
+        for cut in [0, 3, MAGIC.len(), HEADER_LEN, bytes.len() / 2, first_end]
             .into_iter()
-            .chain(bytes.len() - trailer..bytes.len())
+            .chain(bytes.len() - TRAILER_LEN..bytes.len())
         {
             assert!(corrupt(bytes[..cut].to_vec()), "truncation at {cut} of {}", bytes.len());
         }
-        assert!(corrupt(b"CLDYSTO1x".to_vec()));
+        assert!(corrupt(b"CLDYSTO2x".to_vec()));
         let mut flipped = bytes.clone();
         flipped[0] = b'X';
         assert!(corrupt(flipped));
         let mut platform = bytes.clone();
         platform[MAGIC.len()] = 0xee;
         assert!(corrupt(platform));
-        // A trailer pointing the directory outside the file.
-        let mut dir_ptr = bytes.clone();
-        let at = bytes.len() - trailer;
-        dir_ptr[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(corrupt(dir_ptr));
-        // The directory rewrite itself round-trips.
-        assert!(Reader::from_bytes(with_directory(store_bytes(40, 64), |_| {})).is_ok());
-        // A directory entry claiming more rows than its chunk has bytes:
-        // every kind writes at least one byte per row, and scans size their
-        // buffers from these counts.
-        assert!(corrupt(with_directory(store_bytes(40, 64), |dir| dir[0].footer.rows = 1 << 61)));
-        // Chunks out of file order or overlapping.
-        assert!(corrupt(with_directory(store_bytes(40, 64), |dir| dir[1].offset = dir[0].offset)));
-        // Flipping a byte inside the directory region must not panic.
-        let dirish = bytes.len() - 30;
-        let mut scrambled = bytes;
-        scrambled[dirish] ^= 0xff;
-        let _ = Reader::from_bytes(scrambled);
+        // A trailer that miscounts the chunks.
+        let mut count = bytes.clone();
+        count[bytes.len() - TRAILER_LEN] ^= 1;
+        assert!(corrupt(count));
+        // The frame rewrite itself round-trips.
+        assert!(Reader::from_bytes(with_frame(&bytes, 1, |_| {})).is_ok());
+        // A frame claiming more rows than its body has bytes (every kind
+        // writes at least one byte per row, and scans size their buffers
+        // from these counts), or none.
+        assert!(corrupt(with_frame(&bytes, 1, |m| m.footer.rows = 1 << 61)));
+        assert!(corrupt(with_frame(&bytes, 1, |m| m.footer.rows = 0)));
+        // The last frame's body running into the trailer.
+        let last = Reader::from_bytes(bytes.clone()).unwrap().chunks().len() - 1;
+        assert!(corrupt(with_frame(&bytes, last, |m| m.len += 1)));
+    }
+
+    #[test]
+    fn v1_files_are_corrupt_and_say_so() {
+        let mut v1 = store_bytes(40, 64);
+        v1[..MAGIC.len()].copy_from_slice(V1_MAGIC);
+        for read in [Reader::from_bytes as fn(_) -> _, Reader::salvage] {
+            match read(v1.clone()).err() {
+                Some(StoreError::Corrupt(msg)) => assert!(msg.contains("v1"), "{msg}"),
+                other => panic!("a v1 file read as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn salvage_of_a_complete_file_reads_it_whole() {
+        let bytes = store_bytes(1000, 128);
+        let whole = Reader::from_bytes(bytes.clone()).unwrap();
+        let salvaged = Reader::salvage(bytes).unwrap();
+        assert_eq!(salvaged.chunks(), whole.chunks());
+        assert_eq!(all_pings(&salvaged), all_pings(&whole));
+    }
+
+    #[test]
+    fn salvage_stops_at_the_first_chunk_that_does_not_decode() {
+        let mut bytes = store_bytes(300, 32);
+        let whole = Reader::from_bytes(bytes.clone()).unwrap();
+        assert!(whole.chunks().len() > 4);
+        // A maximal varint over chunk 2's first block length: the frames
+        // still parse, the body no longer decodes.
+        let at = whole.chunks()[2].offset as usize;
+        bytes[at..at + 10].copy_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
+        let framed = Reader::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(framed.chunks(), whole.chunks());
+        assert!(framed.for_each(&ScanFilter::default(), |_| {}).is_err());
+        let salvaged = Reader::salvage(bytes).unwrap();
+        assert_eq!(salvaged.chunks(), &whole.chunks()[..2]);
+        // A bad header is the one thing salvage cannot get past.
+        assert!(matches!(Reader::salvage(b"CLDYSTO".to_vec()), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

@@ -10,22 +10,26 @@
 //! File layout:
 //!
 //! ```text
-//! "CLDYSTO1" (8B)  platform (1B)          header
-//! chunk body ...                          flushed in arrival order
-//! chunk body ...
-//! directory: varint count, ChunkMeta*     per-chunk footers for pruning
-//! dir_offset (u64le) dir_len (u64le)      trailer
-//! "CLDYSEND" (8B)
+//! "CLDYSTO2" (8B)  platform (1B)          header
+//! frame  chunk body                       one per chunk, in flush order
+//! frame  chunk body ...
+//! chunk count (u64le)  "CLDYSEND" (8B)    trailer, written by `finish`
 //! ```
+//!
+//! A frame is the chunk's footer: kind (1B), provider (1B), then varints
+//! for the body length and row count, the RTT bounds (a flag byte, then
+//! two f64s when set), varints for the hour bounds, and the country
+//! count followed by two bytes per country. Readers walk the frames from
+//! the front, so every chunk flushed before a crash can still be read
+//! back (`Reader::salvage`).
 //!
 //! The byte stream is a pure function of (platform, options, record
 //! sequence) — no clocks, no randomness, no map-iteration order — so a
 //! campaign that is deterministic across thread counts produces
 //! byte-identical store files across thread counts.
 
-use crate::chunk::{encode_cloud_pings, encode_pings, encode_traces, put_chunk_meta, ChunkMeta};
+use crate::chunk::{encode_cloud_pings, encode_pings, encode_traces, put_frame, ChunkFooter};
 use crate::error::StoreError;
-use crate::codec::put_varint;
 use crate::schema::{platform_tag, provider_tag};
 use cloudy_cloud::Provider;
 use cloudy_measure::{
@@ -35,8 +39,8 @@ use cloudy_obs::Obs;
 use cloudy_probes::Platform;
 use std::io::Write;
 
-/// Leading file magic (version 1).
-pub const MAGIC: &[u8; 8] = b"CLDYSTO1";
+/// Leading file magic (version 2).
+pub const MAGIC: &[u8; 8] = b"CLDYSTO2";
 /// Trailing file magic.
 pub const END_MAGIC: &[u8; 8] = b"CLDYSEND";
 
@@ -73,7 +77,7 @@ pub struct Writer<W: Write> {
     ping_slots: Vec<Vec<PingRecord>>,
     trace_slots: Vec<Vec<TracerouteRecord>>,
     cloud_slots: Vec<Vec<CloudPingRecord>>,
-    directory: Vec<ChunkMeta>,
+    chunks: usize,
     ping_rows: u64,
     trace_rows: u64,
     cloud_rows: u64,
@@ -97,7 +101,7 @@ impl<W: Write> Writer<W> {
             ping_slots: vec![Vec::new(); n],
             trace_slots: vec![Vec::new(); n],
             cloud_slots: vec![Vec::new(); n],
-            directory: Vec::new(),
+            chunks: 0,
             ping_rows: 0,
             trace_rows: 0,
             cloud_rows: 0,
@@ -138,15 +142,19 @@ impl<W: Write> Writer<W> {
         }
     }
 
-    fn emit(&mut self, body: Vec<u8>, footer: crate::chunk::ChunkFooter) -> Result<(), StoreError> {
+    /// Write one chunk: its frame, then its body.
+    fn emit(&mut self, body: Vec<u8>, footer: ChunkFooter) -> Result<(), StoreError> {
         let span = self.obs.now();
-        let meta = ChunkMeta { footer, offset: self.offset, len: body.len() as u64 };
-        let chunk_len = meta.len;
-        self.out.write_all(&body).map_err(|e| StoreError::io(format!("write chunk: {e}")))?;
-        self.offset += body.len() as u64;
-        self.directory.push(meta);
+        let mut frame = Vec::new();
+        put_frame(&mut frame, &footer, body.len() as u64);
+        for bytes in [&frame, &body] {
+            self.out.write_all(bytes).map_err(|e| StoreError::io(format!("write chunk: {e}")))?;
+        }
+        let written = (frame.len() + body.len()) as u64;
+        self.offset += written;
+        self.chunks += 1;
         self.obs.inc("store.chunks.flushed");
-        self.obs.add("store.bytes_written", chunk_len);
+        self.obs.add("store.bytes_written", written);
         self.obs.record_span("store.flush", span, 0);
         Ok(())
     }
@@ -220,9 +228,8 @@ impl<W: Write> Writer<W> {
     }
 
     /// Flush remaining partitions (ping slots in provider order, then trace
-    /// slots, then inter-cloud slots), write the directory and trailer,
-    /// and return the sink. The cloud slots flush last so stores without
-    /// inter-cloud rows stay byte-identical to the two-kind format.
+    /// slots, then inter-cloud slots), write the trailer, and return the
+    /// sink.
     pub fn finish(mut self) -> Result<(W, StoreSummary), StoreError> {
         for slot in 0..Provider::ALL.len() {
             self.flush_ping_slot(slot)?;
@@ -233,22 +240,14 @@ impl<W: Write> Writer<W> {
         for slot in 0..Provider::ALL.len() {
             self.flush_cloud_slot(slot)?;
         }
-        let mut dir = Vec::new();
-        put_varint(&mut dir, self.directory.len() as u64);
-        for m in &self.directory {
-            put_chunk_meta(&mut dir, m);
-        }
-        let dir_offset = self.offset;
-        self.out.write_all(&dir).map_err(|e| StoreError::io(format!("write directory: {e}")))?;
-        let mut trailer = Vec::with_capacity(24);
-        trailer.extend_from_slice(&dir_offset.to_le_bytes());
-        trailer.extend_from_slice(&(dir.len() as u64).to_le_bytes());
+        let mut trailer = Vec::with_capacity(16);
+        trailer.extend_from_slice(&(self.chunks as u64).to_le_bytes());
         trailer.extend_from_slice(END_MAGIC);
         self.out.write_all(&trailer).map_err(|e| StoreError::io(format!("write trailer: {e}")))?;
         self.out.flush().map_err(|e| StoreError::io(format!("flush: {e}")))?;
-        let bytes = self.offset + dir.len() as u64 + trailer.len() as u64;
+        let bytes = self.offset + trailer.len() as u64;
         let summary = StoreSummary {
-            chunks: self.directory.len(),
+            chunks: self.chunks,
             ping_rows: self.ping_rows,
             trace_rows: self.trace_rows,
             cloud_rows: self.cloud_rows,
@@ -258,9 +257,9 @@ impl<W: Write> Writer<W> {
             self.obs.add("store.rows.ping", summary.ping_rows);
             self.obs.add("store.rows.trace", summary.trace_rows);
             self.obs.add("store.rows.cloud", summary.cloud_rows);
-            // Header + directory + trailer bytes, so the counter's final
-            // value equals the file size exactly.
-            self.obs.add("store.bytes_written", bytes - dir_offset + (MAGIC.len() + 1) as u64);
+            // Header + trailer bytes, so the counter's final value equals
+            // the file size exactly.
+            self.obs.add("store.bytes_written", (MAGIC.len() + 1 + trailer.len()) as u64);
         }
         Ok((self.out, summary))
     }
@@ -302,14 +301,15 @@ mod tests {
     use crate::schema::platform_from_tag;
 
     #[test]
-    fn empty_store_has_header_directory_trailer() {
+    fn empty_store_has_header_and_trailer() {
         let w = Writer::new(Vec::new(), Platform::RipeAtlas, WriterOptions::default()).unwrap();
         let (bytes, summary) = w.finish().unwrap();
         assert_eq!(summary.chunks, 0);
         assert_eq!(summary.bytes, bytes.len() as u64);
         assert_eq!(&bytes[..8], MAGIC);
         assert_eq!(platform_from_tag(bytes[8]).unwrap(), Platform::RipeAtlas);
-        assert_eq!(&bytes[bytes.len() - 8..], END_MAGIC);
+        assert_eq!(&bytes[9..17], &0u64.to_le_bytes(), "a chunk count of zero");
+        assert_eq!(&bytes[17..], END_MAGIC);
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! One small store holds a clean and a faulted chunk of each record kind
 //! (ping, traceroute, inter-cloud). The faulted chunks carry every
 //! `TaskOutcome` variant and the traceroutes carry `*` hops, so every
-//! column block, dictionary, outcome block, directory entry and the
-//! trailer are in the file. Each mutation family below rewrites that file
-//! at every offset (or at seeded offsets) and pushes the result through
-//! `Reader::from_bytes`, `Reader::for_each` and every `Query` terminal,
-//! each under `catch_unwind`. Public API only.
+//! column block, dictionary, outcome block, the end-to-end column, every
+//! chunk frame and the trailer are in the file. Each mutation family below
+//! rewrites that file at every offset (or at seeded offsets) and pushes the
+//! result through `Reader::from_bytes` and `Reader::salvage`, then each
+//! reader that opens through `Reader::for_each` and every `Query` terminal,
+//! each under `catch_unwind`. A last test cuts a writer's output at every
+//! flush point and checks what `Reader::salvage` gives back. Public API
+//! only.
 
 use cloudy_cloud::{region, Provider, RegionId, RouteClass};
 use cloudy_geo::{Continent, CountryCode};
@@ -137,18 +140,25 @@ fn read_everything(bytes: Vec<u8>) -> Vec<String> {
         }
     }
     let mut bad = Vec::new();
-    let mut reader = None;
-    check("from_bytes", &mut bad, || Reader::from_bytes(bytes).map(|r| reader = Some(r)));
-    let Some(r) = reader else { return bad };
-    check("for_each", &mut bad, || r.for_each(&ScanFilter::default(), |_| {}));
-    check("stream", &mut bad, || Query::rtts().stream(&r, |_| {}));
-    check("rows", &mut bad, || Query::rtts().rows(&r));
-    check("rows bounded", &mut bad, || Query::rtts().hours(5, 20).max_rtt_ms(40.0).rows(&r));
-    check("values", &mut bad, || Query::rtts().values(&r));
-    check("summary", &mut bad, || {
-        Query::rtts().country(CountryCode::new("DE")).isp(Asn(3320)).summary(&r)
-    });
-    check("grouped", &mut bad, || Query::rtts().group_by(GroupKey::CountryRegion).grouped(&r));
+    let opens = [("from_bytes", Reader::from_bytes as fn(_) -> _), ("salvage", Reader::salvage)];
+    for (open, read) in opens {
+        let mut reader = None;
+        check(open, &mut bad, || read(bytes.clone()).map(|r| reader = Some(r)));
+        let Some(r) = reader else { continue };
+        let from = bad.len();
+        check("for_each", &mut bad, || r.for_each(&ScanFilter::default(), |_| {}));
+        check("stream", &mut bad, || Query::rtts().stream(&r, |_| {}));
+        check("rows", &mut bad, || Query::rtts().rows(&r));
+        check("rows bounded", &mut bad, || Query::rtts().hours(5, 20).max_rtt_ms(40.0).rows(&r));
+        check("values", &mut bad, || Query::rtts().values(&r));
+        check("summary", &mut bad, || {
+            Query::rtts().country(CountryCode::new("DE")).isp(Asn(3320)).summary(&r)
+        });
+        check("grouped", &mut bad, || Query::rtts().group_by(GroupKey::CountryRegion).grouped(&r));
+        for line in &mut bad[from..] {
+            *line = format!("{open} {line}");
+        }
+    }
     bad
 }
 
@@ -252,4 +262,88 @@ fn seeded_single_bit_flips() {
             (format!("flip bit {bit} at {at}"), b)
         }),
     );
+}
+
+/// Every chunk of `r` decoded whole, in file order.
+fn chunk_rows(r: &Reader) -> Vec<ChunkRows> {
+    let mut out = Vec::new();
+    r.for_each(&ScanFilter::default(), |c| out.push(c.clone())).unwrap();
+    out
+}
+
+/// Note the writer's size once it has grown: a chunk just flushed.
+fn note_flush(w: &Writer<Vec<u8>>, flushes: &mut Vec<u64>) {
+    if flushes.last() != Some(&w.bytes_written()) {
+        flushes.push(w.bytes_written());
+    }
+}
+
+#[test]
+fn salvage_keeps_every_chunk_flushed_before_a_cut() {
+    // Small chunks, so that most flushes happen while records stream in
+    // and the rest inside `finish`.
+    let mut w =
+        Writer::new(Vec::new(), Platform::Speedchecker, WriterOptions { chunk_rows: 4 }).unwrap();
+    let (goog, aws) = (first_region(Provider::Google), first_region(Provider::AmazonEc2));
+    let (mut pings, mut traces, mut clouds) = (Vec::new(), Vec::new(), Vec::new());
+    // The header alone: a cut there holds no chunk.
+    let mut flushes = vec![w.bytes_written()];
+    for i in 0..30 {
+        let provider = if i % 3 == 0 { Provider::AmazonEc2 } else { Provider::Google };
+        let faulted = i % 2 == 1;
+        pings.push(ping(i, provider, faulted));
+        w.push_ping(ping(i, provider, faulted)).unwrap();
+        note_flush(&w, &mut flushes);
+        traces.push(trace(i, provider, faulted));
+        w.push_trace(trace(i, provider, faulted)).unwrap();
+        note_flush(&w, &mut flushes);
+        clouds.push(cloud(i, aws, goog, faulted));
+        w.push_cloud(cloud(i, aws, goog, faulted)).unwrap();
+        note_flush(&w, &mut flushes);
+    }
+    let (bytes, summary) = w.finish().unwrap();
+    let full = Reader::from_bytes(bytes.clone()).unwrap();
+    let ends: Vec<u64> = full.chunks().iter().map(|m| m.offset + m.len).collect();
+    assert_eq!(ends.len(), summary.chunks);
+    // Every flush seen while streaming ended a chunk, and `finish` flushed
+    // the rest.
+    assert!(flushes[1..].iter().all(|f| ends.contains(f)), "{flushes:?} vs {ends:?}");
+    assert!(flushes.len() > 10 && flushes.len() <= ends.len(), "{}", flushes.len());
+
+    // The whole file's chunks hold the rows written, partition by
+    // partition in push order.
+    let rows = chunk_rows(&full);
+    for provider in [Provider::Google, Provider::AmazonEc2] {
+        let (mut p, mut t) = (Vec::new(), Vec::new());
+        for c in &rows {
+            match c {
+                ChunkRows::Pings(x) => p.extend(x.iter().filter(|r| r.provider == provider)),
+                ChunkRows::Traces(x) => t.extend(x.iter().filter(|r| r.provider == provider)),
+                ChunkRows::CloudPings(_) => {}
+            }
+        }
+        assert_eq!(p, pings.iter().filter(|r| r.provider == provider).collect::<Vec<_>>());
+        assert_eq!(t, traces.iter().filter(|r| r.provider == provider).collect::<Vec<_>>());
+    }
+    let c: Vec<&CloudPingRecord> = rows
+        .iter()
+        .flat_map(|c| match c {
+            ChunkRows::CloudPings(x) => x.iter().collect(),
+            _ => Vec::new(),
+        })
+        .collect();
+    assert_eq!(c, clouds.iter().collect::<Vec<_>>());
+
+    // Cut at every flush point and one byte either side: salvage keeps
+    // exactly the chunks that ended before the cut, and they decode to
+    // those chunks' rows.
+    let header = flushes[0];
+    for point in std::iter::once(header).chain(ends.iter().copied()) {
+        for cut in [point.saturating_sub(1).max(header), point, point + 1] {
+            let r = Reader::salvage(bytes[..cut as usize].to_vec()).unwrap();
+            let kept = ends.iter().filter(|end| **end <= cut).count();
+            assert_eq!(r.chunks(), &full.chunks()[..kept], "cut at {cut}");
+            assert_eq!(chunk_rows(&r), rows[..kept], "cut at {cut}");
+        }
+    }
 }
