@@ -10,10 +10,11 @@
 //! * [`region`] — the full 195-region deployment, per-continent counts
 //!   matching Table 1 exactly, each region anchored to a real city.
 //! * [`pop`] — edge Points-of-Presence: where a provider can ingest client
-//!   traffic into its WAN (colocation/IXP sites, §2.3).
+//!   traffic into its WAN (colocation/IXP sites, §2.3), and
+//!   [`PopSet::nearest`], the ingress search for direct-peered traffic.
 //! * [`wan`] — the private WAN footprint: which continents a provider's
-//!   backbone spans, and the nearest-ingress computation used when client
-//!   traffic direct-peers into the WAN.
+//!   backbone spans and connects, which decides the PoPs eligible as an
+//!   ingress.
 //! * [`peering`] — the client-facing interconnection policy: for a given
 //!   (provider, serving ISP) pair, does inbound traffic enter via direct
 //!   peering, public peering at an IXP, a single private transit carrier, or

@@ -108,16 +108,17 @@ impl PopSet {
         self.pops.is_empty()
     }
 
-    /// The PoP nearest to `point`, optionally restricted to a continent.
-    pub fn nearest(&self, point: GeoPoint, within: Option<Continent>) -> Option<&PopSite> {
-        self.pops
-            .iter()
-            .filter(|p| within.is_none_or(|c| p.continent == c))
-            .min_by(|a, b| {
-                let da = a.location.haversine_km(&point);
-                let db = b.location.haversine_km(&point);
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            })
+    /// The PoP nearest to `point` among those `eligible` accepts, by
+    /// great-circle distance; of equally near PoPs, the first in table
+    /// order. `None` when no PoP is eligible.
+    pub fn nearest(
+        &self,
+        point: GeoPoint,
+        eligible: impl Fn(&PopSite) -> bool,
+    ) -> Option<&PopSite> {
+        self.pops.iter().filter(|p| eligible(p)).min_by(|a, b| {
+            a.location.haversine_km(&point).total_cmp(&b.location.haversine_km(&point))
+        })
     }
 }
 
@@ -173,7 +174,7 @@ mod tests {
     fn nearest_pop_picks_closest() {
         let g = PopSet::for_provider(Provider::Google);
         let munich = GeoPoint::new(48.14, 11.58);
-        let near = g.nearest(munich, None).unwrap();
+        let near = g.nearest(munich, |_| true).unwrap();
         let d = near.location.haversine_km(&munich);
         assert!(d < 500.0, "nearest Google PoP to Munich is {d} km away ({})", near.city);
     }
@@ -182,10 +183,10 @@ mod tests {
     fn nearest_with_continent_filter() {
         let g = PopSet::for_provider(Provider::Google);
         let nairobi = GeoPoint::new(-1.29, 36.82);
-        let in_africa = g.nearest(nairobi, Some(Continent::Africa)).unwrap();
-        assert_eq!(in_africa.continent, Continent::Africa);
+        let in_africa = |p: &PopSite| p.continent == Continent::Africa;
+        assert_eq!(g.nearest(nairobi, in_africa).unwrap().continent, Continent::Africa);
         let vultr = PopSet::for_provider(Provider::Vultr);
-        let none_for_vultr = vultr.nearest(nairobi, Some(Continent::Africa));
+        let none_for_vultr = vultr.nearest(nairobi, in_africa);
         assert!(none_for_vultr.is_none(), "Vultr has no African presence");
     }
 

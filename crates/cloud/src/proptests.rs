@@ -2,7 +2,7 @@
 //! determinism over arbitrary ISPs, and PoP/WAN consistency.
 
 use crate::peering::{InterconnectPolicy, PeeringKind};
-use crate::pop::PopSet;
+use crate::pop::{PopSet, PopSite};
 use crate::provider::{Backbone, Provider};
 use crate::wan::WanFootprint;
 use cloudy_geo::{Continent, CountryCode, GeoPoint};
@@ -96,21 +96,26 @@ proptest! {
         provider in arb_provider(),
         lat in -60.0f64..70.0,
         lon in -180.0f64..180.0,
+        within in prop::option::of(arb_continent()),
     ) {
+        // The pick is eligible, no eligible PoP is closer, and no earlier
+        // eligible PoP is as close: the first minimum in table order.
         let pops = PopSet::for_provider(provider);
         let point = GeoPoint::new(lat, lon);
-        if let Some(best) = pops.nearest(point, None) {
-            let best_d = best.location.haversine_km(&point);
-            for p in pops.iter() {
-                prop_assert!(
-                    best_d <= p.location.haversine_km(&point) + 1e-6,
-                    "{} closer than chosen {}",
-                    p.city,
-                    best.city
-                );
+        let eligible = |p: &PopSite| within.is_none_or(|c| p.continent == c);
+        let candidates: Vec<&PopSite> = pops.iter().filter(|p| eligible(p)).collect();
+        match pops.nearest(point, eligible) {
+            Some(best) => {
+                prop_assert!(eligible(best));
+                let best_d = best.location.haversine_km(&point);
+                let at = candidates.iter().position(|p| p.city == best.city).unwrap();
+                for (i, p) in candidates.iter().enumerate() {
+                    let d = p.location.haversine_km(&point);
+                    prop_assert!(best_d <= d, "{} closer than chosen {}", p.city, best.city);
+                    prop_assert!(i >= at || best_d < d, "{} ties {} earlier", p.city, best.city);
+                }
             }
-        } else {
-            prop_assert!(pops.is_empty());
+            None => prop_assert!(candidates.is_empty()),
         }
     }
 }

@@ -5,8 +5,8 @@
 //! population and 25 % of Atlas (`cloudy-repro all --days 12`, or
 //! `cargo run --release --example full_reproduction`). This suite builds
 //! that study once and checks every number the doc prints for Figs. 3, 4,
-//! 5, 6, 7, 10, 11, 12b, 13b, 16, 17, 18 and 19, at the precision the doc
-//! prints it. A change that moves one of them fails here: update the
+//! 5, 6, 7, 10, 11, 12b, 13b, 14, 16, 17, 18 and 19, at the precision the
+//! doc prints it. A change that moves one of them fails here: update the
 //! doc's row and the expected value below together.
 
 use cloudy_analysis::peering::Interconnection;
@@ -15,7 +15,7 @@ use cloudy_cloud::Provider;
 use cloudy_core::experiments::peering_case::{CaseStudy, LatencyRow, PeeringCase};
 use cloudy_core::experiments::*;
 use cloudy_core::{Study, StudyConfig};
-use cloudy_geo::Continent;
+use cloudy_geo::{country, Continent};
 use cloudy_topology::known;
 use std::sync::OnceLock;
 
@@ -237,6 +237,38 @@ fn fig13b_direct_vs_transit_jp_to_in() {
         ("ORCL direct", median(Provider::Oracle, true), "127"),
         ("LIN direct IQR", iqr(Provider::Linode, true), "13"),
         ("ORCL direct IQR", iqr(Provider::Oracle, true), "19"),
+    ]);
+}
+
+#[test]
+fn fig14_probe_closeness() {
+    let fig = deployment::fig14(study());
+    let spread = |cc| format!("{:.0}", fig.row(cc).expect("country measured").2);
+    let named = |rows: Vec<&(cloudy_geo::CountryCode, usize, f64)>| {
+        rows.iter().map(|r| r.0.as_str()).collect::<Vec<_>>().join(", ")
+    };
+    let in_bucket = |bucket| {
+        named(fig.rows.iter().filter(|r| deployment::Fig14::bucket(r.2) == bucket).collect())
+    };
+    let on = |c| {
+        fig.rows.iter().filter(move |r| country::lookup(r.0).expect("known country").continent == c)
+    };
+    check(&[
+        ("countries", fig.rows.len().to_string(), "31"),
+        ("scattered", in_bucket("scattered (>1000 km)"), "US"),
+        ("US [km]", spread("US"), "1958"),
+        ("spread", in_bucket("spread (400-1000 km)"), "IN, VN, BR, UA"),
+        ("IN [km]", spread("IN"), "877"),
+        ("VN [km]", spread("VN"), "650"),
+        ("BR [km]", spread("BR"), "492"),
+        ("UA [km]", spread("UA"), "409"),
+        ("under 400 km", fig.rows.iter().filter(|r| r.2 < 400.0).count().to_string(), "26"),
+        (
+            "European at 400 km or more",
+            named(on(Continent::Europe).filter(|r| r.2 >= 400.0).collect()),
+            "UA",
+        ),
+        ("African countries", on(Continent::Africa).count().to_string(), "0"),
     ]);
 }
 

@@ -28,6 +28,9 @@
 //! * [`network::Network`] — the assembled world: AS graph, prefix plan,
 //!   IXPs, provider PoP sets, peering policy, region endpoints.
 //! * [`sim::Simulator`] — route construction + RTT/traceroute sampling.
+//!   The wide-area geometry, the ingress PoP scan and cross-continent cable
+//!   searches are memoized by their exact inputs; `route_uncached` builds
+//!   with no memo at all and is the oracle the memoized routes are held to.
 //! * [`faults::FaultModel`] — seeded fault injection (loss, timeouts,
 //!   rate limits) keyed per (probe, region, kind, hour, seq, attempt), so
 //!   faulted campaigns stay byte-identical across thread counts.

@@ -4,6 +4,16 @@
 //! the same probe always traverses the same routers, as the paper's repeated
 //! `<probe, datacenter>` measurements assume. Latency *samples* over a route
 //! vary per measurement through [`FlowRng`] — reproducibly, given the seed.
+//!
+//! Routing is memoized at three levels, each keyed by exactly the inputs it
+//! reads: finished routes in the [`RouteCache`]; the wide-area geometry past
+//! the access leg, per (ISP, ISP anchor, region, probe country); and, inside
+//! a wide-area build, its two pure geometry searches: the ingress PoP scan
+//! per (provider, ISP anchor, region continent) and a cross-continent leg's
+//! cable-graph search per pair of endpoints. A miss runs the same search as
+//! the unmemoized build, so ties resolve as they always did.
+//! [`Simulator::route_uncached`] bypasses all three levels; it is the oracle
+//! that memoized routes are tested against.
 
 use crate::cache::{RouteCache, RouteKey};
 use crate::client::ClientCtx;
@@ -14,13 +24,15 @@ use crate::network::Network;
 use crate::path::RoutePath;
 use crate::rng::{mix, FlowRng};
 use cloudy_cloud::{PeeringKind, Provider, RegionId, WanFootprint};
-use cloudy_geo::{city, distance::routed_distance_km, Continent, CountryCode, GeoPoint};
+use cloudy_geo::distance::{routed_distance_km, terrestrial_stretch};
+use cloudy_geo::{city, Continent, CountryCode, GeoPoint};
 use cloudy_lastmile::stats_math::LogNormal;
 use cloudy_lastmile::AccessType;
 use cloudy_topology::{AsKind, Asn, IxpId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
@@ -68,10 +80,17 @@ struct WideArea {
 /// The route + RTT engine over an assembled [`Network`].
 pub struct Simulator {
     pub net: Network,
-    /// The wide-area memo; writes are whole entries, so poison is ignored.
-    wide_cache: RwLock<WideCache>,
+    /// Wide-area geometry per [`WideKey`].
+    wide_cache: Memo<WideKey, Arc<WideArea>>,
+    /// The direct-peering ingress PoP per [`IngressKey`].
+    ingress_cache: Memo<IngressKey, (GeoPoint, Continent)>,
+    /// Cross-continent effective km per [`CableKey`].
+    cable_cache: Memo<CableKey, f64>,
     route_cache: RouteCache,
 }
+
+/// A memo of a pure function, filled through [`memoized`].
+type Memo<K, V> = RwLock<HashMap<K, V>>;
 
 /// Every input [`Simulator::build_wide_area`] reads: the ISP, the bits of
 /// its anchor (the egress point the probe's cell picks), the region, and the
@@ -79,8 +98,39 @@ pub struct Simulator {
 /// different cells that pick the same anchor share one entry.
 type WideKey = (Asn, (u64, u64), RegionId, CountryCode);
 
-/// Memoized wide-area geometry.
-type WideCache = HashMap<WideKey, Arc<WideArea>>;
+/// Every input of the non-IXP ingress scan in
+/// [`Simulator::direct_ingress`]: the provider, the bits of the ISP anchor
+/// it searches from, and the region's continent (which PoPs the WAN can
+/// carry there).
+type IngressKey = (Provider, (u64, u64), Continent);
+
+/// Both endpoints of a cross-continent leg: each one's bits and continent.
+type CableKey = ((u64, u64), Continent, (u64, u64), Continent);
+
+/// Read-then-insert lookup shared by the simulator's memos: a hit clones
+/// the stored value, a miss builds it with no lock held and inserts it.
+/// Each value is a pure function of its key, so racing misses insert equal
+/// values; each write is one whole entry, so poison is ignored.
+fn memoized<K: Eq + Hash, V: Clone>(memo: &Memo<K, V>, key: K, build: impl FnOnce() -> V) -> V {
+    if let Some(hit) = memo.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
+        return hit.clone();
+    }
+    let built = build();
+    memo.write().unwrap_or_else(PoisonError::into_inner).insert(key, built.clone());
+    built
+}
+
+/// Whether a wide-area build runs its ingress scan and cable searches
+/// through the simulator's memos or from scratch.
+#[derive(Clone, Copy)]
+enum Searches {
+    Memoized,
+    Uncached,
+}
+
+fn bits(p: GeoPoint) -> (u64, u64) {
+    (p.lat().to_bits(), p.lon().to_bits())
+}
 
 fn loc_key(p: GeoPoint) -> (i32, i32) {
     ((p.lat() * 10.0).round() as i32, (p.lon() * 10.0).round() as i32)
@@ -96,15 +146,24 @@ fn grid_center(key: (i32, i32)) -> GeoPoint {
     GeoPoint::new(key.0 as f64 / 10.0, key.1 as f64 / 10.0)
 }
 
+/// Effective routed km between two points: within a continent the great
+/// circle times its terrestrial stretch (the one leg `routed_distance_km`
+/// would build), across continents the cable-graph search.
 fn eff(a: GeoPoint, ca: Continent, b: GeoPoint, cb: Continent) -> f64 {
-    routed_distance_km(a, ca, b, cb).effective_km
+    if ca == cb {
+        a.haversine_km(&b) * terrestrial_stretch(ca)
+    } else {
+        routed_distance_km(a, ca, b, cb).effective_km
+    }
 }
 
 impl Simulator {
     pub fn new(net: Network) -> Self {
         Simulator {
             net,
-            wide_cache: RwLock::new(HashMap::new()),
+            wide_cache: Memo::default(),
+            ingress_cache: Memo::default(),
+            cable_cache: Memo::default(),
             route_cache: RouteCache::default(),
         }
     }
@@ -126,15 +185,16 @@ impl Simulator {
     }
 
     /// Build the full route from scratch, bypassing every layer of route
-    /// memoization — the sharded route-plan cache *and* the wide-area
-    /// geometry cache. Wide-area geometry is a pure function of its key
-    /// (ISP, ISP anchor, region, probe country), so the result is
-    /// bit-identical to the cached plan; only the cost differs. This is the
+    /// memoization: the sharded route-plan cache, the wide-area memo, and
+    /// the ingress and cable memos inside a wide-area build. Each memo holds
+    /// a pure function of its key, so the result is bit-identical to the
+    /// cached plan; only the cost differs. This is the
     /// `CampaignConfig::route_cache = false` path and the reference leg of
     /// the audit race check.
     pub fn route_uncached(&self, client: &ClientCtx, region: RegionId) -> RoutePath {
         let anchor = self.isp_anchor(client);
-        self.assemble_route(client, region, &self.build_wide_area(client, region, anchor))
+        let wa = self.build_wide_area(client, region, anchor, Searches::Uncached);
+        self.assemble_route(client, region, &wa)
     }
 
     /// Assemble the per-probe route around shared wide-area geometry:
@@ -378,15 +438,28 @@ impl Simulator {
 
     fn wide_area(&self, client: &ClientCtx, region: RegionId) -> Arc<WideArea> {
         let anchor = self.isp_anchor(client);
-        let anchor_bits = (anchor.lat().to_bits(), anchor.lon().to_bits());
-        let key = (client.isp, anchor_bits, region, client.country);
-        let memo = &self.wide_cache;
-        if let Some(hit) = memo.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            return hit.clone();
+        let key = (client.isp, bits(anchor), region, client.country);
+        memoized(&self.wide_cache, key, || {
+            Arc::new(self.build_wide_area(client, region, anchor, Searches::Memoized))
+        })
+    }
+
+    /// [`eff`], with a cross-continent pair's cable-graph search served
+    /// from the cable memo when `searches` allows.
+    fn routed_km(
+        &self,
+        a: GeoPoint,
+        ca: Continent,
+        b: GeoPoint,
+        cb: Continent,
+        searches: Searches,
+    ) -> f64 {
+        match searches {
+            Searches::Memoized if ca != cb => {
+                memoized(&self.cable_cache, (bits(a), ca, bits(b), cb), || eff(a, ca, b, cb))
+            }
+            _ => eff(a, ca, b, cb),
         }
-        let built = Arc::new(self.build_wide_area(client, region, anchor));
-        memo.write().unwrap_or_else(PoisonError::into_inner).insert(key, built.clone());
-        built
     }
 
     fn isp_info(&self, isp: Asn) -> &cloudy_topology::AsInfo {
@@ -409,13 +482,18 @@ impl Simulator {
 
     /// The wide area past the access leg. Reads exactly the fields of its
     /// [`WideKey`]: `client.isp`, `client.country`, the region and
-    /// `isp_anchor`.
+    /// `isp_anchor`. `searches` picks whether the ingress scan and the
+    /// cable searches go through their memos; the geometry is the same.
     fn build_wide_area(
         &self,
         client: &ClientCtx,
         region_id: RegionId,
         isp_anchor: GeoPoint,
+        searches: Searches,
     ) -> WideArea {
+        let eff = |a: GeoPoint, ca: Continent, b: GeoPoint, cb: Continent| {
+            self.routed_km(a, ca, b, cb, searches)
+        };
         let ep = self.net.region(region_id);
         let provider = ep.region.provider;
         let region_loc = ep.region.location();
@@ -443,7 +521,7 @@ impl Simulator {
         if n_inter == 0 {
             effective_as_path = vec![client.isp, pasn];
             // Peer edge: direct or across a public exchange.
-            let ingress = self.direct_ingress(provider, isp_anchor, region_cont, via_ixp);
+            let ingress = self.direct_ingress(provider, isp_anchor, region_cont, via_ixp, searches);
             let (in_loc, in_cont) = ingress;
             let d_peer = eff(isp_anchor, isp_cont, in_loc, in_cont);
             let d_wan = eff(in_loc, in_cont, region_loc, region_cont);
@@ -590,13 +668,15 @@ impl Simulator {
 
     /// Ingress for peer paths: the provider PoP nearest the ISP whose
     /// continent the WAN can connect to the region's continent (region-city
-    /// PoPs always qualify, so a candidate always exists).
+    /// PoPs always qualify, so a candidate always exists). The PoP scan is
+    /// served from the ingress memo when `searches` allows.
     fn direct_ingress(
         &self,
         provider: Provider,
         near: GeoPoint,
         region_cont: Continent,
         via_ixp: Option<IxpId>,
+        searches: Searches,
     ) -> (GeoPoint, Continent) {
         if let Some(ixp) = via_ixp {
             // Public peering happens at the exchange; the edge is colocated.
@@ -613,18 +693,21 @@ impl Simulator {
                 .expect("nonempty"); // audit:allow(expect)
             return (ixp.location, cont);
         }
-        let wan = WanFootprint::new(provider);
-        let pops = &self.net.pops[&provider];
-        let best = pops
-            .iter()
-            .filter(|p| p.continent == region_cont || wan.wan_connects(p.continent, region_cont))
-            .min_by(|a, b| {
-                let da = a.location.haversine_km(&near);
-                let db = b.location.haversine_km(&near);
-                da.total_cmp(&db)
-            })
-            .expect("region-city PoP always eligible"); // audit:allow(expect)
-        (best.location, best.continent)
+        let scan = || {
+            let wan = WanFootprint::new(provider);
+            let best = self.net.pops[&provider]
+                .nearest(near, |p| {
+                    p.continent == region_cont || wan.wan_connects(p.continent, region_cont)
+                })
+                .expect("region-city PoP always eligible"); // audit:allow(expect)
+            (best.location, best.continent)
+        };
+        match searches {
+            Searches::Memoized => {
+                memoized(&self.ingress_cache, (provider, bits(near), region_cont), scan)
+            }
+            Searches::Uncached => scan(),
+        }
     }
 }
 
@@ -747,6 +830,53 @@ mod tests {
             .find(|r| r.region.provider == provider && r.region.city == city)
             .map(|r| r.id)
             .unwrap_or_else(|| panic!("no {provider} region in {city}"))
+    }
+
+    /// Probes on every access ISP of the test world, three cells per ISP,
+    /// so that one ISP's probes pick different anchors.
+    fn plan_clients(sim: &Simulator) -> Vec<ClientCtx> {
+        let mut isps: Vec<(CountryCode, Asn)> = sim
+            .net
+            .graph
+            .ases()
+            .filter(|i| i.kind == AsKind::AccessIsp)
+            .map(|i| (i.country, i.asn))
+            .collect();
+        isps.sort();
+        let mut clients = Vec::new();
+        for (cc, isp) in isps {
+            for (dlat, dlon) in [(0.0, 0.0), (1.5, 1.5), (-1.5, -2.0)] {
+                let hash = clients.len() as u64 + 100;
+                let mut c = client_in(sim, cc.as_str(), isp, AccessType::WifiHome, hash);
+                c.location = GeoPoint::new(c.location.lat() + dlat, c.location.lon() + dlon);
+                clients.push(c);
+            }
+        }
+        clients
+    }
+
+    #[test]
+    fn memo_fill_order_never_changes_a_route() {
+        // A fresh-pair campaign: every probe measures 16 regions spread
+        // over providers and continents. One fresh simulator routes the
+        // plan in order and another in reverse, so their wide-area, ingress
+        // and cable memos fill in opposite orders. Every route must equal
+        // its twin and the memo-free build.
+        let (forward, reverse) = (world(), world());
+        let regions = &forward.net.regions;
+        let plan: Vec<(ClientCtx, RegionId)> = plan_clients(&forward)
+            .into_iter()
+            .enumerate()
+            .flat_map(|(i, c)| {
+                (0..16).map(move |k| (c.clone(), regions[(i * 5 + k * 12) % regions.len()].id))
+            })
+            .collect();
+        let routed: Vec<Arc<RoutePath>> = plan.iter().map(|(c, r)| forward.route(c, *r)).collect();
+        for ((c, region), route) in plan.iter().zip(&routed).rev() {
+            let at = format!("{} {} -> {region:?}", c.country, c.isp);
+            assert_eq!(*reverse.route(c, *region), **route, "{at}: fill order");
+            assert_eq!(forward.route_uncached(c, *region), **route, "{at}: memo-free build");
+        }
     }
 
     #[test]
