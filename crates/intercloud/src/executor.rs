@@ -1,6 +1,7 @@
 //! The inter-cloud block executor: tasks → [`CloudPingRecord`]s, streamed
 //! into any [`RecordSink`] with the same bounded-memory, thread-invariant
-//! round loop as the user campaign ([`cloudy_measure::run_blocked`]).
+//! pipeline as the user campaign ([`cloudy_measure::run_blocked`]): workers
+//! run blocks while the calling thread drains them in plan order.
 //!
 //! Each task probes one directed region pair at one hour, over *both*
 //! route planes — private first, public second (the record emission

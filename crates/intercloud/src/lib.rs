@@ -7,8 +7,8 @@
 //!
 //! * [`plan`](mod@plan) / [`executor`] — a deterministic campaign: a
 //!   seed-rotated region roster and a [`CloudTask`] per directed pair,
-//!   hour and sample, executed on the same bounded-memory block loop as
-//!   the user campaign ([`cloudy_measure::run_blocked`]) and streamed into
+//!   hour and sample, executed on the same bounded-memory block pipeline
+//!   as the user campaign ([`cloudy_measure::run_blocked`]) and streamed into
 //!   any [`cloudy_measure::RecordSink`]. The record stream is
 //!   byte-identical across thread counts and path-cache settings —
 //!   enforced by the audit race matrix.

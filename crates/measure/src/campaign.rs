@@ -1,17 +1,21 @@
 //! Deterministic parallel campaign execution.
 //!
 //! Tasks are planned up-front ([`crate::plan`]), then executed over the
-//! simulator in fixed-size blocks sharded across scoped threads. Because
-//! every latency sample is derived from (seed, flow) — never from shared
-//! RNG state — the record stream is bit-identical for any thread count.
+//! simulator in fixed-size blocks by persistent scoped worker threads.
+//! Because every latency sample is derived from (seed, flow) — never from
+//! shared RNG state — the record stream is bit-identical for any thread
+//! count.
 //!
 //! [`run_campaign_into`] streams records into any [`RecordSink`] with
-//! bounded memory: tasks run in fixed [`BLOCK_TASKS`]-sized blocks, at most
-//! `threads` blocks in flight, and each completed round is drained into the
-//! sink in block order before the next round starts. Block size is a
-//! constant (not a function of thread count), so the sink sees the same
-//! record sequence no matter how many threads ran the round.
-//! [`run_campaign`] collects that stream into an in-memory [`Dataset`].
+//! bounded memory, as one pipeline: `threads` workers claim fixed
+//! [`BLOCK_TASKS`]-sized blocks in order, each building its block's routes
+//! and then running its tasks, while the calling thread drains finished
+//! blocks into the sink in block order. The workers may run at most
+//! `2 × threads` blocks ahead of the drain, so at most that many block
+//! results wait for it. Block size is a constant (not a function of thread
+//! count), so the sink sees the same record sequence no matter how many
+//! threads ran the blocks. [`run_campaign`] collects that stream into an
+//! in-memory [`Dataset`].
 //!
 //! Every task runs through one attempt loop. Without a fault profile it
 //! gets a single attempt and a lost ping leaves no record, as on the real
@@ -28,12 +32,18 @@ use cloudy_netsim::{ClientCtx, FaultDraw, FaultModel, FaultProfile, RoutePath, S
 use cloudy_obs::{LocalShard, Obs};
 use cloudy_probes::{Availability, Population};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Tasks per execution block in the streaming path. Fixed so the record
-/// stream (and thus any sink output) is invariant under the thread count;
-/// peak buffered records are bounded by `threads × BLOCK_TASKS` results.
+/// stream (and thus any sink output) is invariant under the thread count.
+/// [`run_blocked`]'s window keeps at most `2 × threads` blocks claimed but
+/// not yet drained, plus the one being drained, so at most
+/// `(2 × threads + 1) × BLOCK_TASKS` task results are alive at once.
 pub const BLOCK_TASKS: usize = 2048;
+
+/// Blocks per worker that [`run_blocked`]'s workers may run ahead of the
+/// drain: a fixed multiple, so the memory bound depends on `threads` alone.
+const WINDOW_PER_WORKER: usize = 2;
 
 /// Campaign parameters. `Default` is a valid baseline; adjust fields
 /// directly and check the result with [`CampaignConfig::validate`].
@@ -255,41 +265,22 @@ pub fn run_campaign(cfg: &CampaignConfig, sim: &Simulator, pop: &Population) -> 
 /// with one, every planned task produces a record and the stats reconcile
 /// exactly with the stored outcome tags.
 ///
-/// With `route_cache` on, the shared route cache is warmed from the whole
-/// plan first (see [`warm_route_cache`]), so worker blocks start from a
-/// fully populated cache instead of discovering pairs round by round.
+/// With `route_cache` on, each block builds its own pairs' routes on its
+/// worker, through the simulator's shared route cache, while earlier blocks
+/// drain (see [`execute_tasks_into`]).
 ///
-/// With `cfg.obs` enabled, the planner and the warm pass are timed as the
-/// `campaign.plan` and `campaign.route` spans on lane 0, and the routes
-/// the warm pass builds count towards `netsim.routes.built`.
+/// With `cfg.obs` enabled, the planner is timed as the `campaign.plan` span
+/// on lane 0, beside the executor's spans and counters.
 pub fn run_campaign_into(
     cfg: &CampaignConfig,
     sim: &Simulator,
     pop: &Population,
     sink: &mut impl RecordSink,
 ) -> Result<FailureStats, MeasureError> {
-    let obs = &cfg.obs;
-    let span = obs.now();
+    let span = cfg.obs.now();
     let schedule = plan::plan(&cfg.plan, pop);
-    obs.record_span("campaign.plan", span, 0);
-    if cfg.route_cache {
-        let span = obs.now();
-        let misses = routes_built(sim, obs);
-        warm_route_cache(sim, pop, &cfg.artifacts, &schedule.tasks);
-        obs.add("netsim.routes.built", routes_built(sim, obs) - misses);
-        obs.record_span("campaign.route", span, 0);
-    }
+    cfg.obs.record_span("campaign.plan", span, 0);
     execute_tasks_into(cfg, sim, pop, &schedule.tasks, sink)
-}
-
-/// The shared route cache's lifetime miss count — one per route it
-/// assembled — read only when `obs` is enabled (0 otherwise).
-fn routes_built(sim: &Simulator, obs: &Obs) -> u64 {
-    if obs.is_enabled() {
-        sim.route_cache().stats().misses
-    } else {
-        0
-    }
 }
 
 /// Run one task's attempts and return its final outcome (and, for
@@ -364,15 +355,16 @@ fn run_attempts(
 }
 
 /// Run all tasks of one block sequentially; this is the unit of work a
-/// thread executes per round.
+/// worker claims.
 ///
-/// With `route_cache` on, a plan-level pass first groups the block's tasks
-/// by (probe, region): each client context is built once per probe and each
+/// With `route_cache` on, a pre-pass first groups the block's tasks by
+/// (probe, region): each client context is built once per probe and each
 /// route once per pair — fetched through the simulator's shared
-/// [`cloudy_netsim::RouteCache`] as `Arc<RoutePath>` — then the tasks run
-/// in their original order, so the record stream is unchanged. Off, every
-/// task rebuilds its client and route from scratch (the reference leg of
-/// the audit race check).
+/// [`cloudy_netsim::RouteCache`] as `Arc<RoutePath>`, so a pair another
+/// block already built is a hit — then the tasks run in their original
+/// order, so the record stream is unchanged. The pre-pass is the block's
+/// `campaign.route` span. Off, every task rebuilds its client and route
+/// from scratch (the reference leg of the audit race check).
 #[allow(clippy::too_many_arguments)] // internal work unit; the coordinator is the only caller
 fn run_block(
     sim: &Simulator,
@@ -391,12 +383,14 @@ fn run_block(
     let mut clients: HashMap<u32, ClientCtx> = HashMap::new();
     let mut routes: HashMap<(u32, RegionId), Arc<RoutePath>> = HashMap::new();
     if route_cache {
+        let route_span = shard.now();
         for (probe_ix, region) in plan::block_pairs(tasks) {
             let client = clients.entry(probe_ix).or_insert_with(|| {
                 pop.probes[probe_ix as usize].client_ctx(&sim.net, artifacts)
             });
             routes.insert((probe_ix, region), sim.route(client, region));
         }
+        shard.record_span("campaign.route", route_span, lane + 1);
     }
     let mut fresh: Option<(ClientCtx, RoutePath)> = None;
     for t in tasks {
@@ -456,22 +450,24 @@ fn run_block(
         shard.add("campaign.outcome.probe_offline", stats.probe_offline);
         shard.add("campaign.retries", stats.retries);
         shard.add("campaign.recovered", stats.recovered);
-        // Worker lanes are numbered 1..=threads within a round; lane 0 is
-        // the coordinating thread in trace output.
+        // Worker lanes are numbered 1..=threads; lane 0 is the draining
+        // thread in trace output.
         shard.record_span("campaign.block", span_start, lane + 1);
     }
     (pings, traces, stats, shard)
 }
 
 /// Prime the simulator's shared route cache with every (probe, region)
-/// pair `tasks` will visit. The plan knows all pairs up front, so the
-/// executor never has to *discover* routes through a cold cache: after
-/// warming, every block-level route lookup is a pure hit. Returns the
-/// number of pairs warmed.
+/// pair `tasks` will visit, on the calling thread, and return the number
+/// of pairs warmed.
 ///
-/// Warming computes exactly the routes the blocks would have computed on
-/// first touch, through the same [`Simulator::route`] entry point, so the
-/// record stream is byte-identical with or without a warm pass.
+/// No program path calls this: the executor builds each block's routes on
+/// its worker. It stays only because the benchmark's traced campaign calls
+/// it to time route building as a layer of its own; it goes once the
+/// benchmark reads the campaign's own `campaign.route` spans instead
+/// (ROADMAP.md). Warming computes the same routes the blocks would, through
+/// the same [`Simulator::route`] entry point, so the record stream is
+/// byte-identical with or without it.
 pub fn warm_route_cache(
     sim: &Simulator,
     pop: &Population,
@@ -491,13 +487,14 @@ pub fn warm_route_cache(
 
 /// Execute a task slice through the block executor — the batching,
 /// route-cache, fault, and retry machinery of [`run_campaign_into`],
-/// minus planning and cache warming (warm once per plan, not per slice).
+/// minus planning.
 ///
-/// Tasks are cut into fixed [`BLOCK_TASKS`]-sized blocks. Each round runs
-/// up to `threads` blocks on scoped threads, then drains the round's
-/// results into the sink in block order — so at most `threads ×
-/// BLOCK_TASKS` task results are ever buffered, and the sink sees records
-/// in plan order regardless of the thread count.
+/// Tasks are cut into fixed [`BLOCK_TASKS`]-sized blocks and run by
+/// [`run_blocked`]: `threads` persistent workers each build a block's
+/// routes and run its tasks, at most `2 × threads` blocks ahead of the
+/// calling thread, which drains finished blocks into the sink in block
+/// order. So at most `2 × threads` block results wait for the sink, and it
+/// sees records in plan order regardless of the thread count.
 ///
 /// This is the entry point service schedulers build on: a long campaign
 /// can be cut into bounded slices that interleave with other tenants'
@@ -505,8 +502,9 @@ pub fn warm_route_cache(
 /// concatenated record stream over any slicing of the same task sequence
 /// is identical to executing it in one call.
 ///
-/// With `cfg.obs` enabled, each round's drain is one `campaign.drain`
-/// span on lane 0, and `netsim.routes.built` counts the routes the blocks
+/// With `cfg.obs` enabled, each block's drain is one `campaign.drain` span
+/// on lane 0, each block's route pre-pass one `campaign.route` span on its
+/// worker's lane, and `netsim.routes.built` counts the routes the blocks
 /// assembled: route-cache misses with the cache on, one per task with it
 /// off.
 pub fn execute_tasks_into(
@@ -526,13 +524,9 @@ pub fn execute_tasks_into(
     let artifacts = cfg.artifacts;
     let route_cache = cfg.route_cache;
     let obs = &cfg.obs;
-    let misses = routes_built(sim, obs);
-    // A round is `threads` blocks, as in `run_blocked`; the last may be
-    // short. Its drain span opens at its first block and closes at its last.
-    let threads = cfg.threads.max(1);
-    let blocks = tasks.len().div_ceil(BLOCK_TASKS);
-    let mut drained = 0;
-    let mut round_span = None;
+    // The cache's lifetime misses, one per route it stored; read only when
+    // enabled, so uninstrumented runs never take its shard locks here.
+    let misses = if obs.is_enabled() { sim.route_cache().stats().misses } else { 0 };
     run_blocked(
         cfg.threads,
         BLOCK_TASKS,
@@ -541,9 +535,7 @@ pub fn execute_tasks_into(
             run_block(sim, pop, &artifacts, block, route_cache, fault_ctx.as_ref(), lane, obs.local())
         },
         |(pings, traces, stats, shard)| {
-            if drained % threads == 0 {
-                round_span = obs.now();
-            }
+            let span = obs.now();
             for p in pings {
                 sink.sink_ping(p)?;
             }
@@ -552,10 +544,7 @@ pub fn execute_tasks_into(
             }
             totals.merge(&stats);
             obs.merge(shard);
-            drained += 1;
-            if drained % threads == 0 || drained == blocks {
-                obs.record_span("campaign.drain", round_span, 0);
-            }
+            obs.record_span("campaign.drain", span, 0);
             Ok(())
         },
     )?;
@@ -572,21 +561,26 @@ pub fn execute_tasks_into(
     Ok(totals)
 }
 
-/// The deterministic block-executor round loop, factored out of
+/// The deterministic block-executor pipeline, factored out of
 /// [`execute_tasks_into`] so other planes (the inter-cloud campaign, the
 /// service scheduler) can reuse it with their own task and result types.
 ///
-/// `tasks` is cut into `block_tasks`-sized blocks; each round runs up to
-/// `threads` blocks on scoped threads, calling `run(lane, block)` on a
-/// worker, then drains the round's results into `drain` **in block
-/// order**. The drain sequence is therefore a pure function of the task
-/// sequence — invariant under `threads` — and at most `threads` results
-/// are ever buffered. A panic in `run` reaches the caller with its own
-/// payload once the round's other workers have finished.
+/// `tasks` is cut into `block_tasks`-sized blocks. `threads` workers live
+/// for the whole call on scoped threads; each claims the next block in
+/// order and calls `run(lane, block)` on it. Meanwhile the calling thread
+/// hands the results to `drain` **in block order** as they arrive. The
+/// drain sequence is therefore a pure function of the task sequence —
+/// invariant under `threads` and under timing.
+///
+/// A worker may run at most `2 × threads` blocks ahead of the drain, so at
+/// most that many results wait for it. A drain error stops the workers
+/// (each finishes the block it holds) and is returned. A panic in `run`
+/// stops the other workers and the drain, and reaches the caller with its
+/// own payload; a panic in `drain` stops the workers and then unwinds.
 ///
 /// `run` must itself be deterministic in `(block)` alone; the `lane`
-/// argument is a within-round worker index for trace/span labeling only
-/// and must not influence the result value.
+/// argument, the worker's index, is for trace/span labeling only and must
+/// not influence the result value.
 pub fn run_blocked<T, R, E>(
     threads: usize,
     block_tasks: usize,
@@ -600,27 +594,142 @@ where
 {
     let threads = threads.max(1);
     let blocks: Vec<&[T]> = tasks.chunks(block_tasks.max(1)).collect();
-    let run = &run;
-    for round in blocks.chunks(threads) {
-        let results: Vec<R> = std::thread::scope(|s| {
-            let handles: Vec<_> = round
-                .iter()
-                .enumerate()
-                .map(|(lane, block)| s.spawn(move || run(lane as u32, block)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
-        });
-        for r in results {
-            drain(r)?;
+    // A window longer than the block count would only allocate idle slots.
+    let window = Window::new(threads.saturating_mul(WINDOW_PER_WORKER).min(blocks.len()));
+    let (run, blocks, window) = (&run, &blocks, &window);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads.min(blocks.len()) as u32)
+            .map(|lane| {
+                s.spawn(move || {
+                    let _halt = HaltOnUnwind(window);
+                    while let Some(ix) = window.claim(blocks.len()) {
+                        window.file(ix, run(lane, blocks[ix]));
+                    }
+                })
+            })
+            .collect();
+        let drained = {
+            let _halt = HaltOnUnwind(window);
+            (0..blocks.len()).map_while(|ix| window.take(ix)).try_for_each(&mut drain)
+        };
+        window.halt();
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        drained
+    })
+}
+
+/// The state [`run_blocked`]'s workers and its drain share: which blocks
+/// are claimed, which results wait in the window, and whether to stop.
+struct Window<R> {
+    state: Mutex<WindowState<R>>,
+    /// Signalled when the drain takes a result (a window place frees) or
+    /// the pipeline halts; workers wait on it.
+    room: Condvar,
+    /// Signalled when a worker files a result or the pipeline halts; the
+    /// drain waits on it.
+    filed: Condvar,
+}
+
+struct WindowState<R> {
+    /// The next block a worker claims.
+    next: usize,
+    /// Blocks the drain has taken so far.
+    taken: usize,
+    /// Results filed but not taken: block `i` sits in slot `i % len`.
+    /// Claims stay below `taken + len`, so a claimed block's slot is free.
+    slots: Vec<Option<R>>,
+    /// No worker claims another block, and the drain takes no more.
+    halted: bool,
+}
+
+impl<R> Window<R> {
+    fn new(len: usize) -> Window<R> {
+        let slots = (0..len).map(|_| None).collect();
+        Window {
+            state: Mutex::new(WindowState { next: 0, taken: 0, slots, halted: false }),
+            room: Condvar::new(),
+            filed: Condvar::new(),
         }
     }
-    Ok(())
+
+    /// Poison is ignored: nothing panics while holding the lock, and each
+    /// update under it leaves the state valid.
+    fn lock(&self) -> MutexGuard<'_, WindowState<R>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claim the next of `blocks` blocks, waiting while the window is full.
+    /// `None` once every block is claimed or the pipeline halted.
+    fn claim(&self, blocks: usize) -> Option<usize> {
+        let mut st = self.lock();
+        loop {
+            if st.halted || st.next == blocks {
+                return None;
+            }
+            if st.next < st.taken + st.slots.len() {
+                st.next += 1;
+                return Some(st.next - 1);
+            }
+            st = self.room.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// File block `ix`'s result for the drain.
+    fn file(&self, ix: usize, result: R) {
+        let mut st = self.lock();
+        let len = st.slots.len();
+        st.slots[ix % len] = Some(result);
+        self.filed.notify_one();
+    }
+
+    /// Wait for block `ix`'s result and take it, freeing its window place.
+    /// `None` if the pipeline halted first.
+    fn take(&self, ix: usize) -> Option<R> {
+        let mut st = self.lock();
+        let len = st.slots.len();
+        loop {
+            if st.halted {
+                return None;
+            }
+            if let Some(result) = st.slots[ix % len].take() {
+                st.taken += 1;
+                self.room.notify_all();
+                return Some(result);
+            }
+            st = self.filed.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Stop the pipeline and wake every thread waiting on it.
+    fn halt(&self) {
+        self.lock().halted = true;
+        self.room.notify_all();
+        self.filed.notify_all();
+    }
+}
+
+/// Halts the window when dropped by a panic, so no worker waits on a
+/// drain that is gone and no drain waits on a worker that is gone.
+struct HaltOnUnwind<'a, R>(&'a Window<R>);
+
+impl<R> Drop for HaltOnUnwind<'_, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.halt();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cloudy_netsim::build::{build, WorldConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     fn setup() -> (Simulator, Population) {
         let w = build(&WorldConfig::default());
@@ -718,14 +827,15 @@ mod tests {
         let uncached =
             run_campaign(&CampaignConfig { route_cache: false, ..small_cfg(3) }, &sim, &pop);
         assert_eq!(cached, uncached);
-        // Within-block reuse never touches the shared cache (the batch pass
-        // routes each pair once per block); hits come from pairs recurring
-        // across blocks, so just require the cache to have been exercised.
+        // Within-block reuse never touches the shared cache (the pre-pass
+        // routes each pair once per block), and the uncached leg never
+        // touches it at all: a pair's first block misses and hits come from
+        // pairs recurring in later blocks.
         let stats = sim.route_cache().stats();
         assert!(stats.hits > 0, "expected cross-block cache hits, got {stats:?}");
-        // Concurrent misses on one key both count as misses but produce a
-        // single entry, so entries can only undershoot misses.
-        assert!(stats.entries as u64 <= stats.misses, "more entries than misses: {stats:?}");
+        // Blocks that miss on one key at once count one miss between them,
+        // so misses equal entries whatever the timing.
+        assert_eq!(stats.entries as u64, stats.misses, "{stats:?}");
     }
 
     #[test]
@@ -797,8 +907,9 @@ mod tests {
             let count = snap.hist(&format!("span.{span}")).map(|h| h.count).unwrap_or(0);
             assert!(count > 0, "no {span} spans recorded: {snap:?}");
         }
-        // On a fresh simulator the warm pass builds each (probe, region)
-        // route once, and the blocks, all hits, build none.
+        // On a fresh simulator the blocks build each (probe, region) route
+        // once between them, on their workers: the route spans sit on worker
+        // lanes, never on the draining thread's lane 0.
         let tasks = plan::plan(&faulted_cfg(3).plan, &pop).tasks;
         assert_eq!(snap.counter("netsim.routes.built"), plan::block_pairs(&tasks).len() as u64);
         assert_eq!(
@@ -820,6 +931,14 @@ mod tests {
         assert!(snap.gauge("route_cache.hits").is_some(), "cache totals folded in");
         let trace = obs.trace_json().unwrap_or_default();
         assert!(trace.contains("campaign.block"), "{trace}");
+        let route_lanes: Vec<u32> = trace
+            .split("{\"name\":")
+            .filter(|event| event.starts_with("\"campaign.route\""))
+            .filter_map(|event| event.split("\"tid\":").nth(1))
+            .map(|tid| tid.trim_end_matches(['}', ']', ',']).parse().unwrap())
+            .collect();
+        assert!(!route_lanes.is_empty(), "{trace}");
+        assert!(route_lanes.iter().all(|lane| (1..=3).contains(lane)), "{route_lanes:?}");
 
         // Without a fault profile nothing is drawn, and the outcome
         // counters are the returned stats: lost pings are counted, not
@@ -836,7 +955,9 @@ mod tests {
         assert!(stats.lost > 0, "{stats:?}");
         assert_eq!(stats.ok as usize, clean.pings.len() + clean.traces.len());
         assert_eq!(stats.total(), snap.counter("campaign.tasks.executed"));
-        assert_eq!(snap.counter("netsim.routes.built"), 0, "a warm cache builds no route");
+        // This leg reuses the simulator the legs above filled, so every
+        // block's pairs are already cached and it builds no route.
+        assert_eq!(snap.counter("netsim.routes.built"), 0, "a filled cache builds no route");
 
         // With the cache off every task builds its own route.
         let obs = Obs::enabled();
@@ -844,7 +965,7 @@ mod tests {
         run_campaign(&uncached, &sim, &pop);
         let snap = obs.snapshot().unwrap_or_default();
         assert_eq!(snap.counter("netsim.routes.built"), tasks.len() as u64);
-        assert_eq!(snap.hist("span.campaign.route").map(|h| h.count), None, "no warm pass");
+        assert_eq!(snap.hist("span.campaign.route").map(|h| h.count), None, "no route pre-pass");
     }
 
     #[test]
@@ -974,22 +1095,154 @@ mod tests {
         );
     }
 
+    /// How long a test waits on a channel before it calls the executor
+    /// stalled. The channels force each interleaving; this bound only turns
+    /// an executor that can never reach it into a failure instead of a hang.
+    const STALL: std::time::Duration = std::time::Duration::from_secs(60);
+
+    /// The message a `run_blocked` call panicked with, or `None` if it
+    /// returned.
+    fn panic_message(call: impl FnOnce() -> Result<(), ()>) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).err()?;
+        payload.downcast::<String>().ok().map(|message| *message)
+    }
+
     #[test]
-    #[should_panic(expected = "block 1 failed")]
     fn a_worker_panic_reaches_the_caller_with_its_payload() {
         let tasks = [0u32, 1, 2];
-        let _ = run_blocked(
+        let message = panic_message(|| {
+            run_blocked(
+                2,
+                1,
+                &tasks,
+                |_, block| {
+                    if block[0] == 1 {
+                        panic!("block {} failed", block[0]);
+                    }
+                    block[0]
+                },
+                |_| Ok(()),
+            )
+        });
+        assert_eq!(message.as_deref(), Some("block 1 failed"));
+
+        // Block 0 panics only once blocks 1..=3 have finished on the other
+        // worker, which then fills the 4-block window and waits for room.
+        // The panic must wake it, stop the drain waiting on block 0, and
+        // reach the caller instead of hanging the call.
+        let tasks: Vec<u32> = (0..16).collect();
+        let (done, finished) = mpsc::channel();
+        let finished = Mutex::new(finished);
+        let message = panic_message(|| {
+            run_blocked(
+                2,
+                1,
+                &tasks,
+                |_, block| {
+                    if block[0] == 0 {
+                        let finished = finished.lock().unwrap();
+                        for _ in 1..=3 {
+                            finished.recv_timeout(STALL).unwrap();
+                        }
+                        panic!("block {} failed", block[0]);
+                    }
+                    done.send(block[0]).unwrap();
+                    block[0]
+                },
+                |_| Ok(()),
+            )
+        });
+        assert_eq!(message.as_deref(), Some("block 0 failed"));
+    }
+
+    #[test]
+    fn the_drain_sees_blocks_in_order_when_they_finish_out_of_order() {
+        let tasks = [0u32, 1];
+        let (done, finished) = mpsc::channel();
+        let finished = Mutex::new(finished);
+        let finish_order = Mutex::new(Vec::new());
+        let mut drained = Vec::new();
+        run_blocked(
             2,
             1,
             &tasks,
             |_, block| {
+                // Block 0 waits until block 1 has finished on the other worker.
+                if block[0] == 0 {
+                    finished.lock().unwrap().recv_timeout(STALL).unwrap();
+                }
+                finish_order.lock().unwrap().push(block[0]);
                 if block[0] == 1 {
-                    panic!("block {} failed", block[0]);
+                    done.send(()).unwrap();
                 }
                 block[0]
             },
-            |_| Ok::<(), ()>(()),
+            |ix| {
+                drained.push(ix);
+                Ok::<(), ()>(())
+            },
+        )
+        .unwrap();
+        assert_eq!(finish_order.into_inner().unwrap(), [1, 0]);
+        assert_eq!(drained, [0, 1]);
+    }
+
+    #[test]
+    fn a_drain_error_stops_the_workers_and_is_returned() {
+        let threads = 2;
+        let tasks: Vec<u32> = (0..64).collect();
+        let ran = AtomicUsize::new(0);
+        let result = run_blocked(
+            threads,
+            1,
+            &tasks,
+            |_, block| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                block[0]
+            },
+            |ix| if ix == 3 { Err(ix) } else { Ok(()) },
         );
+        assert_eq!(result, Err(3));
+        // Blocks 0..=3 reached the drain; the workers may have run at most
+        // one window beyond the failing block, and stopped there.
+        let ran = ran.into_inner();
+        assert!((4..=3 + 1 + 2 * threads).contains(&ran), "{ran} blocks ran");
+    }
+
+    #[test]
+    fn no_more_than_two_blocks_per_worker_wait_for_the_drain() {
+        let threads = 2;
+        let window = 2 * threads;
+        let tasks: Vec<u32> = (0..32).collect();
+        let finished = AtomicUsize::new(0);
+        let (done, finishes) = mpsc::channel();
+        let mut most_waiting = 0;
+        run_blocked(
+            threads,
+            1,
+            &tasks,
+            |_, block| {
+                finished.fetch_add(1, Ordering::SeqCst);
+                done.send(()).unwrap();
+                block[0]
+            },
+            |ix| {
+                // Hold the first drain until the workers have filled the
+                // window behind it, so the bound is reached, not just kept.
+                if ix == 0 {
+                    for _ in 0..=window {
+                        finishes.recv_timeout(STALL).unwrap();
+                    }
+                }
+                // Results finished but not yet handed to the drain; block
+                // `ix` is in the drain's hands already.
+                let waiting = finished.load(Ordering::SeqCst) - (ix as usize + 1);
+                most_waiting = most_waiting.max(waiting);
+                Ok::<(), ()>(())
+            },
+        )
+        .unwrap();
+        assert_eq!(most_waiting, window);
     }
 
     #[test]

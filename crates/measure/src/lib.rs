@@ -13,8 +13,10 @@
 //!   EU+NA, South America → NA). Every task is a probe's ping or
 //!   traceroute to one region.
 //! * [`campaign`] — deterministic parallel execution of a plan over the
-//!   simulator (sharded over scoped threads; results are identical
-//!   regardless of thread count). Every task runs through one attempt
+//!   simulator as one pipeline: persistent scoped workers build each
+//!   block's routes and run its tasks, at most `2 × threads` blocks ahead of
+//!   the calling thread, which drains finished blocks in plan order (results
+//!   are identical regardless of thread count). Every task runs through one attempt
 //!   loop: without a `netsim::FaultProfile` it gets a single attempt;
 //!   under one it resolves to a typed [`TaskOutcome`], and retryable
 //!   failures get bounded seeded retries with exponential backoff.

@@ -7,6 +7,9 @@
 //! finished [`RoutePath`] as an `Arc`, behind N-way `std::sync::RwLock`
 //! shards so every campaign thread shares one cache with little contention.
 //! Poison is ignored: routes build outside the lock, so writes are whole entries.
+//! Threads that miss on one key at once both build it, but only the insert
+//! that wins counts a miss; the others count a hit and share its `Arc`, so
+//! the hit and miss totals are the same for any interleaving.
 //!
 //! Determinism contract: a cached route must be *bit-identical* to the
 //! route built from scratch. [`RouteKey`] therefore captures **every**
@@ -28,6 +31,7 @@ use cloudy_cloud::RegionId;
 use cloudy_geo::{Continent, CountryCode};
 use cloudy_lastmile::AccessType;
 use cloudy_topology::Asn;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -140,10 +144,12 @@ impl RouteCache {
 
     /// Fetch the route for `key`, building it with `build` on a miss.
     ///
-    /// The build runs outside the shard's write lock; two threads racing on
-    /// the same fresh key may both build, but determinism makes the values
-    /// identical and the first insert wins, so callers always observe one
-    /// canonical `Arc` lineage per key.
+    /// The build runs outside the shard's write lock, so two threads racing
+    /// on the same fresh key may both build. The first insert wins and
+    /// counts the one miss; a caller whose insert loses is served the
+    /// winner's `Arc` and counts a hit. Determinism makes the two builds
+    /// identical, so callers observe one canonical `Arc` per key, and the
+    /// counters do not depend on timing: misses equal entries.
     pub fn get_or_insert_with(
         &self,
         key: RouteKey,
@@ -154,9 +160,17 @@ impl RouteCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(build());
-        shard.write().unwrap_or_else(PoisonError::into_inner).entry(key).or_insert(built).clone()
+        match shard.write().unwrap_or_else(PoisonError::into_inner).entry(key) {
+            Entry::Occupied(winner) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                winner.get().clone()
+            }
+            Entry::Vacant(slot) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                slot.insert(built).clone()
+            }
+        }
     }
 
     /// Total cached routes across all shards.
@@ -193,6 +207,7 @@ mod tests {
     use cloudy_lastmile::artifacts::ProbeArtifacts;
     use cloudy_lastmile::AccessProfile;
     use std::net::Ipv4Addr;
+    use std::sync::Barrier;
 
     fn client(hash: u64, access: AccessType, cgn: bool, vpn: bool) -> ClientCtx {
         ClientCtx {
@@ -261,6 +276,27 @@ mod tests {
         assert_eq!(snap.gauge("route_cache.entries"), Some(1));
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn racing_misses_count_one_miss_and_share_one_entry() {
+        let cache = RouteCache::with_shards(1);
+        let key = RouteKey::new(&client(3, AccessType::Wired, false, false), RegionId(2));
+        // Both callers meet inside `build`, so both have taken the miss path
+        // before either inserts.
+        let met = Barrier::new(2);
+        let build = || {
+            met.wait();
+            path(42.0)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| cache.get_or_insert_with(key, build));
+            let b = s.spawn(|| cache.get_or_insert_with(key, build));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1), "{stats:?}");
+        assert!(Arc::ptr_eq(&a, &b), "the losing insert must be served the winner's Arc");
     }
 
     #[test]

@@ -16,8 +16,7 @@ use crate::tenant::{Admission, RejectReason, Tenant};
 use cloudy_lastmile::ArtifactConfig;
 use cloudy_measure::plan::{self, PlanConfig, TaskKindSet};
 use cloudy_measure::{
-    execute_tasks_into, warm_route_cache, CampaignConfig, MeasureError, PingRecord, RecordSink,
-    TracerouteRecord,
+    execute_tasks_into, CampaignConfig, MeasureError, PingRecord, RecordSink, TracerouteRecord,
 };
 use cloudy_netsim::build::{build, BuiltWorld, WorldConfig};
 use cloudy_netsim::rng::mix;
@@ -206,7 +205,6 @@ impl Service {
                 ..PlanConfig::default()
             };
             let schedule = plan::plan(&plan_cfg, &pop);
-            warm_route_cache(&sim, &pop, &artifacts, &schedule.tasks);
             avails.push(Availability::new(plan_cfg.seed));
             exec_cfgs.push(CampaignConfig {
                 plan: plan_cfg,
