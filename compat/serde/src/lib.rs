@@ -2,14 +2,16 @@
 //!
 //! The build environment has no registry access, so the workspace vendors a
 //! minimal serialization framework under the `serde`/`serde_json` names:
-//! a JSON [`Value`] model, [`Serialize`]/[`Deserialize`] traits over it, and
-//! derive macros (re-exported from the vendored `serde_derive`). The visible
-//! API — `#[derive(Serialize, Deserialize)]`, `serde_json::to_string` and
-//! `from_str` — matches what the workspace uses; the wire format is
-//! standard JSON with struct fields in declaration order, so exports stay
-//! byte-deterministic.
+//! a JSON [`Value`] model, the [`Serialize`] trait over it with a derive
+//! macro (re-exported from the vendored `serde_derive`), and a
+//! [`Deserialize`] trait that only [`Value`] implements. The visible API —
+//! `#[derive(Serialize)]`, `serde_json::to_string`, and `from_str` into a
+//! `Value` — matches what the workspace uses; the wire format is standard
+//! JSON with struct fields in declaration order, so exports stay
+//! byte-deterministic. Nothing in the workspace parses JSON into a record
+//! type: JSON lines are a write-only export.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// An owned JSON value.
 ///
@@ -44,12 +46,6 @@ impl Value {
 #[derive(Debug, Clone)]
 pub struct Error(String);
 
-impl Error {
-    pub fn custom(msg: impl Into<String>) -> Error {
-        Error(msg.into())
-    }
-}
-
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)
@@ -63,25 +59,13 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Types constructible from a JSON [`Value`].
+/// Types constructible from a JSON [`Value`]; only [`Value`] itself is.
 ///
 /// The lifetime parameter mirrors upstream serde's `Deserialize<'de>` so
 /// that bounds like `for<'de> Deserialize<'de>` written against real serde
 /// keep compiling; this shim only deserializes from owned values.
 pub trait Deserialize<'de>: Sized {
     fn from_value(value: &Value) -> Result<Self, Error>;
-}
-
-/// Fetch and deserialize a field of an object (used by the derive).
-pub fn object_field<T: for<'de> Deserialize<'de>>(v: &Value, name: &str) -> Result<T, Error> {
-    match v.get(name) {
-        Some(field) => T::from_value(field)
-            .map_err(|e| Error::custom(format!("field `{name}`: {e}"))),
-        None => match v {
-            Value::Object(_) => Err(Error::custom(format!("missing field `{name}`"))),
-            other => Err(Error::custom(format!("expected object, found {other:?}"))),
-        },
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -182,133 +166,6 @@ impl Serialize for std::net::Ipv4Addr {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deserialize impls for std types
-// ---------------------------------------------------------------------------
-
-macro_rules! de_uint {
-    ($($t:ty),*) => {$(
-        impl<'de> Deserialize<'de> for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let v = match *value {
-                    Value::UInt(v) => v,
-                    Value::Int(v) if v >= 0 => v as u64,
-                    Value::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => {
-                        f as u64
-                    }
-                    ref other => {
-                        return Err(Error::custom(format!(
-                            "expected unsigned integer, found {other:?}"
-                        )))
-                    }
-                };
-                <$t>::try_from(v)
-                    .map_err(|_| Error::custom(format!("integer {v} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-de_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! de_int {
-    ($($t:ty),*) => {$(
-        impl<'de> Deserialize<'de> for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let v = match *value {
-                    Value::Int(v) => v,
-                    Value::UInt(v) if v <= i64::MAX as u64 => v as i64,
-                    Value::Float(f) if f.fract() == 0.0 && f.abs() <= i64::MAX as f64 => f as i64,
-                    ref other => {
-                        return Err(Error::custom(format!("expected integer, found {other:?}")))
-                    }
-                };
-                <$t>::try_from(v)
-                    .map_err(|_| Error::custom(format!("integer {v} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-de_int!(i8, i16, i32, i64, isize);
-
-impl<'de> Deserialize<'de> for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match *value {
-            Value::Float(f) => Ok(f),
-            Value::UInt(v) => Ok(v as f64),
-            Value::Int(v) => Ok(v as f64),
-            ref other => Err(Error::custom(format!("expected number, found {other:?}"))),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for f32 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        f64::from_value(value).map(|f| f as f32)
-    }
-}
-
-impl<'de> Deserialize<'de> for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!("expected bool, found {other:?}"))),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!("expected string, found {other:?}"))),
-        }
-    }
-}
-
-impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!("expected array, found {other:?}"))),
-        }
-    }
-}
-
-impl<'de, T: for<'a> Deserialize<'a> + Default + Copy, const N: usize> Deserialize<'de> for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) if items.len() == N => {
-                let mut out = [T::default(); N];
-                for (slot, item) in out.iter_mut().zip(items) {
-                    *slot = T::from_value(item)?;
-                }
-                Ok(out)
-            }
-            other => Err(Error::custom(format!("expected array of length {N}, found {other:?}"))),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for std::net::Ipv4Addr {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Str(s) => s
-                .parse()
-                .map_err(|e| Error::custom(format!("bad IPv4 address {s:?}: {e}"))),
-            other => Err(Error::custom(format!("expected IPv4 string, found {other:?}"))),
-        }
     }
 }
 

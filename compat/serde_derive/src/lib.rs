@@ -1,8 +1,9 @@
 //! Offline shim for `serde_derive`.
 //!
-//! Generates `Serialize`/`Deserialize` impls against the workspace's
-//! vendored `serde` shim (a JSON-value model, not the full serde data
-//! model). Implemented directly over `proc_macro::TokenStream` — the build
+//! Generates `Serialize` impls against the workspace's vendored `serde`
+//! shim (a JSON-value model, not the full serde data model). There is no
+//! `Deserialize` derive: nothing in the workspace parses JSON into a typed
+//! value. Implemented directly over `proc_macro::TokenStream` — the build
 //! environment has no registry access, so `syn`/`quote` are unavailable.
 //!
 //! Supported shapes (everything the workspace derives on):
@@ -209,72 +210,4 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     )
     .parse()
     .expect("serialize impl tokens")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let def = match parse(input) {
-        Ok(d) => d,
-        Err(e) => return compile_error(&e),
-    };
-    let name = &def.name;
-    let body = match &def.shape {
-        Shape::NamedStruct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::object_field(__v, \"{f}\")?"))
-                .collect();
-            format!("Ok({name} {{ {} }})", inits.join(", "))
-        }
-        Shape::Newtype => {
-            format!("Ok({name}(::serde::Deserialize::from_value(__v)?))")
-        }
-        Shape::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|(_, payload)| !payload)
-                .map(|(v, _)| format!("\"{v}\" => return Ok({name}::{v})"))
-                .collect();
-            let newtype_arms: Vec<String> = variants
-                .iter()
-                .filter(|(_, payload)| *payload)
-                .map(|(v, _)| {
-                    format!(
-                        "\"{v}\" => return Ok({name}::{v}(::serde::Deserialize::from_value(__inner)?))"
-                    )
-                })
-                .collect();
-            let mut code = String::new();
-            if !unit_arms.is_empty() {
-                code.push_str(&format!(
-                    "if let ::serde::Value::Str(__s) = __v {{\n\
-                         match __s.as_str() {{ {} , _ => {{}} }}\n\
-                     }}\n",
-                    unit_arms.join(", ")
-                ));
-            }
-            if !newtype_arms.is_empty() {
-                code.push_str(&format!(
-                    "if let ::serde::Value::Object(__pairs) = __v {{\n\
-                         if __pairs.len() == 1 {{\n\
-                             let (__tag, __inner) = (&__pairs[0].0, &__pairs[0].1);\n\
-                             match __tag.as_str() {{ {} , _ => {{}} }}\n\
-                         }}\n\
-                     }}\n",
-                    newtype_arms.join(", ")
-                ));
-            }
-            code.push_str(&format!(
-                "Err(::serde::Error::custom(format!(\"invalid value for enum {name}: {{:?}}\", __v)))"
-            ));
-            code
-        }
-    };
-    format!(
-        "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-             fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::Error> {{ {body} }}\n\
-         }}"
-    )
-    .parse()
-    .expect("deserialize impl tokens")
 }

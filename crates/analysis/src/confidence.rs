@@ -19,14 +19,6 @@ pub fn paper_minimum_samples() -> usize {
     required_sample_size(Z_95, 0.5, 0.02)
 }
 
-/// Whether a country's sample count passes the paper's gate (scaled: when
-/// running a reduced campaign, the bound scales with the measurement
-/// fraction).
-pub fn passes_gate(samples: usize, scale: f64) -> bool {
-    assert!(scale > 0.0 && scale <= 1.0);
-    samples as f64 >= paper_minimum_samples() as f64 * scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,13 +42,6 @@ mod tests {
         assert!(
             required_sample_size(Z_95, 0.5, 0.01) > required_sample_size(Z_95, 0.5, 0.02)
         );
-    }
-
-    #[test]
-    fn gate_scales() {
-        assert!(passes_gate(2401, 1.0));
-        assert!(!passes_gate(2400, 1.0));
-        assert!(passes_gate(25, 0.01));
     }
 
     #[test]

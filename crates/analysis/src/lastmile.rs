@@ -12,10 +12,10 @@
 
 use crate::asmap::{Resolution, Resolver};
 use cloudy_measure::TracerouteRecord;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Access class inferred from the traceroute (not ground truth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum InferredAccess {
     /// Private first hop: home WiFi behind a home router.
     Home,
@@ -33,7 +33,7 @@ impl InferredAccess {
 }
 
 /// Extracted last-mile latencies for one traceroute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LastMile {
     pub access: InferredAccess,
     /// USR→ISP: RTT to the first hop inside the serving ISP's AS.

@@ -1,6 +1,6 @@
 //! The QoE latency thresholds of §2.1 and Fig. 3's country bands.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Motion-to-Photon: AR/VR bound (ms).
 pub const MTP_MS: f64 = 20.0;
@@ -11,7 +11,7 @@ pub const HRT_MS: f64 = 250.0;
 
 /// Fig. 3's choropleth bands for a country's median latency to its nearest
 /// datacenter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum LatencyBand {
     Below30,
     From30To60,
@@ -79,7 +79,7 @@ pub fn country_bands_from_store(
 }
 
 /// Which §2.1 application classes a median latency supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct QoeSupport {
     pub mtp: bool,
     pub hpl: bool,

@@ -8,10 +8,10 @@
 //! case-study matrices.
 
 use crate::paths::AsLevelPath;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Observable interconnection category (Fig. 10 / matrix cell value).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Interconnection {
     /// ISP and cloud adjacent, no fabric hop seen.
     Direct,
@@ -57,7 +57,7 @@ pub fn classify(path: &AsLevelPath) -> Option<Interconnection> {
 }
 
 /// Aggregate classification counts — one Fig. 10 bar / matrix cell.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct InterconnectBreakdown {
     pub direct: usize,
     pub one_ixp: usize,

@@ -4,7 +4,7 @@
 //! outliers"), full-sample distributions for last-mile analyses, and the
 //! coefficient of variation σ/μ per `<probe, datacenter>` pair for Figs. 8/9.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Sorted-sample empirical distribution.
 ///
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.fraction_below(25.0), 0.4);
 /// assert_eq!(cdf.quantile(1.0), 50.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -83,7 +83,7 @@ impl Cdf {
 }
 
 /// Five-number summary plus whisker bounds, for the paper's boxplots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BoxStats {
     pub min: f64,
     pub q1: f64,

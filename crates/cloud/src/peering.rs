@@ -23,10 +23,10 @@ use crate::provider::{Backbone, Provider};
 use crate::wan::WanFootprint;
 use cloudy_geo::{Continent, CountryCode};
 use cloudy_topology::{known, Asn};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a given ISP's traffic enters a given cloud network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PeeringKind {
     Direct,
     IxpPublic,
@@ -55,7 +55,7 @@ impl PeeringKind {
 ///
 /// Not serde-derived on purpose: the on-disk shape is owned by the manual
 /// `CloudPingRecord` serializer in `cloudy-measure` (wire-frozen), which
-/// round-trips through [`RouteClass::label`] / [`RouteClass::from_label`].
+/// writes [`RouteClass::label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RouteClass {
     /// Ride the provider backbone(s); hand-off per [`cloud_interconnect`].
@@ -73,15 +73,6 @@ impl RouteClass {
         match self {
             RouteClass::PrivateWan => "private",
             RouteClass::PublicTransit => "public",
-        }
-    }
-
-    /// Inverse of [`RouteClass::label`].
-    pub fn from_label(s: &str) -> Option<RouteClass> {
-        match s {
-            "private" => Some(RouteClass::PrivateWan),
-            "public" => Some(RouteClass::PublicTransit),
-            _ => None,
         }
     }
 }
@@ -468,14 +459,6 @@ mod tests {
         assert!(
             [known::TELIA, known::GTT, known::LUMEN, known::SPARKLE, known::ZAYO].contains(&c)
         );
-    }
-
-    #[test]
-    fn route_class_labels_round_trip() {
-        for rc in RouteClass::ALL {
-            assert_eq!(RouteClass::from_label(rc.label()), Some(rc));
-        }
-        assert_eq!(RouteClass::from_label("wat"), None);
     }
 
     #[test]

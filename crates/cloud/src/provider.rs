@@ -1,11 +1,11 @@
 //! The ten cloud provider products of Table 1.
 
 use cloudy_topology::{known, Asn};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Backbone network class from Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Backbone {
     /// Fully private WAN shielding tenant traffic globally.
     Private,
@@ -29,7 +29,7 @@ impl Backbone {
 /// A measured provider product. Amazon EC2 and Amazon Lightsail are distinct
 /// rows in Table 1 (separate region sets, separate edge ASN) even though both
 /// belong to Amazon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Provider {
     AmazonEc2,
     Google,

@@ -7,10 +7,10 @@
 
 use crate::provider::Provider;
 use cloudy_geo::{city, City, CityId, Continent, CountryCode, GeoPoint};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index into [`REGIONS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct RegionId(pub u16);
 
 /// One compute cloud region (e.g. Amazon `eu-central-1` in Frankfurt).

@@ -124,7 +124,8 @@ impl StudyConfig {
 
 /// Build the world and stream both campaigns' records into the given sinks
 /// instead of materialising `Dataset`s — e.g. two `cloudy_store::Writer`s,
-/// so a study far larger than memory still runs in bounded space. Record
+/// as `cloudy-repro run` does, so a study far larger than memory still runs
+/// in bounded space. Record
 /// order per sink is identical to the corresponding [`Study::run`] dataset
 /// (and invariant under `threads`). Returns the (Speedchecker, Atlas)
 /// failure accounting.
@@ -157,9 +158,12 @@ pub struct Study {
 
 impl Study {
     /// Rebuild the world for a config and attach previously-collected
-    /// datasets (e.g. loaded from a `cloudy-repro run` export). The seed and
-    /// ISP count must match the collecting run or IP→AS resolution will not
-    /// line up — callers should take them from the export's `study.meta`.
+    /// datasets (e.g. decoded from the store files of a `cloudy-repro run`
+    /// export, whose records come back grouped by (kind, provider) rather
+    /// than in campaign order; no figure depends on that order). The seed
+    /// and ISP count must match the collecting run or IP→AS resolution will
+    /// not line up — callers should take them from the export's
+    /// `study.meta`.
     pub fn from_datasets(config: StudyConfig, sc: Dataset, atlas: Dataset) -> Study {
         let world = config.build_world();
         let isps_by_country = world.isps_by_country.clone();

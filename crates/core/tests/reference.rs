@@ -5,9 +5,9 @@
 //! population and 25 % of Atlas (`cloudy-repro all --days 12`, or
 //! `cargo run --release --example full_reproduction`). This suite builds
 //! that study once and checks every number the doc prints for Figs. 3, 4,
-//! 5, 6, 7, 10, 11, 12b, 13b, 14, 16, 17, 18 and 19, at the precision the
-//! doc prints it. A change that moves one of them fails here: update the
-//! doc's row and the expected value below together.
+//! 5, 6, 7, 8, 9, 10, 11, 12b, 13b, 14, 15, 16, 17, 18 and 19, at the
+//! precision the doc prints it. A change that moves one of them fails
+//! here: update the doc's row and the expected value below together.
 
 use cloudy_analysis::peering::Interconnection;
 use cloudy_analysis::{BoxStats, Cdf};
@@ -143,6 +143,61 @@ fn fig7_last_mile_medians_and_shares() {
         ("RTR to ISP [ms]", format!("{:.1}", median(g.rtr_abs)), "10.3"),
         ("Atlas last mile [ms]", format!("{:.1}", median(g.atlas_abs)), "10.0"),
         ("Atlas share", pct(median(g.atlas_share), 0), "25"),
+    ]);
+}
+
+/// A Cv box's median at one decimal, or `-` when the cell has no box.
+fn cv(b: Option<BoxStats>) -> String {
+    b.map_or_else(|| "-".to_string(), |b| format!("{:.1}", b.median))
+}
+
+#[test]
+fn fig8_median_cv_per_continent() {
+    let fig = lastmile_cv::run_continents(study());
+    let af_home_pairs = fig.get(Continent::Africa).expect("AF measured").home_pairs;
+    let groups: Vec<String> = fig.rows.iter().map(|r| r.key.code().to_string()).collect();
+    let cells = |home: bool| {
+        let medians: Vec<String> = fig
+            .rows
+            .iter()
+            .map(|r| format!("{} {}", r.key.code(), cv(if home { r.home } else { r.cell })))
+            .collect();
+        medians.join(", ")
+    };
+    check(&[
+        ("continents", groups.join(","), "AF,AS,EU,NA,SA"),
+        ("home Cv", cells(true), "AF -, AS 0.3, EU 0.2, NA 0.3, SA 0.2"),
+        ("cell Cv", cells(false), "AF 0.4, AS 0.3, EU 0.3, NA 0.3, SA 0.3"),
+        ("AF home pairs", af_home_pairs.to_string(), "0"),
+    ]);
+}
+
+#[test]
+fn fig9_representative_countries_with_rows() {
+    let fig = lastmile_cv::run_countries(study());
+    let countries: Vec<&str> = fig.rows.iter().map(|r| r.key.as_str()).collect();
+    let ma_home = cv(fig.get(country::CountryCode::new("MA")).expect("MA measured").home);
+    let medians = fig.rows.iter().flat_map(|r| [r.home, r.cell]).flatten().map(|b| b.median);
+    check(&[
+        ("countries with rows", countries.len().to_string(), "8"),
+        ("which", countries.join(","), "BR,GB,IR,JP,MA,MX,UA,US"),
+        ("MA home", ma_home, "-"),
+        ("medians", span(medians), "0.2–0.4"),
+    ]);
+}
+
+#[test]
+fn fig15_icmp_above_tcp() {
+    let fig = protocol_compare::run(study());
+    let gap = |c| {
+        let r = fig.get(c).expect("continent measured");
+        format!("{:+.1}", r.icmp.median - r.tcp.median)
+    };
+    let everywhere = fig.rows.iter().all(|r| r.icmp.median >= r.tcp.median);
+    check(&[
+        ("ICMP >= TCP in every continent", everywhere.to_string(), "true"),
+        ("EU gap [ms]", gap(Continent::Europe), "+1.9"),
+        ("AS gap [ms]", gap(Continent::Asia), "+12.6"),
     ]);
 }
 

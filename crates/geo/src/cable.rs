@@ -11,14 +11,14 @@
 
 use crate::continent::Continent;
 use crate::coord::GeoPoint;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index into [`LANDING_POINTS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct LandingId(pub u32);
 
 /// Index into [`CABLES`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CableId(pub u32);
 
 /// A cable landing station (or terrestrial land-bridge waypoint).

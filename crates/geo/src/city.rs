@@ -10,12 +10,12 @@
 use crate::continent::Continent;
 use crate::coord::GeoPoint;
 use crate::country::{self, CountryCode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Index into the global city table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct CityId(pub u32);
 
 /// A city with population weight for probe placement.

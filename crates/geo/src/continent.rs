@@ -1,11 +1,11 @@
 //! The six populated continents, exactly as grouped in the paper's figures.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Continent grouping used throughout the paper (Figs. 4, 5, 7, 8, 15 all
 /// group by these six).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Continent {
     Africa,
     Asia,
@@ -51,22 +51,6 @@ impl Continent {
         }
     }
 
-    /// Parse a two-letter code (case-insensitive).
-    pub fn from_code(code: &str) -> Option<Continent> {
-        let up = code.to_ascii_uppercase();
-        Continent::ALL.iter().copied().find(|c| c.code() == up)
-    }
-
-    /// Continents the paper treats as "well-provisioned" with datacenters
-    /// (§4.1: Europe, North America, Oceania show similar, low latency
-    /// distributions).
-    pub fn is_well_provisioned(&self) -> bool {
-        matches!(
-            self,
-            Continent::Europe | Continent::NorthAmerica | Continent::Oceania
-        )
-    }
-
     /// The neighbouring better-provisioned continents the paper probes for
     /// inter-continental access (§4.3): Africa → Europe + North America,
     /// South America → North America.
@@ -90,40 +74,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn codes_round_trip() {
-        for c in Continent::ALL {
-            assert_eq!(Continent::from_code(c.code()), Some(c));
-        }
-    }
-
-    #[test]
-    fn from_code_is_case_insensitive() {
-        assert_eq!(Continent::from_code("eu"), Some(Continent::Europe));
-        assert_eq!(Continent::from_code("Na"), Some(Continent::NorthAmerica));
-    }
-
-    #[test]
-    fn unknown_code_is_none() {
-        assert_eq!(Continent::from_code("XX"), None);
-        assert_eq!(Continent::from_code(""), None);
-    }
-
-    #[test]
     fn all_is_sorted_by_code() {
         let codes: Vec<_> = Continent::ALL.iter().map(|c| c.code()).collect();
         let mut sorted = codes.clone();
         sorted.sort();
         assert_eq!(codes, sorted);
-    }
-
-    #[test]
-    fn provisioning_split_matches_paper() {
-        assert!(Continent::Europe.is_well_provisioned());
-        assert!(Continent::NorthAmerica.is_well_provisioned());
-        assert!(Continent::Oceania.is_well_provisioned());
-        assert!(!Continent::Africa.is_well_provisioned());
-        assert!(!Continent::Asia.is_well_provisioned());
-        assert!(!Continent::SouthAmerica.is_well_provisioned());
     }
 
     #[test]

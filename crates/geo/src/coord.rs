@@ -1,6 +1,6 @@
 //! WGS-84 coordinates and great-circle distance.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Mean Earth radius in kilometres (IUGG value).
 pub const EARTH_RADIUS_KM: f64 = 6371.0088;
@@ -10,7 +10,7 @@ pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 /// Latitude is clamped to `[-90, 90]`, longitude normalised to `(-180, 180]`
 /// by [`GeoPoint::new`]. All distances in the workspace are derived from the
 /// haversine great-circle formula on these points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GeoPoint {
     lat: f64,
     lon: f64,

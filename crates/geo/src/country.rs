@@ -10,11 +10,11 @@
 
 use crate::continent::Continent;
 use crate::coord::GeoPoint;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Two-letter ISO-3166-1 alpha-2 country code, stored inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct CountryCode([u8; 2]);
 
 impl CountryCode {

@@ -9,10 +9,10 @@
 //! * Wired/managed probes (RIPE Atlas): ≈ 10 ms, visibly tighter (Cv ≈ 0.3).
 
 use crate::process::LatencyProcess;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Last-mile access technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AccessType {
     /// End-user device on home WiFi behind a home router (the paper's
     /// "SC home" probes).
@@ -54,7 +54,7 @@ impl AccessType {
 ///
 /// WiFi homes have two segments (device→router over the air, router→ISP over
 /// the wire); cellular and wired have one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AccessProfile {
     pub access: AccessType,
     /// Device→router radio segment (WiFi only).
@@ -117,11 +117,6 @@ impl AccessProfile {
             wireless: self.wireless.map(|w| w.scaled(factor)),
             uplink: self.uplink.scaled(factor),
         }
-    }
-
-    /// Approximate median of the full device→ISP last mile (ms).
-    pub fn approx_median_total(&self) -> f64 {
-        self.wireless.map_or(0.0, |w| w.approx_median()) + self.uplink.approx_median()
     }
 
     /// Sample the two segments; returns `(wireless_ms, uplink_ms)` where the
@@ -203,9 +198,14 @@ mod tests {
 
     #[test]
     fn personalization_scales_median() {
-        let p = AccessProfile::baseline(AccessType::Cellular).personalized(1.4);
+        let median = |p: &AccessProfile| {
+            let mut t = totals(p, 20_001, 12);
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        };
         let base = AccessProfile::baseline(AccessType::Cellular);
-        assert!(p.approx_median_total() > base.approx_median_total() * 1.3);
+        let p = base.personalized(1.4);
+        assert!(median(&p) > median(&base) * 1.3);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! tests can quantify the classification error by comparing inferred labels
 //! against simulator ground truth.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Probability knobs for classification-breaking artifacts. Both rates
 /// must lie in `[0, 1]`; `CampaignConfig::validate` checks them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ArtifactConfig {
     /// Probability a WiFi-home probe sits behind carrier-grade NAT, making
     /// its first visible hop a public (or 100.64/10) address — it will be
@@ -45,7 +45,7 @@ impl ArtifactConfig {
 }
 
 /// Which artifacts affect one probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ProbeArtifacts {
     pub behind_cgn: bool,
     pub behind_vpn: bool,

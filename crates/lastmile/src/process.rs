@@ -8,7 +8,7 @@
 
 use crate::stats_math::LogNormal;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A stationary latency process for one link segment.
 ///
@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(sample > 5.0);
 /// assert!((process.approx_median() - 22.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LatencyProcess {
     /// Hard floor: serialization + minimum scheduling delay (ms).
     pub floor_ms: f64,

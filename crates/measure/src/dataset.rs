@@ -1,17 +1,18 @@
 //! The campaign dataset: in-memory container and JSON-lines export.
 //!
 //! The paper publishes its dataset (3.8M pings, 7M+ traceroutes) for
-//! external analysis \[60\]; `to_jsonl`/`from_jsonl` serve the same purpose
-//! here. Large campaigns stream into the columnar store (`cloudy-store`)
-//! instead.
+//! external analysis \[60\]. Here a study is written and read back as
+//! columnar store files (`cloudy-store`; `cloudy-repro run` and `analyze`).
+//! `to_jsonl` is a write-only export for outside tools: nothing in the
+//! workspace parses it back.
 
 use crate::error::MeasureError;
 use crate::record::{PingRecord, TracerouteRecord};
 use cloudy_probes::Platform;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The collected output of one platform's campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dataset {
     pub platform: Platform,
     pub pings: Vec<PingRecord>,
@@ -72,44 +73,6 @@ impl Dataset {
         out
     }
 
-    /// Parse a JSON-lines export from a line iterator, so callers can feed
-    /// e.g. `BufRead::lines` without loading the file into one string.
-    /// [`Dataset::from_jsonl`] is a thin wrapper over this.
-    pub fn read_jsonl<'a>(mut lines: impl Iterator<Item = &'a str>) -> Result<Dataset, MeasureError> {
-        let header: Header = serde_json::from_str(
-            lines.next().ok_or_else(|| MeasureError::dataset("empty input"))?,
-        )
-        .map_err(|e| MeasureError::dataset(format!("bad header: {e}")))?;
-        let mut ds = Dataset::new(header.platform);
-        for (i, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rec: Line =
-                serde_json::from_str(line)
-                .map_err(|e| MeasureError::dataset(format!("line {}: {e}", i + 2)))?;
-            match rec {
-                Line::Ping(p) => ds.pings.push(p),
-                Line::Trace(t) => ds.traces.push(t),
-            }
-        }
-        if ds.pings.len() != header.pings || ds.traces.len() != header.traces {
-            return Err(MeasureError::dataset(format!(
-                "count mismatch: header says {}/{}, got {}/{}",
-                header.pings,
-                header.traces,
-                ds.pings.len(),
-                ds.traces.len()
-            )));
-        }
-        Ok(ds)
-    }
-
-    /// Parse a JSON-lines export.
-    pub fn from_jsonl(s: &str) -> Result<Dataset, MeasureError> {
-        Self::read_jsonl(s.lines())
-    }
-
     /// Total records.
     pub fn len(&self) -> usize {
         self.pings.len() + self.traces.len()
@@ -120,21 +83,16 @@ impl Dataset {
     }
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct Header {
     platform: Platform,
     pings: usize,
     traces: usize,
 }
 
-#[derive(Serialize, Deserialize)]
-enum Line {
-    Ping(PingRecord),
-    Trace(TracerouteRecord),
-}
-
-/// Borrowing twin of [`Line`] so streaming export never clones records.
-/// (Manual impl: the serde shim derive does not support lifetimes.)
+/// One record line of the export, borrowed so streaming export never
+/// clones records. (Manual impl: the serde shim derive does not support
+/// lifetimes.)
 enum LineRef<'a> {
     Ping(&'a PingRecord),
     Trace(&'a TracerouteRecord),
@@ -152,7 +110,7 @@ impl Serialize for LineRef<'_> {
 }
 
 /// Summary statistics of a dataset (for reports and the README quickstart).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DatasetSummary {
     pub pings: usize,
     pub traces: usize,
@@ -190,7 +148,7 @@ mod tests {
     use cloudy_netsim::Protocol;
     use cloudy_probes::ProbeId;
     use cloudy_topology::Asn;
-    use crate::record::{outcome_for_hops, HopRecord, TaskOutcome};
+    use crate::record::{HopRecord, TaskOutcome};
     use std::net::Ipv4Addr;
 
     fn sample() -> Dataset {
@@ -233,67 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_outcomes_survive_jsonl() {
-        let mut ds = sample();
-        for (i, outcome) in [
-            TaskOutcome::Lost,
-            TaskOutcome::Timeout(800.0),
-            TaskOutcome::ProbeOffline,
-            TaskOutcome::RateLimited,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut p = ds.pings[0].clone();
-            p.probe = ProbeId(10 + i as u64);
-            p.outcome = outcome;
-            ds.pings.push(p);
-            let mut t = ds.traces[0].clone();
-            t.probe = ProbeId(10 + i as u64);
-            t.hops.clear();
-            t.outcome = outcome;
-            ds.traces.push(t);
-        }
-        let jsonl = Dataset::from_jsonl(&ds.to_jsonl()).unwrap();
-        assert_eq!(jsonl, ds);
-        // Failed rows expose no RTT anywhere.
-        for p in &jsonl.pings[1..] {
-            assert_eq!(p.rtt_ms(), None);
-        }
-        for t in &jsonl.traces[1..] {
-            assert_eq!(t.end_to_end_ms(), None);
-        }
-        assert_eq!(outcome_for_hops(&ds.traces[0].hops), TaskOutcome::Ok(25.0));
-    }
-
-    #[test]
-    fn jsonl_round_trip() {
-        let ds = sample();
-        let s = ds.to_jsonl();
-        let back = Dataset::from_jsonl(&s).unwrap();
-        assert_eq!(ds, back);
-    }
-
-    #[test]
-    fn jsonl_rejects_corruption() {
-        let ds = sample();
-        let mut s = ds.to_jsonl();
-        s.push_str("{\"Ping\":{}}\n");
-        assert!(Dataset::from_jsonl(&s).is_err());
-        assert!(Dataset::from_jsonl("").is_err());
-    }
-
-    #[test]
-    fn jsonl_count_mismatch_detected() {
-        let ds = sample();
-        let s = ds.to_jsonl();
-        // Drop the last line (a trace record).
-        let truncated: Vec<&str> = s.trim_end().lines().collect();
-        let shorter = truncated[..truncated.len() - 1].join("\n");
-        assert!(Dataset::from_jsonl(&shorter).is_err());
-    }
-
-    #[test]
     fn merge_and_summary() {
         let mut a = sample();
         let b = sample();
@@ -322,7 +219,5 @@ mod tests {
         let mut streamed = String::new();
         ds.write_jsonl(&mut streamed).unwrap();
         assert_eq!(streamed, ds.to_jsonl());
-        let back = Dataset::read_jsonl(streamed.lines()).unwrap();
-        assert_eq!(back, ds);
     }
 }

@@ -24,10 +24,10 @@ use cloudy_netsim::rng::mix;
 use cloudy_netsim::Protocol;
 use cloudy_probes::quota::QuotaResult;
 use cloudy_probes::{Availability, DailyQuota, Platform, Population};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What a single probe task executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TaskKind {
     Ping(Protocol),
     Traceroute(Protocol),
@@ -36,7 +36,7 @@ pub enum TaskKind {
 /// Which task kinds the planner emits per granted measurement. The paper's
 /// campaign pairs every ping with a traceroute ([`TaskKindSet::BOTH`],
 /// the default); route-heavy benchmarks and ping-only studies narrow it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TaskKindSet {
     pub pings: bool,
     pub traceroutes: bool,
@@ -61,7 +61,7 @@ impl Default for TaskKindSet {
 }
 
 /// One scheduled measurement sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Task {
     /// Index into the population's probe vector.
     pub probe_ix: u32,
@@ -132,16 +132,6 @@ fn partner_of(cc: CountryCode) -> Option<CountryCode> {
         .iter()
         .find(|(vp, _)| CountryCode::new(vp) == cc)
         .map(|(_, dc)| CountryCode::new(dc))
-}
-
-/// Regions a probe on `continent` targets: all same-continent regions plus
-/// the paper's §4.3 neighbouring-continent additions.
-pub fn target_regions(continent: Continent) -> Vec<RegionId> {
-    let mut out: Vec<RegionId> = region::in_continent(continent).map(|(id, _)| id).collect();
-    for extra in continent.intercontinental_targets() {
-        out.extend(region::in_continent(*extra).map(|(id, _)| id));
-    }
-    out
 }
 
 /// Protocol pairing per platform: Speedchecker runs TCP pings + ICMP
@@ -411,22 +401,6 @@ mod tests {
                 "day {day}: {n} ping samples"
             );
         }
-    }
-
-    #[test]
-    fn african_probes_target_europe_and_na() {
-        let targets = target_regions(Continent::Africa);
-        let continents: std::collections::HashSet<_> = targets
-            .iter()
-            .map(|id| cloudy_cloud::region::by_id(*id).unwrap().continent())
-            .collect();
-        assert!(continents.contains(&Continent::Africa));
-        assert!(continents.contains(&Continent::Europe));
-        assert!(continents.contains(&Continent::NorthAmerica));
-        let eu = target_regions(Continent::Europe);
-        assert!(eu
-            .iter()
-            .all(|id| cloudy_cloud::region::by_id(*id).unwrap().continent() == Continent::Europe));
     }
 
     #[test]

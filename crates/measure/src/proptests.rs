@@ -1,19 +1,13 @@
 //! Property-based tests: the scheduler must stay within its invariants for
-//! arbitrary configurations, and the dataset codecs must round-trip
-//! arbitrary record contents.
+//! arbitrary configurations. Arbitrary records round-trip through the store
+//! in `cloudy-store`'s `tests/roundtrip.rs`.
 
-use crate::dataset::Dataset;
 use crate::plan::{self, PlanConfig, TaskKind};
-use crate::record::{outcome_for_hops, HopRecord, PingRecord, TaskOutcome, TracerouteRecord};
-use cloudy_cloud::{Provider, RegionId};
-use cloudy_geo::{Continent, CountryCode};
-use cloudy_lastmile::AccessType;
+use cloudy_cloud::RegionId;
+use cloudy_geo::CountryCode;
 use cloudy_netsim::build::{build, BuiltWorld, WorldConfig};
-use cloudy_netsim::Protocol;
-use cloudy_probes::{Platform, Population, ProbeId};
-use cloudy_topology::Asn;
+use cloudy_probes::Population;
 use proptest::prelude::*;
-use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
 fn population() -> &'static (BuiltWorld, Population) {
@@ -100,70 +94,5 @@ proptest! {
         let a = plan::plan(&cfg, pop);
         let b = plan::plan(&cfg, pop);
         prop_assert_eq!(a.tasks, b.tasks);
-    }
-
-    #[test]
-    fn jsonl_round_trips_arbitrary_records(
-        rtts in prop::collection::vec(0.01f64..10_000.0, 1..20),
-        hops in prop::collection::vec(
-            proptest::option::of((any::<u32>(), 0.0f64..1_000.0)),
-            0..12,
-        ),
-        hour in 0u64..100_000,
-        city in "[a-zA-Z ]{0,24}",
-    ) {
-        let mut ds = Dataset::new(Platform::Speedchecker);
-        for (i, rtt) in rtts.iter().enumerate() {
-            ds.pings.push(PingRecord {
-                probe: ProbeId(i as u64),
-                platform: Platform::Speedchecker,
-                country: CountryCode::new("DE"),
-                continent: Continent::Europe,
-                city: city.clone(),
-                isp: Asn(3320),
-                access: AccessType::WifiHome,
-                region: RegionId((i % 195) as u16),
-                provider: Provider::Google,
-                proto: Protocol::Tcp,
-                // Cycle through every outcome class so the codecs round-trip
-                // failures as faithfully as deliveries.
-                outcome: match i % 5 {
-                    0 => TaskOutcome::Ok(*rtt),
-                    1 => TaskOutcome::Lost,
-                    2 => TaskOutcome::Timeout(*rtt),
-                    3 => TaskOutcome::ProbeOffline,
-                    _ => TaskOutcome::RateLimited,
-                },
-                hour,
-            });
-        }
-        let hops: Vec<HopRecord> = hops
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| HopRecord {
-                ttl: (i + 1) as u8,
-                ip: h.map(|(ip, _)| Ipv4Addr::from(ip)),
-                rtt_ms: h.map(|(_, r)| r),
-            })
-            .collect();
-        let outcome = outcome_for_hops(&hops);
-        ds.traces.push(TracerouteRecord {
-            probe: ProbeId(0),
-            platform: Platform::Speedchecker,
-            country: CountryCode::new("DE"),
-            continent: Continent::Europe,
-            city,
-            isp: Asn(3320),
-            access: AccessType::Cellular,
-            region: RegionId(0),
-            provider: Provider::Vultr,
-            proto: Protocol::Icmp,
-            src_ip: Ipv4Addr::new(11, 0, 0, 1),
-            hops,
-            outcome,
-            hour,
-        });
-        let jsonl = Dataset::from_jsonl(&ds.to_jsonl()).unwrap();
-        prop_assert_eq!(&jsonl, &ds);
     }
 }

@@ -4,7 +4,7 @@ use cloudy_geo::{Continent, CountryCode, GeoPoint};
 use cloudy_lastmile::{AccessProfile, ArtifactConfig};
 use cloudy_lastmile::artifacts::ProbeArtifacts;
 use cloudy_topology::Asn;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// Everything the simulator needs to know about a measurement origin.
@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 /// Built by `cloudy-probes` from a platform probe; the simulator itself is
 /// platform-agnostic (a RIPE Atlas probe is just a wired client in an
 /// enterprise-ish AS).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ClientCtx {
     /// Stable per-probe hash; seeds per-probe heterogeneity and flow ids.
     pub probe_hash: u64,

@@ -2,12 +2,12 @@
 
 use cloudy_geo::GeoPoint;
 use cloudy_topology::Asn;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// What kind of device a hop is. Drives addressing, response probability,
 /// processing cost, and (ground-truth) ownership for pervasiveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum HopKind {
     /// The probe's home router (RFC1918 address).
     HomeRouter,
@@ -75,7 +75,7 @@ impl HopKind {
 }
 
 /// One router-level hop on a route.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Hop {
     pub kind: HopKind,
     /// The address this hop answers traceroute with.

@@ -3,11 +3,11 @@
 use crate::hop::Hop;
 use cloudy_cloud::PeeringKind;
 use cloudy_topology::{Asn, IxpId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A fully-materialised route. Structure is deterministic per
 /// (client, region); only the latency *samples* drawn over it vary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RoutePath {
     /// Ground-truth interconnection kind (what the analysis pipeline should
     /// ideally recover from the traceroute).

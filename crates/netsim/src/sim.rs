@@ -30,7 +30,7 @@ use cloudy_lastmile::stats_math::LogNormal;
 use cloudy_lastmile::AccessType;
 use cloudy_topology::{AsKind, Asn, IxpId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::net::Ipv4Addr;
@@ -38,7 +38,7 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Measurement protocol. The paper runs TCP pings and ICMP traceroutes on
 /// Speedchecker, and compares protocols in Appendix A.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Protocol {
     Tcp,
     Icmp,
@@ -54,7 +54,7 @@ impl Protocol {
 }
 
 /// One traceroute response line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TraceHop {
     pub ttl: u8,
     /// `None` when the router did not answer ("* * *").

@@ -51,11 +51,6 @@ impl Availability {
         }
     }
 
-    /// Epoch index for an hour offset into the campaign.
-    pub fn epoch_of_hour(hour: u64) -> u64 {
-        hour / EPOCH_HOURS
-    }
-
     /// Fault-injection offline window for one (probe, campaign day), keyed
     /// by the probe hash so the campaign executor can evaluate it without a
     /// [`Probe`] in hand. With probability `profile.offline_probability`
@@ -187,13 +182,5 @@ mod tests {
         );
         // The zero-fault profile never takes a probe offline.
         assert_eq!(a.offline_window(7, 0, &FaultProfile::none()), None);
-    }
-
-    #[test]
-    fn epoch_arithmetic() {
-        assert_eq!(Availability::epoch_of_hour(0), 0);
-        assert_eq!(Availability::epoch_of_hour(3), 0);
-        assert_eq!(Availability::epoch_of_hour(4), 1);
-        assert_eq!(Availability::epoch_of_hour(25), 6);
     }
 }

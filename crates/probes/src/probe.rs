@@ -5,14 +5,14 @@ use cloudy_lastmile::{AccessProfile, AccessType, ArtifactConfig};
 use cloudy_netsim::rng::{mix, splitmix64};
 use cloudy_netsim::{ClientCtx, Network};
 use cloudy_topology::Asn;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Stable probe identifier (unique within a platform population).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ProbeId(pub u64);
 
 /// Which measurement platform hosts the probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Platform {
     Speedchecker,
     RipeAtlas,
@@ -28,7 +28,7 @@ impl Platform {
 }
 
 /// One vantage point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Probe {
     pub id: ProbeId,
     pub platform: Platform,

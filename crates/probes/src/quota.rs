@@ -5,10 +5,10 @@
 //! reserved for the four-hourly probe census. The campaign scheduler charges
 //! every API call against this.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A per-day API budget.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DailyQuota {
     /// Calls allowed per day.
     pub per_day: u32,
@@ -62,16 +62,6 @@ impl DailyQuota {
             QuotaResult::Exhausted
         }
     }
-
-    /// Calls used today.
-    pub fn used_today(&self) -> u32 {
-        self.used
-    }
-
-    /// Remaining measurement capacity today.
-    pub fn remaining_measurements(&self) -> u32 {
-        (self.per_day - self.census_reserve).saturating_sub(self.used)
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +92,11 @@ mod tests {
             assert_eq!(q.request_measurement(0), QuotaResult::Granted);
         }
         assert_eq!(q.request_measurement(0), QuotaResult::Exhausted);
-        assert_eq!(q.request_measurement(1), QuotaResult::Granted);
-        assert_eq!(q.used_today(), 1);
+        // Day 1 starts from a fresh ledger: the full four grants again.
+        for _ in 0..4 {
+            assert_eq!(q.request_measurement(1), QuotaResult::Granted);
+        }
+        assert_eq!(q.request_measurement(1), QuotaResult::Exhausted);
     }
 
     #[test]
@@ -112,14 +105,6 @@ mod tests {
         let mut q = DailyQuota::new(5, 1);
         q.advance_to_day(3);
         q.advance_to_day(2);
-    }
-
-    #[test]
-    fn remaining_measurements_tracks() {
-        let mut q = DailyQuota::new(10, 2);
-        assert_eq!(q.remaining_measurements(), 8);
-        q.request_measurement(0);
-        assert_eq!(q.remaining_measurements(), 7);
     }
 
     #[test]
@@ -136,17 +121,16 @@ mod tests {
                 assert_eq!(q.request_measurement(0), QuotaResult::Granted);
             }
         }
-        assert_eq!(q.used_today(), 9);
-        assert_eq!(q.remaining_measurements(), 16 - 9);
         // Exhaustion counts attempts, not successes: 7 more grants hit the
-        // measurement cap regardless of their outcome on the wire.
+        // measurement cap (16) regardless of their outcome on the wire.
         for _ in 0..7 {
             assert_eq!(q.request_measurement(0), QuotaResult::Granted);
         }
         assert_eq!(q.request_measurement(0), QuotaResult::Exhausted);
-        assert_eq!(q.used_today(), 16);
         // The next day refreshes the ledger; failures never roll over.
-        assert_eq!(q.request_measurement(1), QuotaResult::Granted);
-        assert_eq!(q.used_today(), 1);
+        for _ in 0..16 {
+            assert_eq!(q.request_measurement(1), QuotaResult::Granted);
+        }
+        assert_eq!(q.request_measurement(1), QuotaResult::Exhausted);
     }
 }

@@ -36,5 +36,5 @@ pub mod tenant;
 pub use aggregate::{snapshot_from_store, LiveAggregates};
 pub use clock::{Event, EventKind, EventQueue, VirtualClock};
 pub use report::{AggregateSnapshot, GroupSummary, ServiceReport, TenantReport};
-pub use service::{default_world, ServeConfig, ServeError, Service, MAX_DEFERS, SLICE_TASKS, TASK_VIRT_MS};
+pub use service::{default_world, ServeConfig, ServeError, Service, MAX_DEFERS, TASK_VIRT_MS};
 pub use tenant::{Admission, Priority, RejectReason, Tenant, TenantCounters, TokenBucket};

@@ -17,6 +17,7 @@ use cloudy_lastmile::ArtifactConfig;
 use cloudy_measure::plan::{self, PlanConfig, TaskKindSet};
 use cloudy_measure::{
     execute_tasks_into, CampaignConfig, MeasureError, PingRecord, RecordSink, TracerouteRecord,
+    BLOCK_TASKS,
 };
 use cloudy_netsim::build::{build, BuiltWorld, WorldConfig};
 use cloudy_netsim::rng::mix;
@@ -26,11 +27,9 @@ use cloudy_probes::{speedchecker, Availability, Platform, Population};
 use cloudy_store::{StoreError, Writer, WriterOptions};
 use std::collections::BTreeMap;
 
-/// Tasks per campaign slice: the unit of interleaving. One slice is one
-/// executor block, so a slice is also the unit of bounded buffering.
-pub const SLICE_TASKS: usize = 2048;
-
-/// Virtual cost of one task; a full slice occupies ~41 virtual seconds.
+/// Virtual cost of one task; a full slice of [`BLOCK_TASKS`] tasks (one
+/// executor block, the unit of interleaving and of bounded buffering)
+/// occupies ~41 virtual seconds.
 pub const TASK_VIRT_MS: u64 = 20;
 
 /// How often a gold-tier submission may be deferred before giving up.
@@ -408,7 +407,7 @@ impl Service {
         let Some(campaign) = self.campaigns.get_mut(&id) else {
             return Ok(());
         };
-        let end = (campaign.next + SLICE_TASKS).min(campaign.tasks.len());
+        let end = (campaign.next + BLOCK_TASKS).min(campaign.tasks.len());
         let slice = &campaign.tasks[campaign.next..end];
         let tenant_ix = campaign.tenant;
 

@@ -55,4 +55,4 @@ pub use error::StoreError;
 pub use query::{Agg, AggSet, GroupId, GroupKey, GroupRow, GroupTable, Query};
 pub use reader::{ChunkRows, Reader, ScanFilter, ScanStats};
 pub use schema::RecordKind;
-pub use writer::{write_dataset, StoreSummary, Writer, WriterOptions};
+pub use writer::{StoreSummary, Writer, WriterOptions};

@@ -287,8 +287,7 @@ mod tests {
     use crate::chunk::put_frame;
     use crate::query::{GroupKey, Query};
     use crate::testutil::sample_ping;
-    use crate::writer::{write_dataset, Writer, WriterOptions};
-    use cloudy_measure::Dataset;
+    use crate::writer::{Writer, WriterOptions};
 
     fn store_bytes(n: u64, chunk_rows: usize) -> Vec<u8> {
         let mut w = Writer::new(
@@ -499,20 +498,27 @@ mod tests {
     }
 
     #[test]
-    fn write_dataset_round_trips_per_partition() {
-        let mut ds = Dataset::new(Platform::Speedchecker);
-        for i in 0..500 {
-            let mut r = sample_ping(i, 1.0 + i as f64 * 0.5);
-            r.provider = Provider::ALL[(i % 4) as usize];
-            ds.pings.push(r);
+    fn writer_round_trips_per_partition() {
+        let pings: Vec<PingRecord> = (0..500)
+            .map(|i| {
+                let mut r = sample_ping(i, 1.0 + i as f64 * 0.5);
+                r.provider = Provider::ALL[(i % 4) as usize];
+                r
+            })
+            .collect();
+        let mut w =
+            Writer::new(Vec::new(), Platform::Speedchecker, WriterOptions { chunk_rows: 64 })
+                .unwrap();
+        for r in &pings {
+            w.push_ping(r.clone()).unwrap();
         }
-        let (bytes, summary) = write_dataset(&ds, WriterOptions { chunk_rows: 64 }).unwrap();
+        let (bytes, summary) = w.finish().unwrap();
         assert_eq!(summary.ping_rows, 500);
         let back = all_pings(&Reader::from_bytes(bytes).unwrap());
         // Scan order groups by provider; within a provider, insert order
         // is preserved and records are bit-identical.
         for p in Provider::ALL {
-            let orig: Vec<_> = ds.pings.iter().filter(|r| r.provider == p).collect();
+            let orig: Vec<_> = pings.iter().filter(|r| r.provider == p).collect();
             let got: Vec<_> = back.iter().filter(|r| r.provider == p).collect();
             assert_eq!(orig, got);
         }

@@ -32,9 +32,7 @@ use crate::chunk::{encode_cloud_pings, encode_pings, encode_traces, put_frame, C
 use crate::error::StoreError;
 use crate::schema::{platform_tag, provider_tag};
 use cloudy_cloud::Provider;
-use cloudy_measure::{
-    CloudPingRecord, Dataset, MeasureError, PingRecord, RecordSink, TracerouteRecord,
-};
+use cloudy_measure::{CloudPingRecord, MeasureError, PingRecord, RecordSink, TracerouteRecord};
 use cloudy_obs::Obs;
 use cloudy_probes::Platform;
 use std::io::Write;
@@ -123,7 +121,8 @@ impl<W: Write> Writer<W> {
 
     /// Records currently buffered in unflushed partitions — the writer's
     /// whole memory footprint; bounded by `2 × |providers| × chunk_rows`.
-    pub fn buffered_rows(&self) -> usize {
+    #[cfg(test)]
+    fn buffered_rows(&self) -> usize {
         self.ping_slots.iter().map(Vec::len).sum::<usize>()
             + self.trace_slots.iter().map(Vec::len).sum::<usize>()
             + self.cloud_slots.iter().map(Vec::len).sum::<usize>()
@@ -277,22 +276,6 @@ impl<W: Write> RecordSink for Writer<W> {
     fn sink_cloud(&mut self, r: CloudPingRecord) -> Result<(), MeasureError> {
         Ok(self.push_cloud(r)?)
     }
-}
-
-/// Encode a whole in-memory [`Dataset`] into store bytes (pings first, then
-/// traceroutes, each in dataset order). Note the byte stream depends on
-/// record *arrival* order: a dataset written via this helper and the same
-/// records streamed live through [`Writer`] in campaign order produce the
-/// same chunks only if the orders agree.
-pub fn write_dataset(ds: &Dataset, options: WriterOptions) -> Result<(Vec<u8>, StoreSummary), StoreError> {
-    let mut w = Writer::new(Vec::new(), ds.platform, options)?;
-    for p in &ds.pings {
-        w.push_ping(p.clone())?;
-    }
-    for t in &ds.traces {
-        w.push_trace(t.clone())?;
-    }
-    w.finish()
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Autonomous system identity and metadata.
 
 use cloudy_geo::{Continent, CountryCode, GeoPoint};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// An autonomous system number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Asn(pub u32);
 
 impl fmt::Display for Asn {
@@ -16,7 +16,7 @@ impl fmt::Display for Asn {
 
 /// The role an AS plays in the topology. Mirrors the network-type field the
 /// paper pulls from PeeringDB when enriching AS paths (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AsKind {
     /// Global transit backbone (Telia, GTT, NTT, TATA, ...). Settlement-free
     /// peers with each other; sells transit to everyone else.
@@ -46,7 +46,7 @@ impl AsKind {
 }
 
 /// Metadata for one AS.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AsInfo {
     pub asn: Asn,
     pub name: String,

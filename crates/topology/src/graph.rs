@@ -1,12 +1,12 @@
 //! The relationship-labelled AS graph (Gao–Rexford model).
 
 use crate::asn::{AsInfo, Asn};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Business relationship of an edge, from the perspective of the AS holding
 /// the adjacency entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Relationship {
     /// The neighbour is my *provider*: I pay them for transit (c2p uphill).
     Provider,

@@ -11,10 +11,10 @@
 use crate::asn::Asn;
 use crate::prefix::IpPrefix;
 use cloudy_geo::GeoPoint;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier for an IXP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct IxpId(pub u32);
 
 /// An Internet eXchange Point.
@@ -97,19 +97,6 @@ impl IxpDirectory {
     pub fn tag(&self, addr: std::net::Ipv4Addr) -> Option<IxpId> {
         self.ixps.iter().find(|x| x.fabric.contains(addr)).map(|x| x.id)
     }
-
-    /// An IXP where both ASes are members, preferring the one nearest to
-    /// `near` (cloud operators peer at the exchange closest to the client).
-    pub fn common_fabric(&self, a: Asn, b: Asn, near: GeoPoint) -> Option<&Ixp> {
-        self.ixps
-            .iter()
-            .filter(|x| x.can_interconnect(a, b))
-            .min_by(|x, y| {
-                let dx = x.location.haversine_km(&near);
-                let dy = y.location.haversine_km(&near);
-                dx.partial_cmp(&dy).unwrap_or(std::cmp::Ordering::Equal)
-            })
-    }
 }
 
 #[cfg(test)]
@@ -154,24 +141,6 @@ mod tests {
         assert_eq!(dir.tag(Ipv4Addr::new(80, 81, 192, 7)), Some(IxpId(0)));
         assert_eq!(dir.tag(Ipv4Addr::new(80, 81, 193, 7)), Some(IxpId(1)));
         assert_eq!(dir.tag(Ipv4Addr::new(80, 81, 194, 7)), None);
-    }
-
-    #[test]
-    fn common_fabric_picks_nearest() {
-        let mut dir = IxpDirectory::new();
-        let mut fra = mk_ixp(0, "DE-CIX", 50.11, 8.68, 192);
-        let mut ams = mk_ixp(1, "AMS-IX", 52.37, 4.90, 193);
-        for ixp in [&mut fra, &mut ams] {
-            ixp.add_member(Asn(1));
-            ixp.add_member(Asn(2));
-        }
-        dir.add(fra);
-        dir.add(ams);
-        let near_munich = GeoPoint::new(48.14, 11.58);
-        assert_eq!(dir.common_fabric(Asn(1), Asn(2), near_munich).unwrap().name, "DE-CIX");
-        let near_rotterdam = GeoPoint::new(51.92, 4.48);
-        assert_eq!(dir.common_fabric(Asn(1), Asn(2), near_rotterdam).unwrap().name, "AMS-IX");
-        assert!(dir.common_fabric(Asn(1), Asn(9), near_munich).is_none());
     }
 
     #[test]

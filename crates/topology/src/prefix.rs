@@ -9,12 +9,12 @@
 //! through simulator internals.
 
 use crate::asn::Asn;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// An IPv4 prefix (`base/len`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct IpPrefix {
     base: u32,
     len: u8,

@@ -9,11 +9,11 @@
 use crate::asn::{AsKind, Asn};
 use crate::ixp::IxpId;
 use cloudy_geo::CountryCode;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// One registry record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RegistryEntry {
     pub asn: Asn,
     pub org_name: String,

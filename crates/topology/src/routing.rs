@@ -15,12 +15,12 @@
 
 use crate::asn::Asn;
 use crate::graph::{AsGraph, Relationship};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 
 /// How the *source* AS learned the winning route — the Gao–Rexford
 /// preference class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum RouteKind {
     /// First hop goes to a customer (or src == dst). Most preferred.
     Customer,
@@ -31,7 +31,7 @@ pub enum RouteKind {
 }
 
 /// A selected AS path from source to destination (inclusive).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AsPath {
     pub path: Vec<Asn>,
     pub kind: RouteKind,

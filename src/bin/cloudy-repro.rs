@@ -2,13 +2,14 @@
 //! `cloudy-repro help` for the commands and their options; [`usage`] is
 //! the one place they are listed.
 //!
-//! `run` executes both platform campaigns and writes the datasets as JSON
-//! lines (`speedchecker.jsonl`, `atlas.jsonl`) plus a `study.meta` with the
-//! seed so results can be re-analysed. `experiment`/`all` run the study and
-//! render the requested artifacts. `store write` streams both campaigns
-//! straight into columnar `cloudy-store` files (bounded memory — records
-//! never sit in a `Dataset`); `inspect` dumps a store's chunk directory and
-//! `query` runs a pruned scan with summary statistics.
+//! `run` streams both platform campaigns straight into columnar
+//! `cloudy-store` files (`speedchecker.cst`, `atlas.cst`; bounded memory —
+//! records never sit in a `Dataset`), then writes a `study.meta` with the
+//! seed, so a directory holding a `study.meta` is a complete export.
+//! `analyze` reads such an export back and renders the figures.
+//! `experiment`/`all` run the study and render the requested artifacts.
+//! `store inspect` dumps a store's chunk directory and `store query` runs a
+//! pruned scan with summary statistics.
 //!
 //! Every subcommand reads its flags through one [`Args`] cursor and
 //! returns its errors to `main`, which prints `error: …` and exits 2.
@@ -19,7 +20,7 @@ use cloudy::measure::{CampaignConfig, Dataset, TaskKindSet};
 use cloudy::netsim::{FaultProfile, Simulator};
 use cloudy::obs::Obs;
 use cloudy::probes::{Platform, Population};
-use cloudy::store::{Query, Reader, Writer, WriterOptions};
+use cloudy::store::{ChunkRows, Query, Reader, RecordKind, ScanFilter, Writer, WriterOptions};
 use std::error::Error;
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -40,13 +41,10 @@ fn main() -> ExitCode {
         "experiment" => experiment(args),
         "all" => all(args),
         "store" => match args.subcommand().as_str() {
-            "write" => store_write(args),
             "inspect" => store_inspect(args),
             "query" => store_query(args),
-            "" => Err("store requires a subcommand: write | inspect | query".into()),
-            other => {
-                Err(format!("unknown store subcommand {other:?} (write | inspect | query)").into())
-            }
+            "" => Err("store requires a subcommand: inspect | query".into()),
+            other => Err(format!("unknown store subcommand {other:?} (inspect | query)").into()),
         },
         "serve" => serve(args),
         "intercloud" => intercloud(args),
@@ -82,7 +80,9 @@ fn usage() {
          \x20                              1-vs-N-thread campaign race check\n\
          \x20 audit lint [lint opts]       source gate: token lints + wire freeze;\n\
          \x20                              fails on any finding\n\
-         \x20 run [opts] [--out DIR]       run both campaigns, write datasets\n\
+         \x20 run [opts] [--out DIR]       stream both campaigns into columnar stores\n\
+         \x20                              (speedchecker.cst, atlas.cst), then write\n\
+         \x20                              study.meta\n\
          \x20 analyze --dir DIR [<id>...] [opts]\n\
          \x20                              re-analyse a `run` export (every experiment\n\
          \x20                              unless ids are given); its study.meta\n\
@@ -94,8 +94,6 @@ fn usage() {
          \x20 all [opts] [--out FILE] [--csv DIR]\n\
          \x20                              run every experiment; --out writes them as\n\
          \x20                              Markdown, --csv writes each figure's data\n\
-         \x20 store write [opts] [--out DIR] [--chunk-rows N]\n\
-         \x20                              stream both campaigns into columnar stores\n\
          \x20 store inspect <FILE>         dump a store's chunk directory\n\
          \x20 store query <FILE> [--provider AB] [--country CC] [--isp ASN]\n\
          \x20             [--kind ping|trace] [--min-rtt MS] [--max-rtt MS]\n\
@@ -122,7 +120,7 @@ fn usage() {
          \x20                              run one instrumented campaign + store\n\
          \x20                              round-trip and print the metrics snapshot\n\
          \x20                              (text unless --metrics json) on stdout\n\n\
-         options (world, run, analyze, campaign, experiment, all, store write, obs):\n\
+         options (world, run, analyze, campaign, experiment, all, obs):\n\
          \x20 --seed N            study seed (default 42)\n\
          \x20 --days N            campaign length in simulated days (default 10)\n\
          \x20 --sc-fraction F     Speedchecker population fraction (default 0.02)\n\
@@ -131,7 +129,7 @@ fn usage() {
          \x20 --faults P          fault-injection profile: none | default (default none);\n\
          \x20                     `default` injects loss, timeouts, rate limits and\n\
          \x20                     probe-offline windows, with bounded retry/backoff\n\n\
-         observability options (campaign, serve, store write, store query, obs):\n\
+         observability options (run, campaign, serve, store query, obs):\n\
          \x20 --metrics FMT       collect metrics and print the snapshot (text | json)\n\
          \x20                     on stderr; never changes any output bytes\n\
          \x20 --trace-out FILE    also write a Chrome trace_event JSON file\n\
@@ -375,35 +373,55 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
     Ok(())
 }
 
+/// The store files of a `run` export, with the platform each must hold.
+const EXPORT_STORES: [(&str, Platform); 2] =
+    [("speedchecker.cst", Platform::Speedchecker), ("atlas.cst", Platform::RipeAtlas)];
+
+/// `run` — stream both campaigns into the export's stores, then write
+/// `study.meta` last: a directory that holds one is a complete export.
 fn run(mut args: Args) -> CliResult {
     let cfg = study_config(&mut args)?;
     let out_dir = args.value("--out")?.unwrap_or_else(|| "cloudy-out".to_string());
+    let metrics = metrics(&mut args, None)?;
     args.finish()?;
-    eprintln!("running study (seed {}, {} days)...", cfg.seed, cfg.duration_days);
-    let study = Study::run(cfg.clone());
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
+    let meta_path = format!("{out_dir}/study.meta");
+    if let Err(e) = std::fs::remove_file(&meta_path) {
+        if e.kind() != std::io::ErrorKind::NotFound {
+            return Err(format!("remove stale {meta_path}: {e}").into());
+        }
+    }
+    let open = |(name, platform): (&str, Platform)| -> CliResult<_> {
+        let path = format!("{out_dir}/{name}");
+        let file = std::fs::File::create(&path).map_err(|e| format!("create {path}: {e}"))?;
+        let mut w = Writer::new(std::io::BufWriter::new(file), platform, WriterOptions::default())?;
+        w.set_obs(metrics.obs.clone());
+        Ok((path, w))
+    };
+    let (sc_path, mut sc) = open(EXPORT_STORES[0])?;
+    let (atlas_path, mut atlas) = open(EXPORT_STORES[1])?;
+    eprintln!("streaming study (seed {}, {} days) into stores...", cfg.seed, cfg.duration_days);
+    let (sc_stats, atlas_stats) = run_study_into(&cfg, &mut sc, &mut atlas)?;
+    println!("speedchecker {}", failure_summary(&sc_stats));
+    println!("atlas {}", failure_summary(&atlas_stats));
+    for (path, writer) in [(sc_path, sc), (atlas_path, atlas)] {
+        let (_, summary) = writer.finish().map_err(|e| format!("{path}: {e}"))?;
+        println!(
+            "wrote {path}: {} chunks, {} pings + {} traceroutes, {} bytes",
+            summary.chunks, summary.ping_rows, summary.trace_rows, summary.bytes
+        );
+    }
     let meta = format!(
         "seed={}\ndays={}\nsc_fraction={}\natlas_fraction={}\n",
         cfg.seed, cfg.duration_days, cfg.sc_fraction, cfg.atlas_fraction
     );
-    write_file(&format!("{out_dir}/study.meta"), meta)?;
-    write_file(&format!("{out_dir}/speedchecker.jsonl"), study.sc.to_jsonl())?;
-    write_file(&format!("{out_dir}/atlas.jsonl"), study.atlas.to_jsonl())?;
-    let sc = study.sc.summary();
-    println!(
-        "speedchecker: {} pings + {} traceroutes from {} probes in {} countries",
-        sc.pings, sc.traces, sc.probes, sc.countries
-    );
-    let at = study.atlas.summary();
-    println!(
-        "atlas: {} pings + {} traceroutes from {} probes in {} countries",
-        at.pings, at.traces, at.probes, at.countries
-    );
+    write_file(&meta_path, meta)?;
+    metrics.emit(false)?;
     Ok(ExitCode::SUCCESS)
 }
 
 /// The validated config, simulator and Speedchecker population for one
-/// campaign over the study's world (`campaign` and `obs`).
+/// campaign over the study's world (`campaign`, `obs` and `intercloud`).
 fn speedchecker_campaign(
     cfg: &StudyConfig,
     obs: &Obs,
@@ -575,12 +593,7 @@ fn analyze(mut args: Args) -> CliResult {
         }
     }
     check_study(&cfg).map_err(|e| format!("{meta_path}: {e}"))?;
-    let load = |name: &str| -> CliResult<Dataset> {
-        let path = format!("{dir}/{name}");
-        let raw = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
-        Ok(Dataset::from_jsonl(&raw)?)
-    };
-    let (sc, atlas) = (load("speedchecker.jsonl")?, load("atlas.jsonl")?);
+    let (sc, atlas) = (load_store(&dir, EXPORT_STORES[0])?, load_store(&dir, EXPORT_STORES[1])?);
     eprintln!(
         "rebuilding world (seed {}) and analyzing {} + {} records...",
         cfg.seed,
@@ -595,37 +608,30 @@ fn analyze(mut args: Args) -> CliResult {
     Ok(ExitCode::SUCCESS)
 }
 
-fn store_write(mut args: Args) -> CliResult {
-    use std::io::{BufWriter, Write as _};
-    let cfg = study_config(&mut args)?;
-    let out_dir = args.value("--out")?.unwrap_or_else(|| "cloudy-out".to_string());
-    let chunk_rows = args.value("--chunk-rows")?.unwrap_or(WriterOptions::default().chunk_rows);
-    let metrics = metrics(&mut args, None)?;
-    args.finish()?;
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    let open = |name: &str, platform: Platform| -> CliResult<_> {
-        let path = format!("{out_dir}/{name}");
-        let file = std::fs::File::create(&path).map_err(|e| format!("create {path}: {e}"))?;
-        let mut w = Writer::new(BufWriter::new(file), platform, WriterOptions { chunk_rows })?;
-        w.set_obs(metrics.obs.clone());
-        Ok((path, w))
-    };
-    let (sc_path, mut sc) = open("speedchecker.cst", Platform::Speedchecker)?;
-    let (atlas_path, mut atlas) = open("atlas.cst", Platform::RipeAtlas)?;
-    eprintln!("streaming study (seed {}, {} days) into stores...", cfg.seed, cfg.duration_days);
-    let (sc_stats, atlas_stats) = run_study_into(&cfg, &mut sc, &mut atlas)?;
-    println!("speedchecker {}", failure_summary(&sc_stats));
-    println!("atlas {}", failure_summary(&atlas_stats));
-    for (path, writer) in [(sc_path, sc), (atlas_path, atlas)] {
-        let (mut out, summary) = writer.finish()?;
-        out.flush().map_err(|e| format!("flush {path}: {e}"))?;
-        println!(
-            "wrote {path}: {} chunks, {} pings + {} traceroutes, {} bytes",
-            summary.chunks, summary.ping_rows, summary.trace_rows, summary.bytes
-        );
+/// Decode one store of a `run` export into a `Dataset`. The header's
+/// platform must be the one the file name says, and the file must hold
+/// user measurements only: a swapped or foreign store is an error, never a
+/// mislabelled analysis.
+fn load_store(dir: &str, (name, platform): (&str, Platform)) -> CliResult<Dataset> {
+    let path = format!("{dir}/{name}");
+    let data = std::fs::read(&path).map_err(|e| format!("read {path}: {e}"))?;
+    let reader = Reader::from_bytes(data).map_err(|e| format!("{path}: {e}"))?;
+    if reader.platform() != platform {
+        let found = reader.platform().label();
+        return Err(format!("{path}: holds {found} records, not {}", platform.label()).into());
     }
-    metrics.emit(false)?;
-    Ok(ExitCode::SUCCESS)
+    if reader.chunks().iter().any(|m| m.footer.kind == RecordKind::CloudPing) {
+        return Err(format!("{path}: holds inter-cloud rows, not a `run` export").into());
+    }
+    let mut ds = Dataset::new(platform);
+    reader
+        .for_each(&ScanFilter::default(), |rows| match rows {
+            ChunkRows::Pings(p) => ds.pings.extend_from_slice(p),
+            ChunkRows::Traces(t) => ds.traces.extend_from_slice(t),
+            ChunkRows::CloudPings(_) => {}
+        })
+        .map_err(|e| format!("{path}: {e}"))?;
+    Ok(ds)
 }
 
 /// Open the one store file `store inspect` / `store query` names.
@@ -889,7 +895,6 @@ fn intercloud(mut args: Args) -> CliResult {
     use cloudy::intercloud::{
         choose, latency_matrix, median_gap_ms, run_into, stats_from_store, IntercloudConfig,
     };
-    use cloudy::store::write_dataset;
 
     let mut cfg = IntercloudConfig { hours: 6, threads: 4, ..IntercloudConfig::default() };
     cfg.seed = args.value("--seed")?.unwrap_or(cfg.seed);
@@ -949,9 +954,10 @@ fn intercloud(mut args: Args) -> CliResult {
     let mut scfg = StudyConfig::tiny(cfg.seed);
     scfg.sc_fraction = 0.02;
     scfg.duration_days = 2;
-    let study = Study::run(scfg);
-    let (user_bytes, _) = write_dataset(&study.sc, WriterOptions::default())?;
-    let mut pstats = stats_from_store(&Reader::from_bytes(user_bytes)?)?;
+    let (campaign, sim, pop) = speedchecker_campaign(&scfg, &Obs::disabled(), false)?;
+    let mut users = Writer::new(Vec::new(), Platform::Speedchecker, WriterOptions::default())?;
+    cloudy::measure::run_campaign_into(&campaign, &sim, &pop, &mut users)?;
+    let mut pstats = stats_from_store(&Reader::from_bytes(users.finish()?.0)?)?;
     let all_candidates = pstats.candidates.len();
     // The exact search is exponential in the candidate count; greedily
     // keep a complementary shortlist first.

@@ -74,20 +74,55 @@ fn list_and_world() {
     check("world_seed7", &stdout_of(&dir, &["world", "--seed", "7"]));
 }
 
+/// `analyze --dir DIR fig3` must exit 2 with an error that names `want`.
+fn rejects(dir: &Path, export: &str, want: &str) {
+    let out = repro(dir, &["analyze", "--dir", export, "fig3"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{export} accepted:\n{stderr}");
+    assert!(stderr.contains(want), "{export}: no {want:?} in:\n{stderr}");
+}
+
 #[test]
 fn run_export_then_analyze() {
     let dir = scratch("run_export_then_analyze");
     check("run", &stdout_of(&dir, &small(&["run", "--out", "export"])));
     check("analyze_fig3", &stdout_of(&dir, &["analyze", "--dir", "export", "fig3"]));
+    // Read back from the stores, every figure prints what `all` prints for
+    // the same flags, so no figure may depend on record order.
+    check("all", &stdout_of(&dir, &["analyze", "--dir", "export"]));
+    // A store that is not what its file name says, or that does not
+    // decode, is an error naming the file, never a figure.
+    let export = dir.join("export");
+    let sc = std::fs::read(export.join("speedchecker.cst")).expect("read speedchecker.cst");
+    let atlas = std::fs::read(export.join("atlas.cst")).expect("read atlas.cst");
+    let cut = sc[..sc.len() / 2].to_vec();
+    let cases = [(atlas, "holds RIPE Atlas records"), (cut, "corrupt store: no store trailer")];
+    for (bytes, reason) in cases {
+        std::fs::write(export.join("speedchecker.cst"), bytes).expect("rewrite speedchecker.cst");
+        rejects(&dir, "export", &format!("export/speedchecker.cst: {reason}"));
+    }
+    // A JSON-lines export is not read, however deeply it nests.
+    let jsonl = dir.join("jsonl");
+    std::fs::create_dir_all(&jsonl).expect("create jsonl export");
+    std::fs::copy(export.join("study.meta"), jsonl.join("study.meta")).expect("copy study.meta");
+    std::fs::write(jsonl.join("speedchecker.jsonl"), "[".repeat(200_000)).expect("write jsonl");
+    rejects(&dir, "jsonl", "read jsonl/speedchecker.cst");
     // A metadata value that does not parse, or merges out of range, is an
     // error: falling back to the command line would rebuild the wrong world.
     for meta in ["seed=4x2\n", "seed=42\ndays=1\nsc_fraction=0\n"] {
-        std::fs::write(dir.join("export").join("study.meta"), meta).expect("rewrite study.meta");
+        std::fs::write(export.join("study.meta"), meta).expect("rewrite study.meta");
         let out = repro(&dir, &["analyze", "--dir", "export", "--seed", "9", "fig3"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{meta:?} accepted:\n{stderr}");
         assert!(stderr.contains("study.meta"), "{stderr}");
     }
+    // A `run` that fails leaves no `study.meta` behind, not even the last
+    // one, so a directory that holds one is a complete export.
+    std::fs::remove_file(export.join("atlas.cst")).expect("remove atlas.cst");
+    std::fs::create_dir(export.join("atlas.cst")).expect("block atlas.cst");
+    let out = repro(&dir, &small(&["run", "--out", "export"]));
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!export.join("study.meta").exists(), "a failed run left study.meta");
 }
 
 /// Every subcommand rejects a flag it does not accept, names it, and
@@ -95,7 +130,7 @@ fn run_export_then_analyze() {
 #[test]
 fn unknown_flags_exit_2() {
     let dir = scratch("unknown_flags_exit_2");
-    let commands: [&[&str]; 15] = [
+    let commands: [&[&str]; 14] = [
         &["list"],
         &["world"],
         &["run"],
@@ -103,7 +138,6 @@ fn unknown_flags_exit_2() {
         &["campaign"],
         &["experiment", "fig3"],
         &["all"],
-        &["store", "write"],
         &["store", "inspect", "st.cst"],
         &["store", "query", "st.cst"],
         &["serve"],
@@ -124,6 +158,11 @@ fn unknown_flags_exit_2() {
         );
         assert!(stderr.contains("\"--sed\""), "{args:?}: {stderr}");
     }
+    // `run` writes the stores; `store write` is gone.
+    let out = repro(&dir, &["store", "write"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown store subcommand \"write\""), "{stderr}");
 }
 
 #[test]
@@ -176,9 +215,9 @@ fn all_figures_to_markdown_and_csv() {
 }
 
 #[test]
-fn store_write_inspect_query() {
-    let dir = scratch("store_write_inspect_query");
-    check("store_write", &stdout_of(&dir, &small(&["store", "write", "--out", "st"])));
+fn store_inspect_query() {
+    let dir = scratch("store_inspect_query");
+    stdout_of(&dir, &small(&["run", "--out", "st"]));
     let file = "st/speedchecker.cst";
     check("store_inspect", &stdout_of(&dir, &["store", "inspect", file]));
     check("store_query", &stdout_of(&dir, &["store", "query", file]));
@@ -204,9 +243,17 @@ fn serve_json_report() {
 #[test]
 fn intercloud_gap_matrix_and_placement() {
     let dir = scratch("intercloud_gap_matrix_and_placement");
-    let out = stdout_of(&dir, &["intercloud", "--hours", "2", "--regions-per-provider", "1"]);
+    let args = ["intercloud", "--hours", "2", "--regions-per-provider", "1", "--out", "clouds.cst"];
+    let out = stdout_of(&dir, &args);
     assert!(out.contains("median private-vs-public gap"), "{out}");
     check("intercloud", &out);
+    // The cloud-ping store names the Speedchecker platform, but it is not
+    // a `run` export: `analyze` refuses it rather than analyse no records.
+    let export = dir.join("export");
+    std::fs::create_dir_all(&export).expect("create export");
+    std::fs::write(export.join("study.meta"), "seed=42\n").expect("write study.meta");
+    std::fs::copy(dir.join("clouds.cst"), export.join("speedchecker.cst")).expect("copy store");
+    rejects(&dir, "export", "export/speedchecker.cst: holds inter-cloud rows");
 }
 
 #[test]

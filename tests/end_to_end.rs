@@ -64,14 +64,6 @@ fn campaign_to_analysis_round_trip() {
 }
 
 #[test]
-fn dataset_serialization_round_trips_at_campaign_scale() {
-    let (_sim, ds) = small_campaign();
-    let jsonl = ds.to_jsonl();
-    let back = Dataset::from_jsonl(&jsonl).expect("jsonl parses");
-    assert_eq!(ds, back);
-}
-
-#[test]
 fn rtts_are_physically_sane() {
     let (_sim, ds) = small_campaign();
     for p in &ds.pings {
