@@ -1,8 +1,9 @@
-//! The finding model of the driver's passes.
+//! The finding model of the `cloudy-repro audit` passes.
 //!
-//! Both passes of `cloudy-repro audit` — world invariants and the campaign
-//! race check — report through the same [`Finding`]/[`AuditReport`] types,
-//! so the command has one notion of "clean": zero error-severity findings.
+//! Both passes ([`crate::AuditPass`]) — world invariants and the race
+//! check — report through the same [`Finding`]/[`AuditReport`] types, so
+//! the command has one notion of "clean": at least one check ran, and no
+//! finding is an error.
 //! (The source gate, `audit lint`, reports through
 //! [`crate::lints::LintReport`] instead.) These types started life in
 //! `cloudy-netsim::audit` and moved here when the audit grew beyond world
@@ -54,9 +55,10 @@ impl AuditReport {
         self.findings.iter().filter(|f| f.severity == Severity::Warning)
     }
 
-    /// Clean means no error-severity findings; warnings are advisory.
+    /// Clean means at least one check ran and no finding is an error;
+    /// warnings are advisory.
     pub fn is_clean(&self) -> bool {
-        self.errors().count() == 0
+        self.checks_run > 0 && self.errors().count() == 0
     }
 
     pub fn push(&mut self, severity: Severity, check: &'static str, detail: String) {
@@ -132,6 +134,14 @@ mod tests {
         assert!(!r.is_clean());
         assert_eq!(r.errors().count(), 1);
         assert_eq!(r.warnings().count(), 1);
+    }
+
+    #[test]
+    fn a_report_that_ran_no_check_is_not_clean() {
+        let mut r = AuditReport::default();
+        assert!(!r.is_clean(), "a skipped pass must not read as clean");
+        r.merge(AuditReport { checks_run: 1, ..Default::default() });
+        assert!(r.is_clean());
     }
 
     #[test]

@@ -1,42 +1,38 @@
-//! Determinism race check: the campaign executor must produce the same
-//! dataset no matter how many worker threads run it.
+//! Determinism race check: every plane must produce the same bytes no
+//! matter how many worker threads run it, whether routes come from the
+//! route cache, and whether metrics and tracing are on.
 //!
-//! The workspace's determinism story rests on per-flow RNG streams and a
-//! post-execution stable sort of the collected records; a data race or an
-//! accidental dependence on thread interleaving would break byte-for-byte
-//! reproducibility silently. This check runs a small (but real) campaign
-//! twice — single-threaded and at N threads — streaming each run through a
-//! [`TeeSink`] into both a `Dataset` and a columnar `cloudy-store` writer,
-//! and compares the serialized JSONL *and* the store file byte for byte,
-//! reporting FNV-1a content hashes so a CI log shows *which* side changed
-//! across commits.
+//! The workspace's determinism rests on per-flow RNG streams keyed by
+//! stable task identity and on an in-order drain of the block executor; a
+//! data race or an accidental dependence on thread interleaving would
+//! break byte-for-byte reproducibility silently. The check is one table of
+//! *legs*. A leg is one run of a plane, and each of its named outputs is
+//! compared byte for byte with the same output of a reference run:
 //!
-//! Since the route-plan cache landed, the check also runs cached and
-//! uncached legs: memoizing routes may change *when* a route is computed,
-//! never *what* it contains, so every leg — serial/parallel ×
-//! cached/uncached — must produce byte-identical JSONL and store files.
+//! * **campaign**, clean and under the default fault profile: N threads,
+//!   1 and N threads without the route cache, and N threads with metrics
+//!   and tracing on, each against the family's 1-thread cached run. A
+//!   campaign tees every record into a `Dataset` (written out as JSON
+//!   lines) and a columnar store, two independent encodings of one stream.
+//! * **serve**: the virtual-time service (tenant arrivals, admission,
+//!   live aggregates on top of the executor) at N threads, plain and
+//!   instrumented, against 1 thread: its report and its store.
+//! * **query**: `Query::rows` at 1 and N threads against a full decode of
+//!   the clean campaign's store, and `Query::grouped` by country and
+//!   provider and by country and region at N threads against 1 (P² is
+//!   order-sensitive, so this proves the parallel fold keeps each group's
+//!   serial observation order).
+//! * **inter-cloud**: the region-to-region campaign at N threads against
+//!   1, both its store and the latency-gap matrix folded from it.
+//! * **placement**: the optimizer over the N-thread campaign's store, and
+//!   again over the 1-thread store, against its run over the 1-thread
+//!   store.
 //!
-//! With the fault-injection layer, the same matrix runs again under the
-//! default fault profile: fault draws, retries, and offline windows are
-//! keyed only by stable task identity, so a faulted campaign must be every
-//! bit as thread- and cache-invariant as a clean one.
-//!
-//! Finally, `cloudy-serve` joins the matrix: the virtual-time service
-//! layers tenant arrival processes, admission control, and live
-//! aggregates on top of the executor, and its service report and store
-//! stream must be byte-identical across thread counts too.
-//!
-//! With the observability layer, instrumented legs join the matrix: a
-//! campaign or serve run with metrics and tracing fully enabled must be
-//! byte-identical to the uninstrumented reference — observability reads
-//! the wall clock, so a single leaked byte would destroy reproducibility.
-//!
-//! The inter-cloud plane joins last: the region↔region campaign streams
-//! [`cloudy_measure::CloudPingRecord`]s through the same block executor,
-//! so its store bytes — and the latency-gap matrix folded from them —
-//! must be identical across thread counts. The placement optimizer sits downstream of the
-//! store-backed grouped query; its picks and objective bits must not
-//! depend on which campaign leg produced the store it reads.
+//! A divergence names the leg and the output, and gives both FNV-1a
+//! hashes, both lengths and the first differing byte, so a CI log shows
+//! which side changed. A runner that fails, and a reference that would
+//! make its legs vacuous (no records, no groups, a fault profile that
+//! injected nothing), is an error finding too.
 
 use crate::finding::{AuditReport, Severity};
 use cloudy_intercloud::{
@@ -45,19 +41,22 @@ use cloudy_intercloud::{
 use cloudy_lastmile::ArtifactConfig;
 use cloudy_measure::plan::PlanConfig;
 use cloudy_measure::{run_campaign_into, CampaignConfig, Dataset, TeeSink};
-use cloudy_netsim::build::{build, BuiltWorld, WorldConfig};
 use cloudy_netsim::{FaultProfile, Simulator};
 use cloudy_obs::Obs;
 use cloudy_probes::{speedchecker, Platform};
-use cloudy_serve::{ServeConfig, Service};
-use cloudy_store::{Reader, Writer, WriterOptions};
+use cloudy_serve::{default_world, ServeConfig, Service};
+use cloudy_store::{
+    Agg, ChunkRows, GroupKey, GroupTable, Query, Reader, RecordKind, RttRow, ScanFilter, Writer,
+    WriterOptions,
+};
+use std::fmt::Display;
 
 /// Configuration for the race check.
 #[derive(Debug, Clone, Copy)]
 pub struct RaceConfig {
     /// World + plan seed.
     pub seed: u64,
-    /// Thread count for the parallel leg (the serial leg is always 1).
+    /// Thread count for the parallel legs (the reference runs use 1).
     pub threads: usize,
 }
 
@@ -67,69 +66,11 @@ impl Default for RaceConfig {
     }
 }
 
-/// The representative 4-country world used for the check: one country per
-/// paper macro-region that the seed world models densely enough to probe.
-fn small_world(seed: u64) -> BuiltWorld {
-    build(&WorldConfig {
-        seed,
-        isps_per_country: 2,
-        countries: Some(
-            ["DE", "JP", "BR", "KE"].iter().map(|c| cloudy_geo::CountryCode::new(c)).collect(),
-        ),
-    })
-}
+/// The named outputs of one run, each compared whole.
+type Outputs = Vec<(&'static str, Vec<u8>)>;
 
-/// Run the campaign at `threads` workers, teeing every record into both a
-/// `Dataset` (serialized to JSONL) and a columnar store writer: two
-/// independent byte encodings of the same record stream to compare.
-fn campaign_outputs(
-    seed: u64,
-    threads: usize,
-    route_cache: bool,
-    faults: FaultProfile,
-    obs: Obs,
-) -> (String, Vec<u8>) {
-    let world = small_world(seed);
-    let pop = speedchecker::population(&world, 0.02, seed);
-    let sim = Simulator::new(world.net);
-    let cfg = CampaignConfig {
-        plan: PlanConfig { seed, duration_days: 2, ..PlanConfig::default() },
-        artifacts: ArtifactConfig::realistic(),
-        threads,
-        route_cache,
-        faults,
-        obs: obs.clone(),
-    };
-    let mut ds = Dataset::new(Platform::Speedchecker);
-    // Small chunks so the race check exercises many flush boundaries.
-    let mut writer =
-        Writer::new(Vec::new(), Platform::Speedchecker, WriterOptions { chunk_rows: 256 })
-            .expect("chunk_rows is positive"); // audit:allow(expect)
-    writer.set_obs(obs);
-    let mut tee = TeeSink::new(&mut ds, &mut writer);
-    run_campaign_into(&cfg, &sim, &pop, &mut tee).expect("Dataset and Vec sinks are infallible"); // audit:allow(expect)
-    let (store_bytes, _) = writer.finish().expect("Vec-backed store writer cannot fail"); // audit:allow(expect)
-    (ds.to_jsonl(), store_bytes)
-}
-
-/// Run the virtual-time measurement service at `threads` workers and
-/// return its serialized report plus the store file it streamed out. A
-/// modest tenant count keeps the matrix fast; the 50-tenant acceptance
-/// run lives in `cloudy-serve`'s own test suite.
-fn serve_outputs(seed: u64, threads: usize, obs: Obs) -> (String, Vec<u8>) {
-    let cfg = ServeConfig {
-        seed,
-        tenants: 12,
-        hours: 1,
-        threads,
-        obs,
-        ..ServeConfig::default()
-    };
-    let mut svc = Service::new(cfg).expect("the small serve world always builds"); // audit:allow(expect)
-    svc.run().expect("Vec-backed serve runs are infallible"); // audit:allow(expect)
-    let (report, bytes) = svc.finish().expect("Vec-backed serve writers cannot fail"); // audit:allow(expect)
-    (serde_json::to_string(&report).expect("the report has no non-serializable fields"), bytes) // audit:allow(expect)
-}
+const CACHE: &str = "the route cache changed observable output";
+const METRICS: &str = "metrics leaked into bytes";
 
 /// FNV-1a over the serialized dataset: cheap, dependency-free, and stable
 /// across platforms — good enough to fingerprint a diff in a CI log.
@@ -142,211 +83,215 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Run the 1-vs-N-thread determinism check.
+/// Run the race matrix: every leg of the table in the module doc.
 pub fn race_check(cfg: &RaceConfig) -> AuditReport {
     let mut report = AuditReport::default();
-    report.checks_run += 1;
-    if cfg.threads < 2 {
+    let (seed, n) = (cfg.seed, cfg.threads);
+    if n < 2 {
+        report.checks_run += 1;
         report.push(
             Severity::Warning,
             "race",
-            format!("threads = {} exercises no concurrency; nothing to race", cfg.threads),
+            format!("threads = {n} exercises no concurrency; nothing to race"),
         );
         return report;
     }
-    let (serial, serial_store) = campaign_outputs(cfg.seed, 1, true, FaultProfile::none(), Obs::disabled());
-    let (parallel, parallel_store) =
-        campaign_outputs(cfg.seed, cfg.threads, true, FaultProfile::none(), Obs::disabled());
-    let (h1, hn) = (fnv1a(serial.as_bytes()), fnv1a(parallel.as_bytes()));
-    if serial != parallel {
-        let first_diff = serial
-            .bytes()
-            .zip(parallel.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| serial.len().min(parallel.len()));
-        report.push(
-            Severity::Error,
-            "race",
-            format!(
-                "1-thread and {}-thread campaigns diverge (fnv1a {h1:016x} vs {hn:016x}, \
-                 lengths {} vs {}, first difference at byte {first_diff})",
-                cfg.threads,
-                serial.len(),
-                parallel.len(),
-            ),
-        );
+    let r = &mut report;
+    let (clean, parallel) = campaign_legs(r, seed, n, FaultProfile::none(), None);
+    campaign_legs(r, seed, n, FaultProfile::default_profile(), clean.as_ref());
+
+    if let Some(want) = reference(r, "1-thread serve run", serve(seed, 1, Obs::disabled())) {
+        let why = "the service schedule depends on execution order";
+        check(r, &format!("{n}-thread serve run"), why, &want, serve(seed, n, Obs::disabled()));
+        let got = serve(seed, n, Obs::with_trace());
+        check(r, &format!("{n}-thread instrumented serve run"), METRICS, &want, got);
     }
-    report.checks_run += 1;
-    let (s1, sn) = (fnv1a(&serial_store), fnv1a(&parallel_store));
-    if serial_store != parallel_store {
-        let first_diff = serial_store
-            .iter()
-            .zip(parallel_store.iter())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| serial_store.len().min(parallel_store.len()));
-        report.push(
-            Severity::Error,
-            "race",
-            format!(
-                "1-thread and {}-thread campaign store files diverge (fnv1a {s1:016x} vs \
-                 {sn:016x}, lengths {} vs {}, first difference at byte {first_diff})",
-                cfg.threads,
-                serial_store.len(),
-                parallel_store.len(),
-            ),
-        );
+    if let Some(want) = reference(r, "1-thread inter-cloud campaign", intercloud(seed, 1)) {
+        let why = "the inter-cloud stream depends on execution order";
+        check(r, &format!("{n}-thread inter-cloud campaign"), why, &want, intercloud(seed, n));
     }
-    if serial.is_empty() {
-        report.push(Severity::Error, "race", "campaign produced an empty dataset".into());
-    }
-    // Route-cache legs: memoization must not change a single output byte,
-    // serially or under thread contention on the shared cache shards.
-    for (label, threads) in [("1-thread", 1usize), ("N-thread", cfg.threads)] {
-        report.checks_run += 1;
-        let (jsonl, store) = campaign_outputs(cfg.seed, threads, false, FaultProfile::none(), Obs::disabled());
-        if jsonl != serial || store != serial_store {
-            let (hu, hc) = (fnv1a(jsonl.as_bytes()), fnv1a(serial.as_bytes()));
-            report.push(
-                Severity::Error,
-                "race",
-                format!(
-                    "{label} uncached campaign diverges from the cached reference \
-                     (jsonl fnv1a {hu:016x} vs {hc:016x}, store lengths {} vs {}) — \
-                     the route cache changed observable output",
-                    store.len(),
-                    serial_store.len(),
-                ),
-            );
+
+    // The query engine and the optimizer, over the clean campaign's stores.
+    let Some(clean) = clean else { return report };
+    let store = output(&clean, "store");
+    if let Some(want) = reference(r, "full-decode rows", full_decode_rows(store)) {
+        for t in [1, n] {
+            let why = "the query engine changed scan results";
+            check(r, &format!("{t}-thread query rows"), why, &want, query_rows(store, t));
         }
     }
-    // Faulted legs: retries, offline windows, and failure rows must be
-    // exactly as deterministic as clean samples — same matrix, default
-    // fault profile, one faulted serial/cached run as the reference.
-    let profile = FaultProfile::default_profile();
-    report.checks_run += 1;
-    let (faulted_ref, faulted_ref_store) = campaign_outputs(cfg.seed, 1, true, profile, Obs::disabled());
-    if faulted_ref == serial {
-        report.push(
-            Severity::Error,
-            "race",
-            "the default fault profile injected no failures — the faulted legs race-check \
-             nothing"
-                .into(),
-        );
-    }
-    for (label, threads, route_cache) in [
-        ("N-thread cached", cfg.threads, true),
-        ("1-thread uncached", 1, false),
-        ("N-thread uncached", cfg.threads, false),
-    ] {
-        report.checks_run += 1;
-        let (jsonl, store) = campaign_outputs(cfg.seed, threads, route_cache, profile, Obs::disabled());
-        if jsonl != faulted_ref || store != faulted_ref_store {
-            let (hu, hc) = (fnv1a(jsonl.as_bytes()), fnv1a(faulted_ref.as_bytes()));
-            report.push(
-                Severity::Error,
-                "race",
-                format!(
-                    "{label} faulted campaign diverges from the faulted reference \
-                     (jsonl fnv1a {hu:016x} vs {hc:016x}, store lengths {} vs {}) — \
-                     fault injection depends on execution order",
-                    store.len(),
-                    faulted_ref_store.len(),
-                ),
-            );
+    for key in [GroupKey::CountryProvider, GroupKey::CountryRegion] {
+        let leg = |t: usize| format!("{t}-thread {key:?} grouped query");
+        if let Some(want) = reference(r, &leg(1), grouped(store, key, 1)) {
+            let why = "the parallel fold reordered observations";
+            check(r, &leg(n), why, &want, grouped(store, key, n));
         }
     }
-    // Serve legs: the virtual-time service schedules tenants, admits
-    // campaigns, and streams slices through the same executor; its report
-    // and store bytes must be invariant under the thread count.
-    report.checks_run += 1;
-    let (serve_ref, serve_ref_store) = serve_outputs(cfg.seed, 1, Obs::disabled());
-    if serve_ref_store.is_empty() {
-        report.push(Severity::Error, "race", "the serve reference run wrote no store bytes".into());
+    if let Some(want) = reference(r, "placement over the 1-thread store", placement(store)) {
+        let why = "placement depends on execution order";
+        if let Some(parallel) = &parallel {
+            let got = placement(output(parallel, "store"));
+            check(r, &format!("placement over the {n}-thread store"), why, &want, got);
+        }
+        check(r, "placement again over the 1-thread store", why, &want, placement(store));
     }
-    report.checks_run += 1;
-    let (json, store) = serve_outputs(cfg.seed, cfg.threads, Obs::disabled());
-    if json != serve_ref || store != serve_ref_store {
-        let (hu, hc) = (fnv1a(json.as_bytes()), fnv1a(serve_ref.as_bytes()));
-        report.push(
-            Severity::Error,
-            "race",
-            format!(
-                "N-thread serve run diverges from the serve reference (report fnv1a \
-                 {hu:016x} vs {hc:016x}, store lengths {} vs {}) — the service \
-                 schedule depends on execution order",
-                store.len(),
-                serve_ref_store.len(),
-            ),
-        );
-    }
-    // Instrumented legs: metrics + tracing fully on, compared byte-for-byte
-    // against the uninstrumented references. Run at N threads so shard
-    // merging is exercised, and under faults so retry spans are too.
-    report.checks_run += 1;
-    let (jsonl, store) =
-        campaign_outputs(cfg.seed, cfg.threads, true, FaultProfile::none(), Obs::with_trace());
-    if jsonl != serial || store != serial_store {
-        report.push(
-            Severity::Error,
-            "race",
-            format!(
-                "instrumented clean campaign diverges from the reference (jsonl fnv1a \
-                 {:016x} vs {:016x}, store lengths {} vs {}) — metrics leaked into bytes",
-                fnv1a(jsonl.as_bytes()),
-                fnv1a(serial.as_bytes()),
-                store.len(),
-                serial_store.len(),
-            ),
-        );
-    }
-    report.checks_run += 1;
-    let (jsonl, store) =
-        campaign_outputs(cfg.seed, cfg.threads, true, profile, Obs::with_trace());
-    if jsonl != faulted_ref || store != faulted_ref_store {
-        report.push(
-            Severity::Error,
-            "race",
-            format!(
-                "instrumented faulted campaign diverges from the faulted reference (jsonl \
-                 fnv1a {:016x} vs {:016x}, store lengths {} vs {}) — metrics leaked into bytes",
-                fnv1a(jsonl.as_bytes()),
-                fnv1a(faulted_ref.as_bytes()),
-                store.len(),
-                faulted_ref_store.len(),
-            ),
-        );
-    }
-    report.checks_run += 1;
-    let (json, store) = serve_outputs(cfg.seed, cfg.threads, Obs::with_trace());
-    if json != serve_ref || store != serve_ref_store {
-        report.push(
-            Severity::Error,
-            "race",
-            format!(
-                "instrumented serve run diverges from the serve reference (report fnv1a \
-                 {:016x} vs {:016x}, store lengths {} vs {}) — metrics leaked into bytes",
-                fnv1a(json.as_bytes()),
-                fnv1a(serve_ref.as_bytes()),
-                store.len(),
-                serve_ref_store.len(),
-            ),
-        );
-    }
-    // Query-path legs: the pushdown engine (dictionary pruning, projection
-    // skips, in-scan aggregation) must reproduce the legacy full-decode
-    // scan byte for byte, at one thread and N.
-    query_legs(&mut report, &serial_store, cfg.threads);
-    // Inter-cloud legs: the region↔region campaign and the placement
-    // optimizer downstream of the user stores.
-    intercloud_legs(&mut report, cfg, &serial_store, &parallel_store);
     report
 }
 
-/// Run the small inter-cloud campaign at `threads` workers and return its
-/// store bytes plus a lossless (raw f64 bits) render of the latency-gap
-/// matrix folded from them — the two observable outputs of the plane.
-fn intercloud_outputs(seed: u64, threads: usize) -> (Vec<u8>, String) {
+/// The campaign under one fault profile. Its 1-thread cached run is the
+/// reference for N threads, for 1 and N threads without the route cache,
+/// and for N threads instrumented. A faulted reference equal to the
+/// `clean` one means the profile injected nothing, and its legs are
+/// skipped. Returns the reference and the N-thread run.
+fn campaign_legs(
+    r: &mut AuditReport,
+    seed: u64,
+    n: usize,
+    faults: FaultProfile,
+    clean: Option<&Outputs>,
+) -> (Option<Outputs>, Option<Outputs>) {
+    let (family, order) = match clean {
+        None => ("clean", "the campaign depends on execution order"),
+        Some(_) => ("faulted", "fault injection depends on execution order"),
+    };
+    let name = |threads: usize, how: &str| format!("{threads}-thread{how} {family} campaign");
+    let run = |threads, route_cache, obs| campaign(seed, threads, route_cache, faults, obs);
+    let Some(want) = reference(r, &name(1, ""), run(1, true, Obs::disabled())) else {
+        return (None, None);
+    };
+    if clean == Some(&want) {
+        let why = "the fault profile injected no failures, so its legs race-check nothing";
+        r.push(Severity::Error, "race", format!("{}: {why}", name(1, "")));
+        return (None, None);
+    }
+    let parallel = check(r, &name(n, ""), order, &want, run(n, true, Obs::disabled()));
+    for (threads, route_cache, obs, how, why) in [
+        (1, false, Obs::disabled(), " uncached", CACHE),
+        (n, false, Obs::disabled(), " uncached", CACHE),
+        (n, true, Obs::with_trace(), " instrumented", METRICS),
+    ] {
+        check(r, &name(threads, how), why, &want, run(threads, route_cache, obs));
+    }
+    (Some(want), parallel)
+}
+
+/// Count a reference run. A runner error is an error finding that names
+/// it, and its legs are skipped: there is nothing to hold them to.
+fn reference(r: &mut AuditReport, leg: &str, run: Result<Outputs, String>) -> Option<Outputs> {
+    r.checks_run += 1;
+    run.map_err(|e| r.push(Severity::Error, "race", format!("{leg}: {e}"))).ok()
+}
+
+/// Count one leg and compare its outputs with the reference's, one by
+/// one. A divergence names the leg and the output, gives the leg's and
+/// the reference's hash and length and the first differing byte, and
+/// `why`: the invariant it breaks. Returns the leg's outputs when its
+/// runner succeeded.
+fn check(
+    r: &mut AuditReport,
+    leg: &str,
+    why: &str,
+    want: &Outputs,
+    got: Result<Outputs, String>,
+) -> Option<Outputs> {
+    let got = reference(r, leg, got)?;
+    for ((name, want), (_, got)) in want.iter().zip(&got) {
+        if want == got {
+            continue;
+        }
+        let at = want.iter().zip(got).position(|(a, b)| a != b);
+        r.push(
+            Severity::Error,
+            "race",
+            format!(
+                "{leg}: {name} diverges from the reference (fnv1a {:016x} vs {:016x}, lengths \
+                 {} vs {}, first difference at byte {}) — {why}",
+                fnv1a(got),
+                fnv1a(want),
+                got.len(),
+                want.len(),
+                at.unwrap_or(want.len().min(got.len())),
+            ),
+        );
+    }
+    Some(got)
+}
+
+/// A run's output by name (empty when it has none).
+fn output<'a>(outputs: &'a Outputs, name: &str) -> &'a [u8] {
+    outputs.iter().find(|(n, _)| *n == name).map(|(_, bytes)| bytes.as_slice()).unwrap_or_default()
+}
+
+fn err(e: impl Display) -> String {
+    e.to_string()
+}
+
+fn open(store: &[u8]) -> Result<Reader, String> {
+    Reader::from_bytes(store.to_vec()).map_err(err)
+}
+
+/// A store with no rows would make every leg held to it pass vacuously.
+/// It is never zero bytes (its magic and trailer are always written), so
+/// count its chunks.
+fn has_rows(store: &[u8]) -> Result<(), String> {
+    if open(store)?.chunks().is_empty() {
+        return Err("the run stored no records, so its legs race-check nothing".into());
+    }
+    Ok(())
+}
+
+/// A store writer with small chunks, so every run crosses many flush
+/// boundaries.
+fn small_chunks() -> Result<Writer<Vec<u8>>, String> {
+    Writer::new(Vec::new(), Platform::Speedchecker, WriterOptions { chunk_rows: 256 }).map_err(err)
+}
+
+/// The campaign on the 4-country default world, teeing every record into
+/// a `Dataset` and a store: outputs `jsonl` and `store`.
+fn campaign(
+    seed: u64,
+    threads: usize,
+    route_cache: bool,
+    faults: FaultProfile,
+    obs: Obs,
+) -> Result<Outputs, String> {
+    let world = default_world(seed);
+    let pop = speedchecker::population(&world, 0.02, seed);
+    let sim = Simulator::new(world.net);
+    let cfg = CampaignConfig {
+        plan: PlanConfig { seed, duration_days: 2, ..PlanConfig::default() },
+        artifacts: ArtifactConfig::realistic(),
+        threads,
+        route_cache,
+        faults,
+        obs: obs.clone(),
+    };
+    let mut ds = Dataset::new(Platform::Speedchecker);
+    let mut writer = small_chunks()?;
+    writer.set_obs(obs);
+    run_campaign_into(&cfg, &sim, &pop, &mut TeeSink::new(&mut ds, &mut writer)).map_err(err)?;
+    let (store, _) = writer.finish().map_err(err)?;
+    has_rows(&store)?;
+    Ok(vec![("jsonl", ds.to_jsonl().into_bytes()), ("store", store)])
+}
+
+/// The virtual-time service: outputs `report` (its JSON) and `store`. A
+/// modest tenant count keeps the matrix fast; the 50-tenant acceptance
+/// run lives in `cloudy-serve`'s own test suite.
+fn serve(seed: u64, threads: usize, obs: Obs) -> Result<Outputs, String> {
+    let cfg = ServeConfig { seed, tenants: 12, hours: 1, threads, obs, ..ServeConfig::default() };
+    let mut svc = Service::new(cfg).map_err(err)?;
+    svc.run().map_err(err)?;
+    let (report, store) = svc.finish().map_err(err)?;
+    has_rows(&store)?;
+    let report = serde_json::to_string(&report).map_err(err)?;
+    Ok(vec![("report", report.into_bytes()), ("store", store)])
+}
+
+/// The small inter-cloud campaign: outputs `store` and `matrix`, a
+/// lossless render (raw f64 bits) of the latency-gap matrix folded from
+/// that store.
+fn intercloud(seed: u64, threads: usize) -> Result<Outputs, String> {
     let cfg = IntercloudConfig {
         seed,
         regions_per_provider: 1,
@@ -355,17 +300,14 @@ fn intercloud_outputs(seed: u64, threads: usize) -> (Vec<u8>, String) {
         threads,
         ..IntercloudConfig::default()
     };
-    // Small chunks again, so block drains cross flush boundaries.
-    let mut writer =
-        Writer::new(Vec::new(), Platform::Speedchecker, WriterOptions { chunk_rows: 256 })
-            .expect("chunk_rows is positive"); // audit:allow(expect)
-    run_into(&cfg, &mut writer).expect("the small inter-cloud campaign always runs"); // audit:allow(expect)
-    let (bytes, _) = writer.finish().expect("Vec-backed store writer cannot fail"); // audit:allow(expect)
-    let reader = Reader::from_bytes(bytes.clone()).expect("a just-written store parses"); // audit:allow(expect)
-    let rows = latency_matrix(&reader).expect("the campaign covers every roster pair"); // audit:allow(expect)
-    let mut out = String::new();
+    let mut writer = small_chunks()?;
+    run_into(&cfg, &mut writer).map_err(err)?;
+    let (store, _) = writer.finish().map_err(err)?;
+    has_rows(&store)?;
+    let rows = latency_matrix(&open(&store)?).map_err(err)?;
+    let mut matrix = String::new();
     for r in &rows {
-        out.push_str(&format!(
+        matrix.push_str(&format!(
             "{:?}|{:?}|{:016x}|{:016x}|{:016x}|{}|{}\n",
             r.src,
             r.dst,
@@ -376,81 +318,88 @@ fn intercloud_outputs(seed: u64, threads: usize) -> (Vec<u8>, String) {
             r.public_count,
         ));
     }
-    let gap = median_gap_ms(&rows).expect("the matrix is non-empty"); // audit:allow(expect)
-    out.push_str(&format!("median_gap|{:016x}\n", gap.to_bits()));
-    (bytes, out)
+    let gap = median_gap_ms(&rows).ok_or("the gap matrix is empty")?;
+    matrix.push_str(&format!("median_gap|{:016x}\n", gap.to_bits()));
+    Ok(vec![("store", store), ("matrix", matrix.into_bytes())])
 }
 
-/// Render the placement optimizer's output over one user-campaign store,
-/// losslessly: shortlist size, picks, and the objective's raw f64 bits.
-fn placement_render(store_bytes: &[u8]) -> String {
-    let reader =
-        Reader::from_bytes(store_bytes.to_vec()).expect("a just-written store parses"); // audit:allow(expect)
-    let mut stats = stats_from_store(&reader).expect("the race campaign delivers pings"); // audit:allow(expect)
+/// The placement optimizer over one campaign store: output `placement`,
+/// the shortlist size, the picks and the objective's raw f64 bits.
+fn placement(store: &[u8]) -> Result<Outputs, String> {
+    let mut stats = stats_from_store(&open(store)?).map_err(err)?;
     stats.restrict_to_top(12);
-    let p = choose(&stats, 3).expect("the shortlist is non-degenerate"); // audit:allow(expect)
+    let p = choose(&stats, 3).map_err(err)?;
     let picks: Vec<String> = p.regions.iter().map(|r| r.0.to_string()).collect();
-    format!("shortlist {}|regions [{}]|p95 {:016x}", stats.candidates.len(), picks.join(","), p.p95_ms.to_bits())
+    let text = format!(
+        "shortlist {}|regions [{}]|p95 {:016x}",
+        stats.candidates.len(),
+        picks.join(","),
+        p.p95_ms.to_bits()
+    );
+    Ok(vec![("placement", text.into_bytes())])
 }
 
-/// The inter-cloud legs of the matrix: campaign store bytes and the
-/// derived gap matrix at 1 and N threads, plus the placement optimizer
-/// over both user-campaign stores.
-fn intercloud_legs(
-    report: &mut AuditReport,
-    cfg: &RaceConfig,
-    serial_store: &[u8],
-    parallel_store: &[u8],
-) {
-    report.checks_run += 1;
-    let (ref_store, ref_matrix) = intercloud_outputs(cfg.seed, 1);
-    if ref_store.is_empty() {
-        report.push(
-            Severity::Error,
-            "race",
-            "the inter-cloud reference campaign wrote no store bytes".into(),
-        );
-    }
-    report.checks_run += 1;
-    let (store, matrix) = intercloud_outputs(cfg.seed, cfg.threads);
-    if store != ref_store || matrix != ref_matrix {
-        report.push(
-            Severity::Error,
-            "race",
-            format!(
-                "N-thread inter-cloud campaign diverges from the reference (store fnv1a \
-                 {:016x} vs {:016x}, matrix fnv1a {:016x} vs {:016x}) — the inter-cloud \
-                 stream depends on execution order",
-                fnv1a(&store),
-                fnv1a(&ref_store),
-                fnv1a(matrix.as_bytes()),
-                fnv1a(ref_matrix.as_bytes()),
-            ),
-        );
-    }
-    // Optimizer leg: the same picks and objective bits no matter which
-    // campaign leg produced the store the optimizer reads, and across
-    // repeated runs over the same bytes (its fold and search must hold no
-    // order-sensitive state).
-    report.checks_run += 1;
-    let (ps, pp) = (placement_render(serial_store), placement_render(parallel_store));
-    if ps != pp || ps != placement_render(serial_store) {
-        report.push(
-            Severity::Error,
-            "race",
-            format!(
-                "placement optimizer output diverges across campaign legs (fnv1a {:016x} vs \
-                 {:016x}: `{ps}` vs `{pp}`) — placement depends on execution order",
-                fnv1a(ps.as_bytes()),
-                fnv1a(pp.as_bytes()),
-            ),
-        );
-    }
+/// The scan the pushdown engine replaced: decode whole records, then
+/// project and filter by hand. Output `rows`, as [`query_rows`] renders
+/// them.
+fn full_decode_rows(store: &[u8]) -> Result<Outputs, String> {
+    let mut rows = Vec::new();
+    open(store)?
+        .for_each(&ScanFilter::default(), |chunk| match chunk {
+            ChunkRows::Pings(pings) => rows.extend(pings.iter().filter_map(|p| {
+                Some(RttRow {
+                    kind: RecordKind::Ping,
+                    provider: p.provider,
+                    country: p.country,
+                    region: p.region,
+                    hour: p.hour,
+                    rtt_ms: p.rtt_ms()?,
+                })
+            })),
+            // The RTT projection carries only delivered traces whose last
+            // hop responded.
+            ChunkRows::Traces(traces) => rows.extend(traces.iter().filter_map(|t| {
+                let rtt_ms = t.end_to_end_ms().filter(|_| t.outcome.is_ok())?;
+                Some(RttRow {
+                    kind: RecordKind::Trace,
+                    provider: t.provider,
+                    country: t.country,
+                    region: t.region,
+                    hour: t.hour,
+                    rtt_ms,
+                })
+            })),
+            // A user campaign writes no inter-cloud rows.
+            ChunkRows::CloudPings(_) => {}
+        })
+        .map_err(err)?;
+    Ok(vec![("rows", render_rows(&rows))])
 }
 
-/// Render the RTT projection losslessly (f64 as raw bits) so byte equality
-/// means bit equality.
-fn render_rtt_rows(rows: &[cloudy_store::RttRow]) -> String {
+/// `Query::rows` over a store at `threads`: output `rows`.
+fn query_rows(store: &[u8], threads: usize) -> Result<Outputs, String> {
+    let (rows, _) = Query::rtts().threads(threads).rows(&open(store)?).map_err(err)?;
+    Ok(vec![("rows", render_rows(&rows))])
+}
+
+/// `Query::grouped` by `key` over a store at `threads`: output `groups`,
+/// every f64 aggregate as raw bits. A table with no groups is an error.
+fn grouped(store: &[u8], key: GroupKey, threads: usize) -> Result<Outputs, String> {
+    let (table, _) = Query::rtts()
+        .group_by(key)
+        .aggregate(Agg::Moments | Agg::P2Quantiles)
+        .threads(threads)
+        .grouped(&open(store)?)
+        .map_err(err)?;
+    if table.is_empty() {
+        return Err("the query aggregated no groups, so its legs race-check nothing".into());
+    }
+    Ok(vec![("groups", render_groups(&table))])
+}
+
+/// Render RTT rows losslessly (f64 as raw bits), so byte equality means
+/// bit equality.
+fn render_rows(rows: &[RttRow]) -> Vec<u8> {
     let mut out = String::new();
     for r in rows {
         out.push_str(&format!(
@@ -463,160 +412,18 @@ fn render_rtt_rows(rows: &[cloudy_store::RttRow]) -> String {
             r.rtt_ms.to_bits()
         ));
     }
-    out
+    out.into_bytes()
 }
 
-/// Render a grouped result losslessly (all f64 aggregates as raw bits).
-fn render_groups(table: &cloudy_store::GroupTable) -> String {
+fn render_groups(table: &GroupTable) -> Vec<u8> {
     let mut out = String::new();
     for (id, row) in table {
         let mean = row.moments.map(|m| m.mean().to_bits()).unwrap_or(0);
         let p50 = row.p50.map(f64::to_bits).unwrap_or(0);
         let p95 = row.p95.map(f64::to_bits).unwrap_or(0);
-        out.push_str(&format!(
-            "{id:?}|{}|{mean:016x}|{p50:016x}|{p95:016x}\n",
-            row.count
-        ));
+        out.push_str(&format!("{id:?}|{}|{mean:016x}|{p50:016x}|{p95:016x}\n", row.count));
     }
-    out
-}
-
-/// The query-engine legs of the matrix, run against the campaign's store
-/// bytes: (1) `Query::rows` at 1 and N threads must equal a reference
-/// built by decoding *full records* and projecting by hand — the
-/// decode-then-filter path the pushdown engine replaced; (2) `Query::grouped`
-/// country×provider and country×region aggregations must be bit-identical
-/// at 1 and N threads (P² is order-sensitive, so this proves the parallel
-/// fold preserves each group's serial observation sequence).
-fn query_legs(report: &mut AuditReport, store_bytes: &[u8], threads: usize) {
-    use cloudy_store::{Agg, ChunkRows, GroupKey, Query, Reader, RecordKind, RttRow};
-
-    report.checks_run += 1;
-    let reader = match Reader::from_bytes(store_bytes.to_vec()) {
-        Ok(r) => r,
-        Err(e) => {
-            report.push(
-                Severity::Error,
-                "race",
-                format!("query leg could not parse the campaign store: {e}"),
-            );
-            return;
-        }
-    };
-    // Legacy reference: decode whole records, project and filter by hand.
-    let mut legacy: Vec<RttRow> = Vec::new();
-    let full_decode = reader.for_each(&cloudy_store::ScanFilter::default(), |rows| match rows {
-        ChunkRows::Pings(pings) => {
-            for p in pings {
-                if let Some(rtt_ms) = p.rtt_ms() {
-                    legacy.push(RttRow {
-                        kind: RecordKind::Ping,
-                        provider: p.provider,
-                        country: p.country,
-                        region: p.region,
-                        hour: p.hour,
-                        rtt_ms,
-                    });
-                }
-            }
-        }
-        ChunkRows::Traces(traces) => {
-            for t in traces {
-                // The RTT projection only carries delivered traces whose
-                // last hop responded.
-                if !t.outcome.is_ok() {
-                    continue;
-                }
-                if let Some(rtt_ms) = t.end_to_end_ms() {
-                    legacy.push(RttRow {
-                        kind: RecordKind::Trace,
-                        provider: t.provider,
-                        country: t.country,
-                        region: t.region,
-                        hour: t.hour,
-                        rtt_ms,
-                    });
-                }
-            }
-        }
-        // The race world's user campaign produces no inter-cloud rows;
-        // the inter-cloud legs check those stores separately.
-        ChunkRows::CloudPings(_) => {}
-    });
-    if let Err(e) = full_decode {
-        report.push(Severity::Error, "race", format!("query leg reference scan failed: {e}"));
-        return;
-    }
-    let legacy_rendered = render_rtt_rows(&legacy);
-    for t in [1usize, threads] {
-        report.checks_run += 1;
-        match Query::rtts().threads(t).rows(&reader) {
-            Ok((rows, _)) => {
-                let rendered = render_rtt_rows(&rows);
-                if rendered != legacy_rendered {
-                    report.push(
-                        Severity::Error,
-                        "race",
-                        format!(
-                            "{t}-thread pushdown query diverges from the legacy full-decode \
-                             reference (fnv1a {:016x} vs {:016x}, {} vs {} rows) — the query \
-                             engine changed scan results",
-                            fnv1a(rendered.as_bytes()),
-                            fnv1a(legacy_rendered.as_bytes()),
-                            rows.len(),
-                            legacy.len(),
-                        ),
-                    );
-                }
-            }
-            Err(e) => {
-                report.push(Severity::Error, "race", format!("{t}-thread query leg failed: {e}"));
-            }
-        }
-    }
-    // Grouped legs: in-scan aggregation must be thread-count-invariant,
-    // for country×provider and for Fig. 3's country×region.
-    for key in [GroupKey::CountryProvider, GroupKey::CountryRegion] {
-        let grouped_at = |t: usize| {
-            Query::rtts()
-                .group_by(key)
-                .aggregate(Agg::Moments | Agg::P2Quantiles)
-                .threads(t)
-                .grouped(&reader)
-        };
-        report.checks_run += 1;
-        match (grouped_at(1), grouped_at(threads)) {
-            (Ok((serial, _)), Ok((parallel, _))) => {
-                let (rs, rp) = (render_groups(&serial), render_groups(&parallel));
-                if rs.is_empty() {
-                    report.push(
-                        Severity::Error,
-                        "race",
-                        format!(
-                            "{key:?} grouped query leg aggregated no groups — nothing \
-                             race-checked"
-                        ),
-                    );
-                }
-                if rs != rp {
-                    report.push(
-                        Severity::Error,
-                        "race",
-                        format!(
-                            "{key:?} grouped pushdown query diverges across thread counts (fnv1a \
-                             {:016x} vs {:016x}) — the parallel fold reordered observations",
-                            fnv1a(rs.as_bytes()),
-                            fnv1a(rp.as_bytes()),
-                        ),
-                    );
-                }
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                let msg = format!("{key:?} grouped query leg failed: {e}");
-                report.push(Severity::Error, "race", msg);
-            }
-        }
-    }
+    out.into_bytes()
 }
 
 #[cfg(test)]
@@ -632,6 +439,56 @@ mod tests {
     }
 
     #[test]
+    fn check_names_the_leg_the_output_and_the_first_differing_byte() {
+        let want: Outputs = vec![("jsonl", b"same".to_vec()), ("store", b"abcdef".to_vec())];
+        let mut got = want.clone();
+        got[1].1[3] ^= 1;
+        let mut r = AuditReport::default();
+        assert!(check(&mut r, "leg", "why", &want, Ok(want.clone())).is_some());
+        assert!(check(&mut r, "leg", "why", &want, Ok(got)).is_some());
+        assert_eq!(r.checks_run, 2);
+        let details: Vec<&str> = r.errors().map(|f| f.detail.as_str()).collect();
+        assert_eq!(details.len(), 1, "{}", r.render());
+        for part in ["leg: store diverges", "lengths 6 vs 6", "first difference at byte 3", "why"] {
+            assert!(details[0].contains(part), "no {part:?} in {}", details[0]);
+        }
+        // A cut output differs first where the shorter one ends.
+        let mut r = AuditReport::default();
+        check(&mut r, "leg", "why", &want, Ok(vec![want[0].clone(), ("store", b"abc".to_vec())]));
+        let text = r.render();
+        assert!(text.contains("lengths 3 vs 6, first difference at byte 3"), "{text}");
+    }
+
+    #[test]
+    fn a_runner_error_is_an_error_finding_not_a_panic() {
+        let mut r = AuditReport::default();
+        assert!(reference(&mut r, "ref", Err("no world".into())).is_none());
+        assert!(check(&mut r, "leg", "why", &Vec::new(), Err("boom".into())).is_none());
+        assert_eq!(r.checks_run, 2);
+        let details: Vec<&str> = r.errors().map(|f| f.detail.as_str()).collect();
+        assert_eq!(details, ["ref: no world", "leg: boom"]);
+    }
+
+    #[test]
+    fn a_store_without_rows_is_vacuous_though_not_empty() {
+        let (empty, _) = small_chunks().unwrap().finish().unwrap();
+        assert!(!empty.is_empty(), "a store always has its magic and trailer");
+        assert!(has_rows(&empty).unwrap_err().contains("no records"));
+        assert!(grouped(&empty, GroupKey::CountryProvider, 1).unwrap_err().contains("no groups"));
+    }
+
+    #[test]
+    fn a_fault_profile_that_injects_nothing_is_vacuous() {
+        let clean = campaign(1, 1, true, FaultProfile::none(), Obs::disabled()).unwrap();
+        assert!(has_rows(output(&clean, "store")).is_ok());
+        let mut r = AuditReport::default();
+        let legs = campaign_legs(&mut r, 1, 2, FaultProfile::none(), Some(&clean));
+        assert!(legs.0.is_none() && legs.1.is_none());
+        assert_eq!(r.checks_run, 1, "the legs of a vacuous reference are skipped");
+        assert!(r.render().contains("injected no failures"), "{}", r.render());
+    }
+
+    #[test]
     fn single_thread_config_is_a_warning_not_an_error() {
         let report = race_check(&RaceConfig { seed: 1, threads: 1 });
         assert!(report.is_clean());
@@ -642,5 +499,6 @@ mod tests {
     fn campaign_is_thread_count_invariant() {
         let report = race_check(&RaceConfig { seed: 7, threads: 4 });
         assert!(report.is_clean(), "{}", report.render());
+        assert_eq!(report.checks_run, 25);
     }
 }

@@ -483,13 +483,7 @@ mod tests {
     use cloudy_netsim::build::{build, WorldConfig};
 
     fn world() -> BuiltWorld {
-        build(&WorldConfig {
-            seed: 13,
-            isps_per_country: 2,
-            countries: Some(
-                ["DE", "JP", "BR", "KE"].iter().map(|c| CountryCode::new(c)).collect(),
-            ),
-        })
+        cloudy_serve::default_world(13)
     }
 
     #[test]

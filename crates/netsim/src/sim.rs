@@ -268,11 +268,13 @@ impl Simulator {
         }
     }
 
-    /// Thin hour-less wrapper over the canonical [`Simulator::ping_at`]
-    /// semantics: one ping RTT (ms) under neutral (midday-average) load
-    /// with loss disabled — the conditional expectation used by unit
-    /// tests. Campaigns use [`Simulator::ping_at`]. (Distinct flow
-    /// derivation, so the two are independent sample streams by design.)
+    /// Test-only, hour-less wrapper over the canonical
+    /// [`Simulator::ping_at`] semantics: one ping RTT (ms) under neutral
+    /// (midday-average) load with loss disabled — the conditional
+    /// expectation the unit tests and proptests sample. No campaign uses
+    /// it: its flow derivation differs from `ping_at`'s, so the two are
+    /// independent sample streams by design.
+    #[cfg(test)]
     pub fn ping(&self, client: &ClientCtx, path: &RoutePath, proto: Protocol, seq: u64) -> f64 {
         let flow = mix(&[client.probe_hash, path_region_tag(path), proto.tag(), seq]);
         let mut rng = FlowRng::new(self.net.seed, flow);
@@ -343,9 +345,11 @@ impl Simulator {
         LogNormal::from_median_cv(median.max(0.01), 0.8).sample(rng)
     }
 
-    /// Thin hour-less wrapper over the canonical [`Simulator::traceroute_at`]
-    /// semantics: one traceroute under neutral load (both delegate to the
-    /// same per-hop sampling core, differing only in the load factor).
+    /// Test-only, hour-less wrapper over the canonical
+    /// [`Simulator::traceroute_at`] semantics: one traceroute under neutral
+    /// load (both delegate to the same per-hop sampling core, differing
+    /// only in the load factor).
+    #[cfg(test)]
     pub fn traceroute(&self, client: &ClientCtx, path: &RoutePath, proto: Protocol, seq: u64) -> Vec<TraceHop> {
         self.traceroute_with(client, path, proto, seq, 1.0, 0)
     }

@@ -11,11 +11,10 @@
 //! * **Managed-network quality** — hosted by network enthusiasts, NRENs and
 //!   ISPs' own racks; last-mile quality baseline is better than residential.
 
-use crate::probe::{jittered_location, quality_factor, Platform, Population, Probe, ProbeId};
-use cloudy_geo::{city, country, Continent, CountryCode};
+use crate::probe::{place, quality_factor, Platform, Population};
+use cloudy_geo::{Continent, CountryCode};
 use cloudy_lastmile::AccessType;
 use cloudy_netsim::build::BuiltWorld;
-use cloudy_netsim::rng::mix;
 
 /// Fig. 2 continent totals at scale 1.0.
 pub fn continent_total(c: Continent) -> usize {
@@ -73,60 +72,11 @@ pub fn country_weight(cc: CountryCode) -> f64 {
 
 /// Build the Atlas population at `fraction` of full scale.
 pub fn population(world: &BuiltWorld, fraction: f64, seed: u64) -> Population {
-    assert!(fraction > 0.0 && fraction <= 1.0, "fraction {fraction}");
-    let mut probes = Vec::new();
-    let mut next_id: u64 = 1;
-    for continent in Continent::ALL {
-        let total = ((continent_total(continent) as f64) * fraction).round() as usize;
-        let countries: Vec<&country::Country> = country::in_continent(continent)
-            .filter(|c| world.isps_by_country.contains_key(&c.code()))
-            .collect();
-        if countries.is_empty() {
-            continue;
-        }
-        let wsum: f64 = countries.iter().map(|c| country_weight(c.code())).sum();
-        for c in &countries {
-            let share = country_weight(c.code()) / wsum;
-            let n = ((total as f64) * share).round() as usize;
-            let cc = c.code();
-            let cities = city::in_country(cc);
-            let isps = &world.isps_by_country[&cc];
-            let cwsum: f64 = cities.iter().map(|ct| ct.weight).sum();
-            for k in 0..n {
-                let h = mix(&[seed, 0xA7145, cc.as_str().as_bytes()[0] as u64, cc.as_str().as_bytes()[1] as u64, k as u64]);
-                let (city_name, base_loc) = if cities.is_empty() {
-                    ("(centroid)".to_string(), c.location())
-                } else {
-                    let mut pick = ((h >> 17) as f64 / (1u64 << 47) as f64) * cwsum;
-                    let mut chosen = cities[cities.len() - 1];
-                    for ct in &cities {
-                        if pick < ct.weight {
-                            chosen = ct;
-                            break;
-                        }
-                        pick -= ct.weight;
-                    }
-                    (chosen.name.to_string(), chosen.location())
-                };
-                let isp = isps[(h % isps.len() as u64) as usize];
-                probes.push(Probe {
-                    id: ProbeId(next_id),
-                    platform: Platform::RipeAtlas,
-                    country: cc,
-                    continent,
-                    city: city_name,
-                    location: jittered_location(base_loc, h),
-                    isp,
-                    access: AccessType::Wired,
-                    // Managed deployments: tighter, slightly better than
-                    // residential baseline.
-                    quality: quality_factor(0.90, h),
-                });
-                next_id += 1;
-            }
-        }
-    }
-    Population { platform: Platform::RipeAtlas, probes }
+    // Managed deployments: wired, with a tighter, slightly better last
+    // mile than the residential baseline.
+    place(world, Platform::RipeAtlas, fraction, seed, |h, _, _| {
+        (AccessType::Wired, quality_factor(0.90, h))
+    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Probe identity and population container.
 
-use cloudy_geo::{Continent, CountryCode, GeoPoint};
+use crate::{atlas, speedchecker};
+use cloudy_geo::{city, country, Continent, CountryCode, GeoPoint};
 use cloudy_lastmile::{AccessProfile, AccessType, ArtifactConfig};
+use cloudy_netsim::build::BuiltWorld;
 use cloudy_netsim::rng::{mix, splitmix64};
 use cloudy_netsim::{ClientCtx, Network};
 use cloudy_topology::Asn;
@@ -106,6 +108,80 @@ impl Population {
     pub fn is_empty(&self) -> bool {
         self.probes.is_empty()
     }
+}
+
+/// Place `fraction` of a platform's probes over `world`. Each continent's
+/// full-scale total is split over the world's countries there by the
+/// platform's country weights. Each probe hashes (seed, platform salt,
+/// country, index) once, and that hash picks a weighted gazetteer city
+/// (the country's centroid where it has none), the ISP and the jitter;
+/// `draw(hash, country, continent)` gives its access type and quality.
+pub(crate) fn place(
+    world: &BuiltWorld,
+    platform: Platform,
+    fraction: f64,
+    seed: u64,
+    draw: impl Fn(u64, CountryCode, Continent) -> (AccessType, f64),
+) -> Population {
+    assert!(fraction > 0.0 && fraction <= 1.0, "fraction {fraction}");
+    type Tables = (u64, fn(Continent) -> usize, fn(CountryCode) -> f64);
+    let (salt, continent_total, country_weight): Tables = match platform {
+        Platform::Speedchecker => {
+            (0x5C, speedchecker::continent_total, speedchecker::country_weight)
+        }
+        Platform::RipeAtlas => (0xA7145, atlas::continent_total, atlas::country_weight),
+    };
+    let mut probes = Vec::new();
+    let mut next_id: u64 = 1;
+    for continent in Continent::ALL {
+        let total = ((continent_total(continent) as f64) * fraction).round() as usize;
+        // Countries available in this world (must have ISPs to serve probes).
+        let countries: Vec<&country::Country> = country::in_continent(continent)
+            .filter(|c| world.isps_by_country.contains_key(&c.code()))
+            .collect();
+        let wsum: f64 = countries.iter().map(|c| country_weight(c.code())).sum();
+        for c in &countries {
+            let share = country_weight(c.code()) / wsum;
+            let n = ((total as f64) * share).round() as usize;
+            let cc = c.code();
+            let cities = city::in_country(cc);
+            let isps = &world.isps_by_country[&cc];
+            let cwsum: f64 = cities.iter().map(|ct| ct.weight).sum();
+            let [c0, c1] = [0, 1].map(|i| cc.as_str().as_bytes()[i] as u64);
+            for k in 0..n {
+                let h = mix(&[seed, salt, c0, c1, k as u64]);
+                let (city_name, base_loc) = match cities.last() {
+                    None => ("(centroid)".to_string(), c.location()),
+                    Some(&last) => {
+                        let mut pick = ((h >> 17) as f64 / (1u64 << 47) as f64) * cwsum;
+                        let mut chosen = last;
+                        for ct in &cities {
+                            if pick < ct.weight {
+                                chosen = ct;
+                                break;
+                            }
+                            pick -= ct.weight;
+                        }
+                        (chosen.name.to_string(), chosen.location())
+                    }
+                };
+                let (access, quality) = draw(h, cc, continent);
+                probes.push(Probe {
+                    id: ProbeId(next_id),
+                    platform,
+                    country: cc,
+                    continent,
+                    city: city_name,
+                    location: jittered_location(base_loc, h),
+                    isp: isps[(h % isps.len() as u64) as usize],
+                    access,
+                    quality,
+                });
+                next_id += 1;
+            }
+        }
+    }
+    Population { platform, probes }
 }
 
 /// Deterministic location jitter: up to ~±0.15° around the city centre.

@@ -8,8 +8,8 @@
 //! while ≈75 % of (cellular) probes sit in the north; > 80 % of South
 //! American probes in Brazil.
 
-use crate::probe::{jittered_location, quality_factor, Platform, Population, Probe, ProbeId};
-use cloudy_geo::{city, country, Continent, CountryCode};
+use crate::probe::{place, quality_factor, Platform, Population};
+use cloudy_geo::{Continent, CountryCode};
 use cloudy_lastmile::AccessType;
 use cloudy_netsim::build::BuiltWorld;
 use cloudy_netsim::rng::mix;
@@ -136,77 +136,24 @@ pub fn population_with(
     seed: u64,
     opts: PopulationOptions,
 ) -> Population {
-    assert!(fraction > 0.0 && fraction <= 1.0, "fraction {fraction}");
     assert!((0.0..=1.0).contains(&opts.wired_share), "wired_share");
     assert!((0.0..=1.0).contains(&opts.five_g_share), "five_g_share");
-    let mut probes = Vec::new();
-    let mut next_id: u64 = 1;
-    for continent in Continent::ALL {
-        let total = ((continent_total(continent) as f64) * fraction).round() as usize;
-        // Countries available in this world (must have ISPs to serve probes).
-        let countries: Vec<&country::Country> = country::in_continent(continent)
-            .filter(|c| world.isps_by_country.contains_key(&c.code()))
-            .collect();
-        if countries.is_empty() {
-            continue;
-        }
-        let wsum: f64 = countries.iter().map(|c| country_weight(c.code())).sum();
-        for c in &countries {
-            let share = country_weight(c.code()) / wsum;
-            let n = ((total as f64) * share).round() as usize;
-            let cc = c.code();
-            let cities = city::in_country(cc);
-            let isps = &world.isps_by_country[&cc];
-            let cwsum: f64 = cities.iter().map(|ct| ct.weight).sum();
-            for k in 0..n {
-                let h = mix(&[seed, 0x5C, cc.as_str().as_bytes()[0] as u64, cc.as_str().as_bytes()[1] as u64, k as u64]);
-                // Weighted city pick (fall back to the centroid).
-                let (city_name, base_loc) = if cities.is_empty() {
-                    ("(centroid)".to_string(), c.location())
-                } else {
-                    let mut pick = ((h >> 17) as f64 / (1u64 << 47) as f64) * cwsum;
-                    let mut chosen = cities[cities.len() - 1];
-                    for ct in &cities {
-                        if pick < ct.weight {
-                            chosen = ct;
-                            break;
-                        }
-                        pick -= ct.weight;
-                    }
-                    (chosen.name.to_string(), chosen.location())
-                };
-                let isp = isps[(h % isps.len() as u64) as usize];
-                // Independent uniforms need independent hash streams — bit
-                // slices of one hash are heavily correlated.
-                let unit = |salt: u64| (mix(&[h, salt]) >> 11) as f64 / (1u64 << 53) as f64;
-                let u_access = (h >> 33) as f64 / (1u64 << 31) as f64;
-                let u_wired = unit(0xA11E);
-                let u_5g = unit(0xF1FE);
-                let access = if u_wired < opts.wired_share {
-                    AccessType::Wired
-                } else if u_access < home_fraction(cc) {
-                    AccessType::WifiHome
-                } else if u_5g < opts.five_g_share {
-                    AccessType::Cellular5g
-                } else {
-                    AccessType::Cellular
-                };
-                probes.push(Probe {
-                    id: ProbeId(next_id),
-                    platform: Platform::Speedchecker,
-                    country: cc,
-                    continent,
-                    city: city_name,
-                    location: jittered_location(base_loc, h),
-                    isp,
-                    access,
-                    quality: quality_factor(country_quality(cc, continent), h),
-                });
-                next_id += 1;
-            }
-        }
-    }
-    Population { platform: Platform::Speedchecker, probes }
+    place(world, Platform::Speedchecker, fraction, seed, |h, cc, continent| {
+        // Independent uniforms need independent hash streams — bit slices
+        // of one hash are heavily correlated.
+        let unit = |salt: u64| (mix(&[h, salt]) >> 11) as f64 / (1u64 << 53) as f64;
+        let u_access = (h >> 33) as f64 / (1u64 << 31) as f64;
+        let access = if unit(0xA11E) < opts.wired_share {
+            AccessType::Wired
+        } else if u_access < home_fraction(cc) {
+            AccessType::WifiHome
+        } else if unit(0xF1FE) < opts.five_g_share {
+            AccessType::Cellular5g
+        } else {
+            AccessType::Cellular
+        };
+        (access, quality_factor(country_quality(cc, continent), h))
+    })
 }
 
 #[cfg(test)]

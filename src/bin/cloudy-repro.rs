@@ -74,10 +74,9 @@ fn usage() {
         "cloudy-repro — reproduce \"Cloudy with a Chance of Short RTTs\" (IMC 2021)\n\n\
          commands:\n\
          \x20 list                         list experiment ids\n\
-         \x20 world [opts] [--audit]       print world statistics; --audit also runs\n\
-         \x20                              the world invariant checks (exit 1 if broken)\n\
+         \x20 world [opts]                 print world statistics\n\
          \x20 audit [audit opts]           check the world invariants and run the\n\
-         \x20                              1-vs-N-thread campaign race check\n\
+         \x20                              1-vs-N-thread race check of every plane\n\
          \x20 audit lint [lint opts]       source gate: token lints + wire freeze;\n\
          \x20                              fails on any finding\n\
          \x20 run [opts] [--out DIR]       stream both campaigns into columnar stores\n\
@@ -135,7 +134,6 @@ fn usage() {
          \x20 --trace-out FILE    also write a Chrome trace_event JSON file\n\
          \x20                     (open in a trace viewer, e.g. chrome://tracing)\n\n\
          audit options:\n\
-         \x20 --static            skip the campaign race check\n\
          \x20 --json              machine-readable findings\n\
          \x20 --global            audit the full 195-country world (slow)\n\
          \x20 --pass NAME         run one pass: world | racecheck\n\
@@ -267,16 +265,8 @@ fn list(args: Args) -> CliResult {
 
 fn world(mut args: Args) -> CliResult {
     let cfg = study_config(&mut args)?;
-    let audit = args.switch("--audit");
     args.finish()?;
     let world = cfg.build_world();
-    if audit {
-        let report = cloudy::audit::world::audit(&world);
-        print!("{}", report.render());
-        if !report.is_clean() {
-            return Ok(ExitCode::from(1));
-        }
-    }
     println!("seed: {}", cfg.seed);
     println!("ASes: {}", world.net.graph.len());
     println!("AS-level edges: {}", world.net.graph.edge_count());
@@ -289,46 +279,47 @@ fn world(mut args: Args) -> CliResult {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `audit` — the world invariants and the race check. Clean means no
-/// error-severity finding; the source lints run under `audit lint`.
+/// `audit` — the world invariants and the race check. Clean means at
+/// least one check ran and no finding is an error; the source lints run
+/// under `audit lint`.
 fn audit(mut args: Args) -> CliResult {
-    use cloudy::audit::{AuditDriver, AuditOptions, AuditPass, AuditReport};
+    use cloudy::audit::racecheck::{race_check, RaceConfig};
+    use cloudy::audit::{world, AuditPass, AuditReport};
+    use cloudy::netsim::build::{build, WorldConfig};
     if args.0.first().is_some_and(|a| a == "lint") {
         args.subcommand();
         return audit_lint(args);
     }
-    let defaults = AuditOptions::default();
-    let opts = AuditOptions {
-        skip_race: args.switch("--static"),
-        global_world: args.switch("--global"),
-        seed: args.value("--seed")?.unwrap_or(defaults.seed),
-        race_threads: args.value("--threads")?.unwrap_or(defaults.race_threads),
-    };
+    let defaults = RaceConfig::default();
+    let global = args.switch("--global");
+    let seed = args.value("--seed")?.unwrap_or(defaults.seed);
+    let threads = args.value("--threads")?.unwrap_or(defaults.threads);
     let json = args.switch("--json");
-    let only_pass = args.choice("--pass", "world or racecheck", AuditPass::from_name)?;
+    let only = args.choice("--pass", "world or racecheck", AuditPass::from_name)?;
     args.finish()?;
-    let driver = AuditDriver::new(opts);
-    let per_pass = match only_pass {
-        Some(p) => vec![(p, driver.run_pass(p))],
-        None => driver.run_per_pass(),
-    };
     let mut combined = AuditReport::default();
-    for (_, r) in &per_pass {
-        combined.merge(r.clone());
+    let mut failed = None;
+    for pass in AuditPass::ALL.into_iter().filter(|p| only.is_none_or(|o| o == *p)) {
+        let report = match pass {
+            AuditPass::World if global => {
+                world::audit(&build(&WorldConfig { seed, ..WorldConfig::default() }))
+            }
+            AuditPass::World => world::audit(&cloudy::serve::default_world(seed)),
+            AuditPass::RaceCheck => race_check(&RaceConfig { seed, threads }),
+        };
+        if !report.is_clean() {
+            failed.get_or_insert(pass);
+        }
+        combined.merge(report);
     }
     if json {
         println!("{}", combined.render_json());
     } else {
         print!("{}", combined.render());
     }
-    // Exit with the first failing pass's dedicated code so CI can name
-    // the broken gate (11 world, 12 racecheck).
-    for (pass, report) in &per_pass {
-        if !report.is_clean() {
-            return Ok(ExitCode::from(pass.exit_code() as u8));
-        }
-    }
-    Ok(ExitCode::SUCCESS)
+    // Exit with the first failing pass's own code so CI can name the
+    // broken gate (11 world, 12 racecheck).
+    Ok(failed.map_or(ExitCode::SUCCESS, |p| ExitCode::from(p.exit_code() as u8)))
 }
 
 /// `audit lint` — the source gate, and the only command that runs the

@@ -9,7 +9,6 @@
 use cloudy::audit::detlint::lint_workspace;
 use cloudy::audit::output::render_text;
 use cloudy::audit::wirefreeze::check_workspace;
-use cloudy::audit::{AuditDriver, AuditOptions};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -28,8 +27,7 @@ fn detlint_finds_no_errors_in_the_workspace() {
 
 #[test]
 fn world_audit_is_clean_on_the_seed_world() {
-    let driver = AuditDriver::new(AuditOptions { skip_race: true, ..AuditOptions::default() });
-    let report = driver.run_world();
+    let report = cloudy::audit::world::audit(&cloudy::serve::default_world(1));
     assert!(report.is_clean(), "{}", report.render());
     assert!(report.checks_run >= 10, "only {} world checks ran", report.checks_run);
 }
@@ -60,7 +58,7 @@ fn cloudy_repro_audit_exits_zero_on_the_seed_workspace() {
 #[test]
 fn cloudy_repro_audit_json_is_parseable() {
     let out = Command::new(env!("CARGO_BIN_EXE_cloudy-repro"))
-        .args(["audit", "--static", "--json"])
+        .args(["audit", "--pass", "world", "--json"])
         .output()
         .expect("cloudy-repro runs");
     assert!(out.status.success());

@@ -163,6 +163,14 @@ fn unknown_flags_exit_2() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("unknown store subcommand \"write\""), "{stderr}");
+    // `audit --pass world` runs the world invariants; `--static` and
+    // `world --audit` are gone.
+    for args in [["audit", "--static"], ["world", "--audit"]] {
+        let out = repro(&dir, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("{:?}", args[1])), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
